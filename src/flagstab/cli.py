@@ -332,6 +332,8 @@ def run(command, pf, options):
         t = _need(pf, pf.matrices, options.t, "matrix")
         if not 0 <= options.u < len(s.members):
             raise FlagstabError(f"member index {options.u} out of range")
+        if options.k < 1:
+            raise FlagstabError(f"--k must be at least 1, got {options.k}")
         spec = _hypothesis_phi(pf, s, options.u, t)
         bad = transvection_commutator_check(spec, t, options.k)
         if bad is None:
@@ -392,6 +394,9 @@ def run(command, pf, options):
                 raise FlagstabError(
                     f"--section must be u_index:w_index:map, got {txt!r}"
                 ) from None
+            for i in (u_i, w_i):
+                if not 0 <= i < len(s.members):
+                    raise FlagstabError(f"--section member index {i} out of range")
             hmap = _need(pf, pf.maps, name, "map")
             sections.append((s.members[u_i], s.members[w_i], hmap))
         basis = adapted_basis_of(s)

@@ -4,9 +4,19 @@ Scalars are plain ints reduced mod p for prime fields and
 `fractions.Fraction` for the rationals; no floating point anywhere.
 Vectors are rows and act on the right of matrices (v @ g), so kernels
 are left null spaces and images are row spaces.
+
+Over the rationals the kernels (elimination, products, membership and
+solving) work fraction-free on integer rows: a rational row is its
+integer numerators over one common denominator, and elimination
+cross-multiplies and divides each row by its content (Bareiss 1968).
+Canonical `Fraction`s are built only where a `Vec`, `Mat`, `Subspace`
+or solution row is handed out, so every result is the same as with
+`Fraction` arithmetic throughout.
 """
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     ContainmentError,
@@ -73,6 +83,8 @@ class Field:
     def coerce(self, x):
         if self.p is not None:
             return int(x) % self.p
+        if type(x) is Fraction:
+            return x
         return Fraction(x)
 
     def add(self, a, b):
@@ -184,7 +196,7 @@ class Vec:
         _check_same_field(self, m)
         if self.dim != m.nrows:
             raise ShapeError("vector/matrix shapes differ")
-        return Vec(self.field, _row_times(self.field, self.entries, m.rows, m.ncols))
+        return Vec(self.field, _times(self.field, [self.entries], m)[0])
 
     def __eq__(self, other):
         return (
@@ -215,18 +227,62 @@ class Vec:
         return cls(field, [field.zero] * dim)
 
 
+_ZERO = Fraction(0)
+
+
+def _int_row(row):
+    """(numerators, denominator) of a rational row over its lcm denominator."""
+    try:
+        pairs = [x.as_integer_ratio() for x in row]
+    except AttributeError:
+        pairs = [Fraction(x).as_integer_ratio() for x in row]
+    den = math.lcm(*[d for _, d in pairs])
+    if den == 1:
+        return [n for n, _ in pairs], 1
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _fractions(nums, den):
+    """Canonical Fractions nums[j] / den."""
+    if den == 1:
+        return [Fraction(x) if x else _ZERO for x in nums]
+    return [Fraction(x, den) if x else _ZERO for x in nums]
+
+
+def _int_times(rows, m):
+    """r @ m for each rational row r, as (integer numerators, denominator).
+
+    The right factor is converted once: its columns over one common
+    denominator.
+    """
+    n = m.ncols
+    flat, den = _int_row([x for r in m.rows for x in r])
+    cols = [flat[j::n] for j in range(n)]
+    out = []
+    for r in rows:
+        nums, e = _int_row(r)
+        out.append(([sum(map(mul, nums, col)) for col in cols], e * den))
+    return out
+
+
 def _row_times(field, row, rows, ncols):
+    """The row times the matrix with these rows, over GF(p)."""
     p = field.p
-    out = [field.zero] * ncols
+    out = [0] * ncols
     for x, mrow in zip(row, rows):
         if x == 0:
             continue
         for j, y in enumerate(mrow):
             if y != 0:
                 out[j] += x * y
-    if p is not None:
-        out = [x % p for x in out]
-    return out
+    return [x % p for x in out]
+
+
+def _times(field, rows, m):
+    """Canonical rows r @ m for each row r."""
+    if field.p is None:
+        return [_fractions(nums, den) for nums, den in _int_times(rows, m)]
+    return [_row_times(field, r, m.rows, m.ncols) for r in rows]
 
 
 class Mat:
@@ -324,10 +380,7 @@ class Mat:
         _check_same_field(self, other)
         if self.ncols != other.nrows:
             raise ShapeError("inner dimensions differ")
-        field = self.field
-        orows = other.rows
-        out = [_row_times(field, r, orows, other.ncols) for r in self.rows]
-        return Mat(field, out, ncols=other.ncols)
+        return Mat(self.field, _times(self.field, self.rows, other), ncols=other.ncols)
 
     def pow(self, e):
         if not self.is_square():
@@ -357,10 +410,10 @@ class Mat:
         field = self.field
         aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
                for i, r in enumerate(self.rows)]
-        reduced, pivots = _rref(field, aug)
+        reduced, pivots = _echelon(field, aug)
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Mat(field, [r[n:] for r in reduced], ncols=n)
+        return Mat(field, [_canonical(field, r, c, n) for r, c in zip(reduced, pivots)], ncols=n)
 
     def is_invertible(self):
         try:
@@ -370,7 +423,7 @@ class Mat:
             return False
 
     def rank(self):
-        _, pivots = _rref(self.field, [list(r) for r in self.rows])
+        _, pivots = _echelon(self.field, [list(r) for r in self.rows])
         return len(pivots)
 
     def __eq__(self, other):
@@ -390,11 +443,18 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def _rref(field, rows):
-    """In-place reduced row echelon form; returns (nonzero rows, pivot cols)."""
+def _echelon(field, rows):
+    """Gauss-Jordan elimination; returns (nonzero rows, pivot cols).
+
+    Over GF(p) the rows are the reduced row echelon form, computed in
+    place.  Over QQ they are primitive integer rows, each its reduced
+    echelon row times the pivot entry; `_canonical` divides that out.
+    """
+    p = field.p
+    if p is None:
+        return _echelon_int([_int_row(r)[0] for r in rows])
     m = len(rows)
     n = len(rows[0]) if m else 0
-    p = field.p
     pivots = []
     r = 0
     for c in range(n):
@@ -407,13 +467,9 @@ def _rref(field, rows):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pivot = rows[r][c]
-        if pivot != field.one:
+        if pivot != 1:
             ipiv = field.inv(pivot)
-            row = rows[r]
-            if p is not None:
-                rows[r] = [(x * ipiv) % p for x in row]
-            else:
-                rows[r] = [x * ipiv for x in row]
+            rows[r] = [(x * ipiv) % p for x in rows[r]]
         prow = rows[r]
         for i in range(m):
             if i == r:
@@ -421,11 +477,7 @@ def _rref(field, rows):
             f = rows[i][c]
             if f == 0:
                 continue
-            row = rows[i]
-            if p is not None:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
-            else:
-                rows[i] = [x - f * y for x, y in zip(row, prow)]
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == m:
@@ -433,16 +485,78 @@ def _rref(field, rows):
     return rows[:r], pivots
 
 
+def _echelon_int(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Row i becomes a*row_i - b*pivot_row, with a and b the pivot and the
+    entry divided by their gcd, and is then divided by its content.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    gcd = math.gcd
+    for i, row in enumerate(rows):
+        g = gcd(*row)
+        if g > 1:
+            rows[i] = [x // g for x in row]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        pivot = prow[c]
+        for i in range(m):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if not f:
+                continue
+            g = gcd(pivot, f)
+            a, b = pivot // g, f // g
+            row = [a * x - b * y for x, y in zip(row, prow)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+            rows[i] = row
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows[:r], pivots
+
+
+def _canonical(field, row, c, start=0):
+    """Reduced echelon form, from column start on, of a row of `_echelon`
+    whose pivot is in column c."""
+    if field.p is None:
+        return _fractions(row[start:], row[c])
+    return row[start:]
+
+
+def _rref(field, rows):
+    """Reduced row echelon form; returns (nonzero rows, pivot cols)."""
+    reduced, pivots = _echelon(field, rows)
+    return [_canonical(field, r, c) for r, c in zip(reduced, pivots)], pivots
+
+
 class Subspace:
     """Row space in canonical reduced echelon form; equality is syntactic."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_int_cols")
 
     def __init__(self, field, ambient_dim, basis, pivots):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(tuple(r) for r in basis))
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_int_cols", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -454,7 +568,8 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ShapeError("row width differs from ambient dimension")
-        rows = [[field.coerce(x) for x in r] for r in rows]
+        if field.p is not None:
+            rows = [[field.coerce(x) for x in r] for r in rows]
         reduced, pivots = _rref(field, rows) if rows else ([], [])
         return cls(field, ambient_dim, reduced, pivots)
 
@@ -481,26 +596,43 @@ class Subspace:
     def basis_vecs(self):
         return [Vec(self.field, r) for r in self.basis]
 
+    def _integer_columns(self):
+        """(den, [(c, column c of den * basis) for each non-pivot c]), cached."""
+        form = self._int_cols
+        if form is None:
+            n = self.ambient_dim
+            flat, den = _int_row([x for r in self.basis for x in r])
+            free = sorted(set(range(n)).difference(self.pivots))
+            form = (den, [(c, flat[c::n]) for c in free])
+            object.__setattr__(self, "_int_cols", form)
+        return form
+
     def _reduce(self, v):
-        """Residue of v after elimination against the basis."""
+        """Residue of v after elimination against the basis.
+
+        Over QQ the residue is taken on the non-pivot columns only (it
+        vanishes on the others) and scaled to integers; it is yielded
+        lazily, column by column.
+        """
+        p = self.field.p
+        if p is None:
+            den, cols = self._integer_columns()
+            nums, _ = _int_row(v)
+            coeffs = [nums[c] for c in self.pivots]
+            return (den * nums[c] - sum(map(mul, coeffs, col)) for c, col in cols)
         v = list(v)
-        field = self.field
-        p = field.p
         for row, piv in zip(self.basis, self.pivots):
             f = v[piv]
             if f == 0:
                 continue
-            if p is not None:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-            else:
-                v = [x - f * y for x, y in zip(v, row)]
+            v = [(x - f * y) % p for x, y in zip(v, row)]
         return v
 
     def contains_vec(self, v):
         entries = v.entries if isinstance(v, Vec) else tuple(v)
         if len(entries) != self.ambient_dim:
             raise ShapeError("vector dim differs from ambient dimension")
-        return all(x == 0 for x in self._reduce(entries))
+        return not any(self._reduce(entries))
 
     def contains(self, other):
         self._match(other)
@@ -527,8 +659,8 @@ class Subspace:
         rows += [list(r) + [z] * n for r in other.basis]
         if not rows:
             return Subspace.zero(self.field, n)
-        reduced, _ = _rref(self.field, rows)
-        out = [r[n:] for r in reduced if all(x == 0 for x in r[:n])]
+        reduced, pivots = _echelon(self.field, rows)
+        out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
         return Subspace.span(self.field, n, out)
 
     def __add__(self, other):
@@ -559,7 +691,11 @@ class Subspace:
         if m.nrows != self.ambient_dim:
             raise ShapeError("matrix height differs from ambient dimension")
         field = self.field
-        rows = [_row_times(field, r, m.rows, m.ncols) for r in self.basis]
+        if field.p is None:
+            # The span ignores row scaling, so the integer numerators will do.
+            rows = [nums for nums, _ in _int_times(self.basis, m)]
+        else:
+            rows = _times(field, self.basis, m)
         return Subspace.span(field, m.ncols, rows)
 
     def __repr__(self):
@@ -587,8 +723,8 @@ def kernel(m):
     one, z = field.one, field.zero
     rows = [list(r) + [one if i == j else z for j in range(n)]
             for i, r in enumerate(m.rows)]
-    reduced, _ = _rref(field, rows)
-    out = [r[n:] for r in reduced if all(x == 0 for x in r[:n])]
+    reduced, pivots = _echelon(field, rows)
+    out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
     return Subspace.span(field, n, out)
 
 
@@ -601,8 +737,8 @@ def left_kernel_rows(field, rows, ncols):
     one, z = field.one, field.zero
     aug = [list(r) + [one if i == j else z for j in range(m)]
            for i, r in enumerate(rows)]
-    reduced, _ = _rref(field, aug)
-    return [tuple(r[ncols:]) for r in reduced if all(x == 0 for x in r[:ncols])]
+    reduced, pivots = _echelon(field, aug)
+    return [tuple(_canonical(field, r, c, ncols)) for r, c in zip(reduced, pivots) if c >= ncols]
 
 
 def complement_basis(u, w):
@@ -719,8 +855,11 @@ class LinearSolver:
         aug = [[field.coerce(rows[i][j]) for i in range(m)]
                + [one if j == k else z for k in range(ncols)]
                for j in range(ncols)]
-        reduced, pivots = _rref(field, aug) if aug else ([], [])
-        self._reduced = reduced
+        reduced, pivots = _echelon(field, aug) if aug else ([], [])
+        # Tag blocks of the reduced rows; over QQ each is an integer row
+        # that still has to be divided by its row's pivot entry.
+        self._tags = [r[m:] for r in reduced]
+        self._scales = [r[c] for r, c in zip(reduced, pivots)]
         self._pivots = pivots
 
     def solve(self, target):
@@ -730,12 +869,22 @@ class LinearSolver:
             raise ShapeError("target width differs")
         field = self.field
         m = self.nrows
+        if field.p is None:
+            nums, den = _int_row(entries)
+            sums = [sum(map(mul, tag, nums)) for tag in self._tags]
+            if any(s for s, piv in zip(sums, self._pivots) if piv >= m):
+                return None
+            y = [_ZERO] * m
+            for s, scale, piv in zip(sums, self._scales, self._pivots):
+                if s:
+                    y[piv] = Fraction(s, scale * den)
+            return y
         y = [field.zero] * m
-        for row, piv in zip(self._reduced, self._pivots):
+        for tag, piv in zip(self._tags, self._pivots):
             val = field.zero
             for k, t in enumerate(entries):
                 if t != 0:
-                    c = row[m + k]
+                    c = tag[k]
                     if c != 0:
                         val = field.add(val, field.mul(c, t))
             if piv < m:

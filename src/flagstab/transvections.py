@@ -97,9 +97,14 @@ def make_transvection(spec):
 def commutator(x, g):
     """Group commutator x^-1 g^-1 x g."""
     try:
-        return x.inverse() @ g.inverse() @ x @ g
+        return _commutator(x, g, g.inverse())
     except SingularMatrixError:
         raise SingularMatrixError("commutator of a singular matrix") from None
+
+
+def _commutator(x, g, g_inv):
+    """x^-1 g^-1 x g, given g^-1."""
+    return x.inverse() @ g_inv @ x @ g
 
 
 def iterated_commutator(x, g, n):
@@ -140,10 +145,11 @@ def transvection_commutator_check(spec, t, k):
     n = spec.u.ambient_dim
     ident = Mat.identity(spec.field, n)
     nil = t - ident
+    t_inv = t.inverse()  # t is unipotent, hence invertible
     z = x
     power = ident
     for j in range(1, k + 1):
-        z = commutator(z, t)
+        z = _commutator(z, t, t_inv)
         power = power @ nil
         expected = ident + eta @ power
         if z != expected:

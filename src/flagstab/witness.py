@@ -404,7 +404,8 @@ def construct_witness(g, s):
     if probe is None:
         raise WitnessError("power-vanished", "(g g^h - 1)^(r-1) = 0 unexpectedly")
     cert = WitnessCertificate(h, r, probe, sel, stronger)
-    assert verify_witness(g, s, cert)
+    if not verify_witness(g, s, cert):
+        raise WitnessError("not-verified", "the built certificate failed re-verification")
     return cert
 
 
@@ -546,5 +547,6 @@ def extend_witness(g, s, n):
     if probe is None:
         raise WitnessError("power-vanished", "(g g^h - 1)^(r-1) = 0 on V unexpectedly")
     cert = WitnessCertificate(h, r, probe, inner.selection, stronger)
-    assert verify_witness(g, s, cert)
+    if not verify_witness(g, s, cert):
+        raise WitnessError("not-verified", "the extended certificate failed re-verification")
     return cert

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout.
 
-Each test prints a single PASS line with its runtime; the stated time
-budgets are asserted.  All checks are zero-tolerance equalities.
+Each test prints a single PASS or FAIL line with its runtime; the stated
+time budgets are asserted.  All checks are zero-tolerance equalities.
 """
 
 import random
@@ -55,7 +55,11 @@ class budget:
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.perf_counter() - self.t0
         if exc_type is None:
-            print(f"PASS {self.name} [{elapsed:.2f}s < {self.limit}s]")
+            if elapsed < self.limit:
+                print(f"PASS {self.name} [{elapsed:.2f}s < {self.limit}s]")
+            else:
+                over = elapsed - self.limit
+                print(f"FAIL {self.name} [{elapsed:.2f}s, {over:.2f}s over limit]")
             assert elapsed < self.limit, f"{self.name} exceeded {self.limit}s"
         else:
             print(f"FAIL {self.name} [{elapsed:.2f}s]")

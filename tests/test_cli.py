@@ -171,3 +171,21 @@ def test_patch_command(tmp_path):
     f.write_text(format_problem(pf))
     r = cli("patch", str(f), "--section", "2:0:h1")
     assert r.returncode == 0 and "result=ok" in r.stdout
+    for bad in ("9:0:h1", "2:-1:h1"):
+        r = cli("patch", str(f), "--section", bad)
+        assert r.returncode == 2
+        assert "out of range" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_comm_check_rejects_k_below_one(tmp_path):
+    rng = random.Random(6)
+    g, s = witness_instance(rng, GF(5), 6, 2)
+    pf = ProblemFile(GF(5), s.ambient_dim)
+    pf.matrices["g"] = g
+    pf.series["L"] = s
+    f = tmp_path / "p.txt"
+    f.write_text(format_problem(pf))
+    for k in ("0", "-1"):
+        r = cli("comm-check", str(f), "--t", "g", "--u", "2", "--k", k)
+        assert r.returncode == 2
+        assert "--k must be at least 1" in r.stderr and r.stdout == ""

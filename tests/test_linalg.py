@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagstab import linalg
 from flagstab.errors import (
     ContainmentError,
     FieldMismatchError,
@@ -292,3 +293,231 @@ def test_linear_solver():
             for c, row in zip(y, rows):
                 got = [field.add(t, field.mul(c, x)) for t, x in zip(got, row)]
             assert got == target
+
+
+# -- differential check of the fraction-free QQ kernels -----------------------
+#
+# The reference below is the plain `Fraction` Gauss-Jordan elimination,
+# reduction and row product that the integer kernels replaced.  Over QQ
+# the reduced row echelon form is unique, so every result must agree
+# exactly, and every entry handed out must be a canonical `Fraction`.
+
+
+def ref_rref(field, rows):
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r][c]
+        if pivot != field.one:
+            ipiv = field.inv(pivot)
+            rows[r] = [x * ipiv for x in rows[r]]
+        prow = rows[r]
+        for i in range(m):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f == 0:
+                continue
+            rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows[:r], pivots
+
+
+def ref_reduce(basis, pivots, v):
+    v = list(v)
+    for row, piv in zip(basis, pivots):
+        f = v[piv]
+        if f == 0:
+            continue
+        v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
+def ref_row_times(field, row, rows, ncols):
+    out = [field.zero] * ncols
+    for x, mrow in zip(row, rows):
+        if x == 0:
+            continue
+        for j, y in enumerate(mrow):
+            if y != 0:
+                out[j] += x * y
+    return out
+
+
+def ref_span(rows):
+    if not rows:
+        return (), ()
+    basis, pivots = ref_rref(QQ, [[Fraction(x) for x in r] for r in rows])
+    return tuple(tuple(r) for r in basis), tuple(pivots)
+
+
+def ref_null_rows(rows, n):
+    """Right halves of the reduced rows whose left n entries vanish."""
+    reduced, _ = ref_rref(QQ, rows)
+    return [r[n:] for r in reduced if all(x == 0 for x in r[:n])]
+
+
+def ref_inverse(rows):
+    n = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    reduced, pivots = ref_rref(QQ, aug)
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(r[n:]) for r in reduced)
+
+
+def ref_kernel(rows):
+    n = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    return ref_span(ref_null_rows(aug, n))
+
+
+def ref_intersect(a, b, n):
+    rows = [list(r) + list(r) for r in a] + [list(r) + [Fraction(0)] * n for r in b]
+    return ref_span(ref_null_rows(rows, n))
+
+
+def ref_solve(rows, ncols, target):
+    m = len(rows)
+    aug = [[rows[i][j] for i in range(m)] + [Fraction(int(j == k)) for k in range(ncols)]
+           for j in range(ncols)]
+    reduced, pivots = ref_rref(QQ, aug) if aug else ([], [])
+    y = [Fraction(0)] * m
+    for row, piv in zip(reduced, pivots):
+        val = sum((row[m + k] * t for k, t in enumerate(target)), Fraction(0))
+        if piv < m:
+            y[piv] = val
+        elif val != 0:
+            return None
+    return y
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
+BIG = 2**64
+qq_scalars = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+@st.composite
+def qq_rows(draw, nrows, ncols):
+    """Rational rows mixing random, zero and dependent ones, shuffled."""
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combo"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "combo" and rows:
+            row = [Fraction(0)] * ncols
+            for other in rows:
+                c = draw(st.integers(-2, 2))
+                row = [x + c * y for x, y in zip(row, other)]
+            rows.append(row)
+        else:
+            rows.append(draw(st.lists(qq_scalars, min_size=ncols, max_size=ncols)))
+    return draw(st.permutations(rows))
+
+
+def qq_matrix(nrows, ncols):
+    return qq_rows(nrows, ncols).map(lambda rows: Mat(QQ, rows, ncols=ncols))
+
+
+dims = st.integers(1, 10)
+widths = st.integers(1, 20)
+differential = settings(max_examples=40, deadline=None)
+
+
+@differential
+@given(st.data(), dims, widths)
+def test_rref_matches_fraction_reference(data, m, n):
+    rows = data.draw(qq_rows(m, n))
+    fast = linalg._rref(QQ, [list(r) for r in rows])
+    assert fast == ref_rref(QQ, [list(r) for r in rows])
+    assert all_fractions(fast[0])
+
+
+@differential
+@given(st.data(), dims, dims, widths)
+def test_products_match_fraction_reference(data, m, k, n):
+    a = data.draw(qq_matrix(m, k))
+    b = data.draw(qq_matrix(k, n))
+    prod = a @ b
+    assert prod.rows == tuple(tuple(ref_row_times(QQ, r, b.rows, n)) for r in a.rows)
+    assert all_fractions(prod.rows)
+    v = a.row(0)
+    w = v @ b
+    assert w.entries == tuple(ref_row_times(QQ, v.entries, b.rows, n))
+    assert all_fractions([w.entries])
+
+
+@differential
+@given(st.data(), dims, widths)
+def test_span_and_contains_match_fraction_reference(data, m, n):
+    rows = data.draw(qq_rows(m, n))
+    s = Subspace.span(QQ, n, rows)
+    assert (s.basis, s.pivots) == ref_span(rows)
+    assert all_fractions(s.basis)
+    for v in data.draw(qq_rows(4, n)) + rows:
+        expected = not any(ref_reduce(s.basis, s.pivots, v))
+        assert s.contains_vec(v) == expected
+        assert s.contains_vec(Vec(QQ, v)) == expected
+
+
+@differential
+@given(st.data(), dims)
+def test_inverse_and_kernel_match_fraction_reference(data, n):
+    m = data.draw(qq_matrix(n, n))
+    expected = ref_inverse([list(r) for r in m.rows])
+    if expected is None:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+    else:
+        inv = m.inverse()
+        assert inv.rows == expected
+        assert all_fractions(inv.rows)
+    k = kernel(m)
+    assert (k.basis, k.pivots) == ref_kernel([list(r) for r in m.rows])
+    assert all_fractions(k.basis)
+
+
+@differential
+@given(st.data(), dims, dims, widths)
+def test_intersect_matches_fraction_reference(data, da, db, n):
+    a = Subspace.span(QQ, n, data.draw(qq_rows(da, n)))
+    b = Subspace.span(QQ, n, data.draw(qq_rows(db, n)))
+    c = a.intersect(b)
+    assert (c.basis, c.pivots) == ref_intersect(a.basis, b.basis, n)
+    assert all_fractions(c.basis)
+
+
+@differential
+@given(st.data(), dims, widths)
+def test_solver_matches_fraction_reference(data, m, n):
+    rows = data.draw(qq_rows(m, n))
+    solver = LinearSolver(QQ, rows, n)
+    coeffs = data.draw(st.lists(qq_scalars, min_size=m, max_size=m))
+    inside = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(n)]
+    for target in [inside] + data.draw(qq_rows(2, n)):
+        y = solver.solve(target)
+        assert y == ref_solve(rows, n, target)
+        if y is not None:
+            assert all_fractions([y])
+    assert solver.solve(inside) is not None

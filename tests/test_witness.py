@@ -263,3 +263,35 @@ def test_extend_witness_precondition():
     with pytest.raises(WitnessError) as e:
         extend_witness(g, s, s.num_jumps + 3)
     assert e.value.reason == "coarsenable"
+
+
+def test_unverified_witness_raises(monkeypatch):
+    import flagstab.witness as witness
+
+    rng = random.Random(9)
+    g, s = witness_instance(rng, F5, 7, 2)
+    monkeypatch.setattr(witness, "verify_witness", lambda g, s, cert: False)
+    with pytest.raises(WitnessError) as e:
+        construct_witness(g, s)
+    assert e.value.reason == "not-verified"
+
+
+def test_unverified_extension_raises(monkeypatch):
+    import flagstab.witness as witness
+
+    real = witness.verify_witness
+    calls = []
+
+    def verify_inner_only(g, s, cert):
+        # The first call checks the inner witness on the core; the
+        # second checks the extension on all of V.
+        calls.append(s.ambient_dim)
+        return len(calls) == 1 and real(g, s, cert)
+
+    rng = random.Random(10)
+    g, s = witness_instance(rng, F5, 7, 2, pad=4)
+    monkeypatch.setattr(witness, "verify_witness", verify_inner_only)
+    with pytest.raises(WitnessError) as e:
+        extend_witness(g, s, 7)
+    assert e.value.reason == "not-verified"
+    assert len(calls) == 2
