@@ -450,7 +450,10 @@ def _cmd_gen(options):
     if field is None:
         if not options.field.startswith("gf"):
             raise FlagstabError("--field must be q or gf<p>")
-        field = GF(int(options.field[2:]))
+        try:
+            field = GF(int(options.field[2:]))
+        except ValueError as exc:
+            raise FlagstabError(f"--field: {exc}") from None
     n, k = options.length, options.exponent
     if not (n >= 3 and 2 <= k < n - 2):
         raise FlagstabError("need length >= 3 and 2 <= exponent < length - 2")

@@ -12,6 +12,13 @@ cross-multiplies and divides each row by its content (Bareiss 1968).
 Canonical `Fraction`s are built only where a `Vec`, `Mat`, `Subspace`
 or solution row is handed out, so every result is the same as with
 `Fraction` arithmetic throughout.
+
+Canonical in, canonical out: every entry held by a `Vec`, `Mat` or
+`Subspace` is canonical (an int in [0, p) over GF(p), a `Fraction` over
+QQ), and every kernel returns canonical entries when given canonical
+ones.  The public constructors `Vec(...)`, `Mat(...)` and
+`Subspace.span(...)` coerce their input; kernel results go through the
+private `Vec._of`, `Mat._of` and `Subspace._span`, which trust it.
 """
 
 import math
@@ -42,16 +49,35 @@ __all__ = [
 ]
 
 
-def _is_prime(p):
-    if p < 2:
+# The first 13 primes as Miller-Rabin bases decide primality exactly
+# below this bound (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; ValueError for n at or above _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large: primes must be below {_MR_LIMIT}")
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -106,9 +132,6 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def parse(self, text):
         """Parse 'a' or 'a/b' into a canonical scalar."""
         if self.p is not None:
@@ -147,6 +170,33 @@ def _check_same_field(a, b):
         raise FieldMismatchError(f"{a.field} vs {b.field}")
 
 
+def _add(p, r, s):
+    """Entrywise r + s of canonical rows; zero operands are free over QQ."""
+    if p is not None:
+        return [(x + y) % p for x, y in zip(r, s)]
+    return [x + y if x and y else x or y for x, y in zip(r, s)]
+
+
+def _sub(p, r, s):
+    """Entrywise r - s of canonical rows; zeros in s are free over QQ."""
+    if p is not None:
+        return [(x - y) % p for x, y in zip(r, s)]
+    return [x - y if y else x for x, y in zip(r, s)]
+
+
+def _neg(p, r):
+    if p is not None:
+        return [-x % p for x in r]
+    return [-x if x else x for x in r]
+
+
+def _scale(p, c, r):
+    """c times a canonical row, for a canonical scalar c."""
+    if p is not None:
+        return [c * x % p for x in r]
+    return [c * x if x else x for x in r]
+
+
 class Vec:
     """Immutable row vector with exact entries."""
 
@@ -155,6 +205,14 @@ class Vec:
     def __init__(self, field, entries):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", tuple(field.coerce(x) for x in entries))
+
+    @classmethod
+    def _of(cls, field, entries):
+        """Trusted constructor for entries that are already canonical."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "field", field)
+        object.__setattr__(v, "entries", tuple(entries))
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("Vec is immutable")
@@ -166,28 +224,25 @@ class Vec:
     def is_zero(self):
         return all(x == 0 for x in self.entries)
 
-    def __add__(self, other):
+    def _match(self, other):
         _check_same_field(self, other)
         if self.dim != other.dim:
             raise ShapeError("vector dims differ")
-        add = self.field.add
-        return Vec(self.field, [add(x, y) for x, y in zip(self.entries, other.entries)])
+
+    def __add__(self, other):
+        self._match(other)
+        return Vec._of(self.field, _add(self.field.p, self.entries, other.entries))
 
     def __sub__(self, other):
-        _check_same_field(self, other)
-        if self.dim != other.dim:
-            raise ShapeError("vector dims differ")
-        sub = self.field.sub
-        return Vec(self.field, [sub(x, y) for x, y in zip(self.entries, other.entries)])
+        self._match(other)
+        return Vec._of(self.field, _sub(self.field.p, self.entries, other.entries))
 
     def __neg__(self):
-        neg = self.field.neg
-        return Vec(self.field, [neg(x) for x in self.entries])
+        return Vec._of(self.field, _neg(self.field.p, self.entries))
 
     def scale(self, c):
         c = self.field.coerce(c)
-        mul = self.field.mul
-        return Vec(self.field, [mul(c, x) for x in self.entries])
+        return Vec._of(self.field, _scale(self.field.p, c, self.entries))
 
     def __matmul__(self, m):
         """Row action v @ g."""
@@ -196,7 +251,7 @@ class Vec:
         _check_same_field(self, m)
         if self.dim != m.nrows:
             raise ShapeError("vector/matrix shapes differ")
-        return Vec(self.field, _times(self.field, [self.entries], m)[0])
+        return Vec._of(self.field, _times(self.field, [self.entries], m)[0])
 
     def __eq__(self, other):
         return (
@@ -220,11 +275,11 @@ class Vec:
 
     @classmethod
     def unit(cls, field, dim, i):
-        return cls(field, [field.one if j == i else field.zero for j in range(dim)])
+        return cls._of(field, [field.one if j == i else field.zero for j in range(dim)])
 
     @classmethod
     def zero(cls, field, dim):
-        return cls(field, [field.zero] * dim)
+        return cls._of(field, [field.zero] * dim)
 
 
 _ZERO = Fraction(0)
@@ -303,28 +358,39 @@ class Mat:
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _of(cls, field, rows, ncols):
+        """Trusted constructor for rectangular rows of canonical entries."""
+        m = object.__new__(cls)
+        rows = tuple(map(tuple, rows))
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
     @classmethod
     def identity(cls, field, n):
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._of(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, field, nrows, ncols):
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def from_vecs(cls, field, vecs, ncols=None):
         return cls(field, [v.entries for v in vecs], ncols=ncols)
 
     def row(self, i):
-        return Vec(self.field, self.rows[i])
+        return Vec._of(self.field, self.rows[i])
 
     def vec_rows(self):
-        return [Vec(self.field, r) for r in self.rows]
+        return [Vec._of(self.field, r) for r in self.rows]
 
     def is_square(self):
         return self.nrows == self.ncols
@@ -344,21 +410,15 @@ class Mat:
 
     def __add__(self, other):
         self._match(other)
-        add = self.field.add
-        return Mat(
-            self.field,
-            [[add(x, y) for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        p = self.field.p
+        rows = [_add(p, r, s) for r, s in zip(self.rows, other.rows)]
+        return Mat._of(self.field, rows, self.ncols)
 
     def __sub__(self, other):
         self._match(other)
-        sub = self.field.sub
-        return Mat(
-            self.field,
-            [[sub(x, y) for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        p = self.field.p
+        rows = [_sub(p, r, s) for r, s in zip(self.rows, other.rows)]
+        return Mat._of(self.field, rows, self.ncols)
 
     def _match(self, other):
         _check_same_field(self, other)
@@ -366,13 +426,13 @@ class Mat:
             raise ShapeError("matrix shapes differ")
 
     def __neg__(self):
-        neg = self.field.neg
-        return Mat(self.field, [[neg(x) for x in r] for r in self.rows], ncols=self.ncols)
+        p = self.field.p
+        return Mat._of(self.field, [_neg(p, r) for r in self.rows], self.ncols)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        mul = self.field.mul
-        return Mat(self.field, [[mul(c, x) for x in r] for r in self.rows], ncols=self.ncols)
+        p = self.field.p
+        return Mat._of(self.field, [_scale(p, c, r) for r in self.rows], self.ncols)
 
     def __matmul__(self, other):
         if not isinstance(other, Mat):
@@ -380,7 +440,7 @@ class Mat:
         _check_same_field(self, other)
         if self.ncols != other.nrows:
             raise ShapeError("inner dimensions differ")
-        return Mat(self.field, _times(self.field, self.rows, other), ncols=other.ncols)
+        return Mat._of(self.field, _times(self.field, self.rows, other), other.ncols)
 
     def pow(self, e):
         if not self.is_square():
@@ -397,11 +457,8 @@ class Mat:
         return acc
 
     def transpose(self):
-        return Mat(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        cols = zip(*self.rows) if self.rows else [()] * self.ncols
+        return Mat._of(self.field, cols, self.nrows)
 
     def inverse(self):
         if not self.is_square():
@@ -413,7 +470,7 @@ class Mat:
         reduced, pivots = _echelon(field, aug)
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Mat(field, [_canonical(field, r, c, n) for r, c in zip(reduced, pivots)], ncols=n)
+        return Mat._of(field, [_canonical(field, r, c, n) for r, c in zip(reduced, pivots)], n)
 
     def is_invertible(self):
         try:
@@ -570,6 +627,15 @@ class Subspace:
                 raise ShapeError("row width differs from ambient dimension")
         if field.p is not None:
             rows = [[field.coerce(x) for x in r] for r in rows]
+        return cls._span(field, ambient_dim, rows)
+
+    @classmethod
+    def _span(cls, field, ambient_dim, rows):
+        """`span` of rows that are canonical and of width ambient_dim.
+
+        Over QQ the rows may also be integer rows: a span ignores scaling.
+        """
+        rows = list(rows)
         reduced, pivots = _rref(field, rows) if rows else ([], [])
         return cls(field, ambient_dim, reduced, pivots)
 
@@ -594,7 +660,7 @@ class Subspace:
         return len(self.basis) == self.ambient_dim
 
     def basis_vecs(self):
-        return [Vec(self.field, r) for r in self.basis]
+        return [Vec._of(self.field, r) for r in self.basis]
 
     def _integer_columns(self):
         """(den, [(c, column c of den * basis) for each non-pivot c]), cached."""
@@ -648,7 +714,7 @@ class Subspace:
 
     def sum(self, other):
         self._match(other)
-        return Subspace.span(self.field, self.ambient_dim, self.basis + other.basis)
+        return Subspace._span(self.field, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other):
         """Zassenhaus double-block elimination."""
@@ -661,7 +727,7 @@ class Subspace:
             return Subspace.zero(self.field, n)
         reduced, pivots = _echelon(self.field, rows)
         out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
-        return Subspace.span(self.field, n, out)
+        return Subspace._span(self.field, n, out)
 
     def __add__(self, other):
         return self.sum(other)
@@ -696,7 +762,7 @@ class Subspace:
             rows = [nums for nums, _ in _int_times(self.basis, m)]
         else:
             rows = _times(field, self.basis, m)
-        return Subspace.span(field, m.ncols, rows)
+        return Subspace._span(field, m.ncols, rows)
 
     def __repr__(self):
         fmt = self.field.format
@@ -706,7 +772,7 @@ class Subspace:
 
 def echelonize(m):
     """Canonical subspace spanned by the rows of m."""
-    return Subspace.span(m.field, m.ncols, m.rows)
+    return Subspace._span(m.field, m.ncols, m.rows)
 
 
 def image(m):
@@ -725,7 +791,7 @@ def kernel(m):
             for i, r in enumerate(m.rows)]
     reduced, pivots = _echelon(field, rows)
     out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
-    return Subspace.span(field, n, out)
+    return Subspace._span(field, n, out)
 
 
 def left_kernel_rows(field, rows, ncols):
@@ -751,12 +817,12 @@ def complement_basis(u, w):
     if not w.contains(u):
         raise ContainmentError("first subspace is not contained in the second")
     field = u.field
-    state = Subspace.span(field, u.ambient_dim, u.basis)
+    state = u
     chosen = []
     for row in w.basis:
         if not state.contains_vec(row):
-            chosen.append(Vec(field, row))
-            state = state.sum(Subspace.span(field, u.ambient_dim, [row]))
+            chosen.append(Vec._of(field, row))
+            state = Subspace._span(field, u.ambient_dim, state.basis + (row,))
     assert len(chosen) == w.dim - u.dim
     return chosen
 
@@ -764,7 +830,7 @@ def complement_basis(u, w):
 def complement_in(u, w):
     """Deterministic complement c with u + c = w and u & c = 0."""
     vecs = complement_basis(u, w)
-    return Subspace.span(u.field, u.ambient_dim, [v.entries for v in vecs])
+    return Subspace._span(u.field, u.ambient_dim, [v.entries for v in vecs])
 
 
 class QuotientMap:
@@ -795,7 +861,7 @@ class QuotientMap:
         y = self._solver.solve(v)
         if y is None:
             raise ContainmentError("vector lies outside the section")
-        return Vec(self.field, y[: self.dim])
+        return Vec._of(self.field, y[: self.dim])
 
     def lift(self, c):
         """Representative vector of the coordinate row c."""
@@ -810,19 +876,18 @@ class QuotientMap:
 
     def project_subspace(self, x):
         """Image of the subspace x (contained in w) in quotient coordinates."""
-        rows = [self.project(Vec(self.field, r)).entries for r in x.basis]
-        return Subspace.span(self.field, self.dim, rows)
+        rows = [self.project(r).entries for r in x.basis]
+        return Subspace._span(self.field, self.dim, rows)
 
     def lift_subspace(self, q):
         """Preimage in w of a subspace of the quotient."""
-        rows = [self.lift(Vec(self.field, r)).entries for r in q.basis]
-        rows = list(rows) + [list(r) for r in self.u.basis]
-        return Subspace.span(self.field, self.u.ambient_dim, rows)
+        rows = [self.lift(r).entries for r in q.basis]
+        return Subspace._span(self.field, self.u.ambient_dim, rows + list(self.u.basis))
 
     def induced_matrix(self, g):
         """Matrix of the action induced by g on w/u (g must normalize both)."""
         rows = [self.project(rep @ g).entries for rep in self.reps]
-        return Mat(self.field, rows, ncols=self.dim)
+        return Mat._of(self.field, rows, self.dim)
 
     def projection_matrix(self):
         """Ambient-to-quotient coordinate matrix (only when w is everything)."""
@@ -830,7 +895,7 @@ class QuotientMap:
             raise ShapeError("projection matrix needs the full space on top")
         n = self.u.ambient_dim
         rows = [self.project(Vec.unit(self.field, n, i)).entries for i in range(n)]
-        return Mat(self.field, rows, ncols=self.dim)
+        return Mat._of(self.field, rows, self.dim)
 
 
 class LinearSolver:
@@ -879,14 +944,10 @@ class LinearSolver:
                 if s:
                     y[piv] = Fraction(s, scale * den)
             return y
-        y = [field.zero] * m
+        p = field.p
+        y = [0] * m
         for tag, piv in zip(self._tags, self._pivots):
-            val = field.zero
-            for k, t in enumerate(entries):
-                if t != 0:
-                    c = tag[k]
-                    if c != 0:
-                        val = field.add(val, field.mul(c, t))
+            val = sum(map(mul, tag, entries)) % p
             if piv < m:
                 y[piv] = val
             elif val != 0:

@@ -134,13 +134,6 @@ def validate(field, ambient_dim, subspaces):
     return Series(field, ambient_dim, seen)
 
 
-def series_from_members(field, ambient_dim, subspaces):
-    """Series from proper members; V and 0 are inserted automatically."""
-    full = Subspace.full(field, ambient_dim)
-    zero = Subspace.zero(field, ambient_dim)
-    return validate(field, ambient_dim, list(subspaces) + [full, zero])
-
-
 def jump_of(v, s):
     """The unique jump (B, T) with v in T \\ B."""
     if isinstance(v, Vec) and v.is_zero():
@@ -201,13 +194,19 @@ def section_series(s, w, u):
 
 
 def in_stabilizer(g, s):
-    """True iff [T, g] <= B for every jump (B, T) of s."""
-    if not g.is_invertible():
+    """True iff [T, g] <= B for every jump (B, T) of s.
+
+    A g that passes every jump has g - 1 nilpotent, so it is invertible;
+    only a g that fails is checked for invertibility, and a singular one
+    raises SingularMatrixError as a non-square one does.
+    """
+    if not g.is_square():
         raise SingularMatrixError("stabilizer membership needs an invertible matrix")
-    n = Mat.identity(g.field, g.nrows)
-    gm1 = g - n
+    gm1 = g - Mat.identity(g.field, g.nrows)
     for jump in s.jumps():
         if not jump.bottom.contains(jump.top.apply(gm1)):
+            if not g.is_invertible():
+                raise SingularMatrixError("stabilizer membership needs an invertible matrix")
             return False
     return True
 
@@ -235,23 +234,6 @@ def canonical_coarsening(g, s):
         chain.append(nxt)
         current = nxt
     return Series(s.field, s.ambient_dim, chain)
-
-
-def stabilized_subseries_exists(g, s, max_jumps):
-    """Brute force: does g stabilize a subseries of s with <= max_jumps jumps?"""
-    from itertools import combinations
-
-    inner = s.members[1:-1]
-    for size in range(0, len(inner) + 1):
-        if size + 1 > max_jumps:
-            break
-        for pick in combinations(inner, size):
-            candidate = Series(
-                s.field, s.ambient_dim, [s.members[0], *pick, s.members[-1]]
-            )
-            if in_stabilizer(g, candidate):
-                return True
-    return False
 
 
 def extend_to_full_flag(s):

@@ -9,6 +9,7 @@ re-verified by direct matrix powering before it is returned.
 
 from .errors import (
     AdaptationError,
+    FlagstabError,
     PreorderError,
     SelectionError,
     WitnessError,
@@ -415,7 +416,7 @@ def verify_witness(g, s, cert):
     try:
         if not in_stabilizer(cert.h, s):
             return False
-    except Exception:
+    except FlagstabError:
         return False
     if not ((cert.h - ident) @ (cert.h - ident)).is_zero():
         return False

@@ -189,3 +189,12 @@ def test_comm_check_rejects_k_below_one(tmp_path):
         r = cli("comm-check", str(f), "--t", "g", "--u", "2", "--k", k)
         assert r.returncode == 2
         assert "--k must be at least 1" in r.stderr and r.stdout == ""
+
+
+def test_unusable_prime_fields_exit_2():
+    r = cli("gen", "--field", "gf6")
+    assert r.returncode == 2 and "not prime" in r.stderr and "Traceback" not in r.stderr
+    r = cli("gen", "--field", "gf" + str(2**89 - 1))
+    assert r.returncode == 2 and "too large" in r.stderr and "Traceback" not in r.stderr
+    r = cli("check-stab", "-", text_input="field gf " + str(2**89 - 1) + "\ndim 1\n")
+    assert r.returncode == 2 and "line 1" in r.stderr and "Traceback" not in r.stderr

@@ -521,3 +521,102 @@ def test_solver_matches_fraction_reference(data, m, n):
         if y is not None:
             assert all_fractions([y])
     assert solver.solve(inside) is not None
+
+
+def trial_division_primes(limit):
+    primes = []
+    for n in range(2, limit):
+        if all(n % q for q in primes if q * q <= n):
+            primes.append(n)
+    return primes
+
+
+def test_is_prime_matches_trial_division():
+    limit = 10**5
+    assert [n for n in range(limit) if linalg._is_prime(n)] == trial_division_primes(limit)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; the others are strong pseudoprimes to
+    # the first 4, 9 and 12 prime bases.
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not linalg._is_prime(n)
+        with pytest.raises(ValueError):
+            GF(n)
+
+
+def test_large_prime_fields():
+    import time
+
+    t0 = time.perf_counter()
+    assert GF(10**18 + 3).p == 10**18 + 3
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - t0 < 1.0
+    # At and beyond the bound the 13 bases no longer decide primality.
+    for p in (linalg._MR_LIMIT, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            GF(p)
+
+
+CANON_FIELDS = [F2, F5, QQ]
+
+
+def canon_scalars(field):
+    if field.is_prime_field:
+        return st.integers(0, field.p - 1)
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+def canon_mat(field, nrows, ncols):
+    row = st.lists(canon_scalars(field), min_size=ncols, max_size=ncols)
+    rows = st.lists(row, min_size=nrows, max_size=nrows)
+    return rows.map(lambda rs: Mat(field, rs, ncols=ncols))
+
+
+def canon_vec(field, n):
+    return st.lists(canon_scalars(field), min_size=n, max_size=n).map(lambda xs: Vec(field, xs))
+
+
+def assert_canonical(x):
+    """x equals its re-coerced copy and holds only canonical entries."""
+    field = x.field
+    if isinstance(x, Mat):
+        assert Mat(field, x.rows, ncols=x.ncols) == x
+        rows = x.rows
+    elif isinstance(x, Vec):
+        assert Vec(field, x.entries) == x
+        rows = [x.entries]
+    else:
+        assert Subspace.span(field, x.ambient_dim, x.basis) == x
+        rows = x.basis
+    for r in rows:
+        assert type(r) is tuple
+        for e in r:
+            if field.is_prime_field:
+                assert type(e) is int and 0 <= e < field.p
+            else:
+                assert type(e) is Fraction
+
+
+@differential
+@given(st.data(), st.sampled_from(CANON_FIELDS), st.integers(1, 6), st.integers(1, 6))
+def test_kernel_results_are_canonical(data, field, n, k):
+    a = data.draw(canon_mat(field, n, n))
+    b = data.draw(canon_mat(field, n, n))
+    c = data.draw(canon_mat(field, n, k))
+    v = data.draw(canon_vec(field, n))
+    w = data.draw(canon_vec(field, n))
+    x = data.draw(st.integers(-20, 20))
+    results = [
+        a @ b, a @ c, a + b, a - b, -a, a.scale(x), a.transpose(), c.transpose(),
+        Mat.identity(field, n), v @ a, v @ c, v + w, v - w, -v, v.scale(x),
+    ]
+    try:
+        results.append(a.inverse())
+    except SingularMatrixError:
+        pass
+    s, t = echelonize(a), echelonize(b)
+    results += [s, s.sum(t), s.intersect(t), s.apply(b), s.apply(c), kernel(a)]
+    results += s.basis_vecs() + a.vec_rows()
+    for r in results:
+        assert_canonical(r)

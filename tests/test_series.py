@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from flagstab.errors import SeriesError
+from flagstab.errors import SeriesError, SingularMatrixError
 from flagstab.instances import (
     random_series,
     random_stabilizer_element,
@@ -114,6 +114,37 @@ def test_in_stabilizer_examples():
     assert in_stabilizer(j3, s)
     triv = validate(F5, 3, [Subspace.full(F5, 3), Subspace.zero(F5, 3)])
     assert not in_stabilizer(j3, triv)
+
+
+def test_in_stabilizer_rejects_singular_and_non_square():
+    for field in (F2, F5, QQ):
+        s = full_flag(field, 4)
+        one = Mat.identity(field, 4)
+        nilpotent = jordan_matrix(field, [4]) - one
+        almost = Mat(field, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1]])
+        for g in (Mat.zero(field, 4, 4), nilpotent, almost):
+            with pytest.raises(SingularMatrixError):
+                in_stabilizer(g, s)
+        for g in (Mat.zero(field, 4, 3), Mat.zero(field, 3, 4)):
+            with pytest.raises(SingularMatrixError):
+                in_stabilizer(g, s)
+        trivial = validate(field, 4, [Subspace.full(field, 4), Subspace.zero(field, 4)])
+        with pytest.raises(SingularMatrixError):
+            in_stabilizer(nilpotent, trivial)
+
+
+def test_in_stabilizer_accepts_unipotent_stabilizing_elements():
+    rng = random.Random(11)
+    for _ in range(20):
+        field = rng.choice([F2, F5, QQ])
+        n = rng.randint(1, 6)
+        s = random_series(rng, field, n, rng.randint(0, n - 1))
+        g = random_stabilizer_element(rng, s)
+        assert unipotent_exponent(g) is not None
+        assert in_stabilizer(g, s)
+    s = full_flag(F5, 5)
+    assert in_stabilizer(jordan_matrix(F5, [5]), s)
+    assert not in_stabilizer(jordan_matrix(F5, [5]).transpose(), s)
 
 
 def test_stabilizer_is_group():

@@ -2,13 +2,20 @@ import random
 
 import pytest
 
-from flagstab.errors import PreorderError, SelectionError, WitnessError
+from flagstab.errors import (
+    FlagstabError,
+    PreorderError,
+    SelectionError,
+    ShapeError,
+    WitnessError,
+)
 from flagstab.instances import random_preordered_basis, witness_instance
 from flagstab.linalg import GF, QQ, Mat, Subspace, Vec
 from flagstab.series import Series, canonical_coarsening, in_stabilizer, is_adapted_basis
 from flagstab.witness import (
     PairSelection,
     PreorderedBasis,
+    WitnessCertificate,
     adapted_jordan_chains,
     build_h,
     construct_witness,
@@ -226,8 +233,6 @@ def test_witness_probe_is_exact():
     m = gg - ident
     assert not (cert.probe @ m.pow(cert.r - 1)).is_zero()
     # tampering with the probe must break verification
-    from flagstab.witness import WitnessCertificate
-
     bad = WitnessCertificate(
         cert.h, cert.r, Vec.zero(QQ, s.ambient_dim), cert.selection, False
     )
@@ -295,3 +300,32 @@ def test_unverified_extension_raises(monkeypatch):
         extend_witness(g, s, 7)
     assert e.value.reason == "not-verified"
     assert len(calls) == 2
+
+
+def test_verify_witness_rejects_malformed_h():
+    rng = random.Random(10)
+    g, s = witness_instance(rng, F5, 7, 2)
+    cert = construct_witness(g, s)
+    n = s.ambient_dim
+    for h in (Mat.identity(F5, n - 1), Mat.zero(F5, n, n + 1)):
+        with pytest.raises(FlagstabError):
+            in_stabilizer(h, s)
+        bad = WitnessCertificate(h, cert.r, cert.probe, cert.selection, False)
+        assert not verify_witness(g, s, bad)
+    with pytest.raises(ShapeError):
+        in_stabilizer(Mat.identity(F5, n - 1), s)
+
+
+def test_verify_witness_propagates_foreign_errors(monkeypatch):
+    import flagstab.witness as witness
+
+    rng = random.Random(10)
+    g, s = witness_instance(rng, F5, 7, 2)
+    cert = construct_witness(g, s)
+
+    def broken(h, s):
+        raise RuntimeError("not a library error")
+
+    monkeypatch.setattr(witness, "in_stabilizer", broken)
+    with pytest.raises(RuntimeError):
+        verify_witness(g, s, cert)
