@@ -144,6 +144,8 @@ def parse_problem(text):
                 r, c = int(toks[2]), int(toks[3])
             except ValueError:
                 raise ParseError(lineno, "map needs integer row/col counts") from None
+            if r < 0 or c < 0:
+                raise ParseError(lineno, "map row/col counts must not be negative")
             rows = _parse_matrix_rows(lines, field, r, c, f"map {toks[1]}")
             pf.maps[toks[1]] = Mat(field, rows, ncols=c)
         elif kind == "series" and len(toks) == 3:
@@ -151,6 +153,8 @@ def parse_problem(text):
                 m = int(toks[2])
             except ValueError:
                 raise ParseError(lineno, "series needs a block count") from None
+            if m < 0:
+                raise ParseError(lineno, "series block count must not be negative")
             subs = []
             for _ in range(m):
                 l2, header = lines.next("subspace header")
@@ -170,6 +174,8 @@ def parse_problem(text):
                 t = int(toks[2])
             except ValueError:
                 raise ParseError(lineno, "mclain needs a term count") from None
+            if t < 0:
+                raise ParseError(lineno, "mclain term count must not be negative")
             terms = []
             for _ in range(t):
                 l2, row = lines.next("mclain term")
@@ -179,7 +185,7 @@ def parse_problem(text):
                 try:
                     r_idx = Fraction(parts[0])
                     s_idx = Fraction(parts[1])
-                except ValueError:
+                except (ValueError, ZeroDivisionError):
                     raise ParseError(l2, "bad rational index") from None
                 coeff = _parse_scalar(field, parts[2], l2)
                 terms.append(((r_idx, s_idx), coeff))

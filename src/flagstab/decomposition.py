@@ -57,8 +57,8 @@ def split_chain(chain):
                 break
             if not current.contains_vec(row):
                 ext.append(row)
-                current = current.sum(Subspace.span(field, n, [row]))
-        b_i = prev_b.sum(Subspace.span(field, n, ext))
+                current = current.sum(Subspace._span(field, n, [row]))
+        b_i = prev_b.sum(Subspace._span(field, n, ext))
         assert b_i.intersect(chain[i]).is_zero()
         assert b_i.sum(chain[i]).is_full()
         a_i = b_i.intersect(chain[i - 1])
@@ -68,7 +68,7 @@ def split_chain(chain):
         prev_b = b_i
     assert prev_b.is_full()
     stacked = [row for a in parts for row in a.basis]
-    assert Subspace.span(field, n, stacked).dim == n
+    assert Subspace._span(field, n, stacked).dim == n
     for a, top, bottom in zip(parts, chain, chain[1:]):
         assert a.dim == top.dim - bottom.dim
     return ChainSplit(chain, parts)
@@ -89,7 +89,7 @@ def section_basis(adapted, s, w, u):
     chosen = [v for v in adapted if w.contains_vec(v) and not u.contains_vec(v)]
     assert len(chosen) == w.dim - u.dim
     rows = [v.entries for v in chosen] + [list(r) for r in u.basis]
-    got = Subspace.span(s.field, s.ambient_dim, rows)
+    got = Subspace._span(s.field, s.ambient_dim, rows)
     assert got.dim == u.dim + len(chosen)
     return chosen
 
@@ -157,7 +157,7 @@ def patch_sections(adapted, s, assignment):
         def coords(v, solver=solver, q=q):
             y = solver.solve(v)
             assert y is not None
-            return Vec(field, y[:q])
+            return Vec._of(field, y[:q])
 
         sec_solver = LinearSolver(
             field, [coords(v).entries for v in vecs], q
@@ -182,7 +182,7 @@ def patch_sections(adapted, s, assignment):
         y = basis_solver.solve(out)
         assert y is not None
         coords_rows[index_of[key]] = list(y)
-    h = p.inverse() @ Mat(field, coords_rows) @ p
+    h = p.inverse() @ Mat._of(field, coords_rows, n) @ p
     if not h.is_invertible():
         raise SectionError("patched map is singular")
     if not in_stabilizer(h, s):
@@ -199,5 +199,5 @@ def patch_sections(adapted, s, assignment):
             y = solver.solve(rep @ h)
             assert y is not None
             got_rows.append(y[:q])
-        assert Mat(field, got_rows, ncols=q) == hmap, "induced action mismatch"
+        assert Mat._of(field, got_rows, q) == hmap, "induced action mismatch"
     return h

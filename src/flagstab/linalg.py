@@ -11,7 +11,11 @@ integer numerators over one common denominator, and elimination
 cross-multiplies and divides each row by its content (Bareiss 1968).
 Canonical `Fraction`s are built only where a `Vec`, `Mat`, `Subspace`
 or solution row is handed out, so every result is the same as with
-`Fraction` arithmetic throughout.
+`Fraction` arithmetic throughout.  The integer forms that products and
+membership tests read (a `Mat`'s columns, a `Subspace`'s non-pivot
+columns, each over one common denominator) are built on first use and
+cached in a lazy `_int_cols` slot, so a matrix or subspace used many
+times is converted once.
 
 Canonical in, canonical out: every entry held by a `Vec`, `Mat` or
 `Subspace` is canonical (an int in [0, p) over GF(p), a `Fraction` over
@@ -307,12 +311,10 @@ def _fractions(nums, den):
 def _int_times(rows, m):
     """r @ m for each rational row r, as (integer numerators, denominator).
 
-    The right factor is converted once: its columns over one common
-    denominator.
+    The right factor's columns over one common denominator are cached on
+    it, so a matrix used in many products is converted once.
     """
-    n = m.ncols
-    flat, den = _int_row([x for r in m.rows for x in r])
-    cols = [flat[j::n] for j in range(n)]
+    den, cols = m._integer_columns()
     out = []
     for r in rows:
         nums, e = _int_row(r)
@@ -340,10 +342,18 @@ def _times(field, rows, m):
     return [_row_times(field, r, m.rows, m.ncols) for r in rows]
 
 
+def _images(field, rows, m):
+    """Rows r @ m, each up to a nonzero scalar: over QQ the integer
+    numerators, which do for spans and membership."""
+    if field.p is None:
+        return [nums for nums, _ in _int_times(rows, m)]
+    return _times(field, rows, m)
+
+
 class Mat:
     """Immutable dense matrix, row major."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_int_cols")
 
     def __init__(self, field, rows, ncols=None):
         rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
@@ -357,6 +367,7 @@ class Mat:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_int_cols", None)
 
     @classmethod
     def _of(cls, field, rows, ncols):
@@ -367,7 +378,18 @@ class Mat:
         object.__setattr__(m, "nrows", len(rows))
         object.__setattr__(m, "ncols", ncols)
         object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_int_cols", None)
         return m
+
+    def _integer_columns(self):
+        """(den, [column j of den * self for each j]) over QQ, cached."""
+        form = self._int_cols
+        if form is None:
+            n = self.ncols
+            flat, den = _int_row([x for r in self.rows for x in r])
+            form = (den, [flat[j::n] for j in range(n)])
+            object.__setattr__(self, "_int_cols", form)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -717,14 +739,20 @@ class Subspace:
         return Subspace._span(self.field, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other):
-        """Zassenhaus double-block elimination."""
+        """Zassenhaus double-block elimination.
+
+        When the smaller operand lies in the larger one (a full operand
+        included), it is the answer: canonical form makes it equal to
+        what the elimination builds.
+        """
         self._match(other)
+        small, big = (self, other) if self.dim <= other.dim else (other, self)
+        if big.is_full() or big.contains(small):
+            return small
         n = self.ambient_dim
         z = self.field.zero
         rows = [list(r) + list(r) for r in self.basis]
         rows += [list(r) + [z] * n for r in other.basis]
-        if not rows:
-            return Subspace.zero(self.field, n)
         reduced, pivots = _echelon(self.field, rows)
         out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
         return Subspace._span(self.field, n, out)
@@ -756,13 +784,7 @@ class Subspace:
         """Image of this subspace under the row action of m."""
         if m.nrows != self.ambient_dim:
             raise ShapeError("matrix height differs from ambient dimension")
-        field = self.field
-        if field.p is None:
-            # The span ignores row scaling, so the integer numerators will do.
-            rows = [nums for nums, _ in _int_times(self.basis, m)]
-        else:
-            rows = _times(field, self.basis, m)
-        return Subspace._span(field, m.ncols, rows)
+        return Subspace._span(self.field, m.ncols, _images(self.field, self.basis, m))
 
     def __repr__(self):
         fmt = self.field.format

@@ -6,7 +6,7 @@ consecutive pairs, which is length + 1.
 """
 
 from .errors import SeriesError, ShapeError, SingularMatrixError
-from .linalg import Mat, QuotientMap, Subspace, Vec
+from .linalg import Mat, QuotientMap, Subspace, Vec, _images
 
 __all__ = [
     "Series",
@@ -134,19 +134,33 @@ def validate(field, ambient_dim, subspaces):
     return Series(field, ambient_dim, seen)
 
 
+def _deepest(members, v, lo, hi):
+    """Largest index below hi of a member holding v, given members[lo] does.
+
+    The members holding v form a prefix of the nested chain, so binary
+    search finds its end.
+    """
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if members[mid].contains_vec(v):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def jump_of(v, s):
     """The unique jump (B, T) with v in T \\ B."""
     if isinstance(v, Vec) and v.is_zero():
         raise SeriesError("the zero vector belongs to no jump")
-    level = None
-    for i, member in enumerate(s.members):
-        if member.contains_vec(v):
-            level = i
-        else:
-            break
-    if level is None or level == len(s.members) - 1:
+    entries = v.entries if isinstance(v, Vec) else tuple(v)
+    if len(entries) != s.ambient_dim:
+        raise ShapeError("vector dim differs from ambient dimension")
+    members = s.members
+    level = _deepest(members, entries, 0, len(members))
+    if level == len(members) - 1:
         raise SeriesError("vector lies in the zero member")
-    return Jump(s.members[level + 1], s.members[level], level + 1)
+    return Jump(members[level + 1], members[level], level + 1)
 
 
 def level_of(v, s):
@@ -193,6 +207,42 @@ def section_series(s, w, u):
     return Series(s.field, qm.dim, members)
 
 
+def _complement_rows(lower, upper):
+    """Rows of upper's basis completing lower to upper.
+
+    For canonical lower <= upper, the pivots of lower are pivots of
+    upper, so the rows of upper whose pivot lower lacks will do.
+    """
+    pivots = set(lower.pivots)
+    return [r for r, c in zip(upper.basis, upper.pivots) if c not in pivots]
+
+
+def _jump_images(g, s):
+    """For each level i, the complement rows of V_{i-1} over V_i times g - 1.
+
+    Returns None when some image leaves V_i, i.e. when g is not in the
+    stabilizer; with the rows of V_i these rows span V_{i-1}, so that
+    test covers every jump.  A singular or non-square g raises
+    SingularMatrixError, one of the wrong size ShapeError.
+    """
+    if not g.is_square():
+        raise SingularMatrixError("stabilizer membership needs an invertible matrix")
+    members = s.members
+    if len(members) > 1 and g.nrows != s.ambient_dim:
+        raise ShapeError("matrix height differs from ambient dimension")
+    gm1 = g - Mat.identity(g.field, g.nrows)
+    images = []
+    for i in range(1, len(members)):
+        rows = _complement_rows(members[i], members[i - 1])
+        imgs = _images(s.field, rows, gm1)
+        if not all(members[i].contains_vec(v) for v in imgs):
+            if not g.is_invertible():
+                raise SingularMatrixError("stabilizer membership needs an invertible matrix")
+            return None
+        images.append(imgs)
+    return images
+
+
 def in_stabilizer(g, s):
     """True iff [T, g] <= B for every jump (B, T) of s.
 
@@ -200,15 +250,7 @@ def in_stabilizer(g, s):
     only a g that fails is checked for invertibility, and a singular one
     raises SingularMatrixError as a non-square one does.
     """
-    if not g.is_square():
-        raise SingularMatrixError("stabilizer membership needs an invertible matrix")
-    gm1 = g - Mat.identity(g.field, g.nrows)
-    for jump in s.jumps():
-        if not jump.bottom.contains(jump.top.apply(gm1)):
-            if not g.is_invertible():
-                raise SingularMatrixError("stabilizer membership needs an invertible matrix")
-            return False
-    return True
+    return _jump_images(g, s) is not None
 
 
 def canonical_coarsening(g, s):
@@ -216,23 +258,26 @@ def canonical_coarsening(g, s):
 
     Each next member is the smallest member of s containing the image of
     the previous one under g - 1; minimality of the result's length holds
-    level by level against any stabilized subseries.
+    level by level against any stabilized subseries.  V_j (g - 1) is the
+    sum of the images of the complement rows below V_j, so the deepest
+    member holding it is a suffix minimum over those rows' depths.
     """
-    if not in_stabilizer(g, s):
+    images = _jump_images(g, s)
+    if images is None:
         raise SeriesError("element does not stabilize the series")
-    gm1 = g - Mat.identity(g.field, g.nrows)
-    chain = [s.members[0]]
-    current = s.members[0]
-    while not current.is_zero():
-        img = current.apply(gm1)
-        nxt = None
-        for member in reversed(s.members):
-            if member.contains(img):
-                nxt = member
-                break
-        assert nxt is not None and nxt.dim < current.dim
-        chain.append(nxt)
-        current = nxt
+    members = s.members
+    last = len(members) - 1
+    deepest = [last] * len(members)
+    for i in range(last, 0, -1):
+        depth = deepest[i]
+        for v in images[i - 1]:
+            depth = _deepest(members, v, i, depth + 1)
+        deepest[i - 1] = depth
+    chain = [members[0]]
+    j = 0
+    while j < last:
+        j = deepest[j]
+        chain.append(members[j])
     return Series(s.field, s.ambient_dim, chain)
 
 
@@ -247,7 +292,7 @@ def extend_to_full_flag(s):
         inter = []
         for rep in reps[:-1]:
             stack = stack + [list(rep.entries)]
-            inter.append(Subspace.span(s.field, s.ambient_dim, stack))
+            inter.append(Subspace._span(s.field, s.ambient_dim, stack))
         members.extend(reversed(inter))
         members.append(jump.bottom)
     return Series(s.field, s.ambient_dim, members)

@@ -52,19 +52,26 @@ class KernelChain:
 
 
 def kernel_chain(g):
-    """Full chain of kernels of powers of g-1 for unipotent g."""
-    e = unipotent_exponent(g)
-    if e is None:
-        raise NotUnipotentError("matrix is not unipotent")
-    nil = g - Mat.identity(g.field, g.nrows)
+    """Full chain of kernels of powers of g-1 for unipotent g.
+
+    The powers stop at the first zero one, which for unipotent g comes
+    by the n-th.
+    """
+    if not g.is_square():
+        raise ShapeError("exponent of a non-square matrix")
+    n = g.nrows
+    nil = g - Mat.identity(g.field, n)
     chain = []
     power = nil
-    for _ in range(e):
+    for _ in range(n):
         chain.append(kernel(power))
+        if chain[-1].is_full():
+            break
         power = power @ nil
+    if chain and not chain[-1].is_full():
+        raise NotUnipotentError("matrix is not unipotent")
     for a, b in zip(chain, chain[1:]):
         assert b.contains(a) and a.dim < b.dim
-    assert chain[-1].is_full()
     return KernelChain(g, chain)
 
 
@@ -145,7 +152,7 @@ def jordan_chains(g, candidate_order=None):
         for chain in chains:
             # element of this chain with the current height
             base_rows.append(list(chain[len(chain) - height].entries))
-        span = Subspace.span(field, n, base_rows)
+        span = Subspace._span(field, n, base_rows)
         target = kc.chain[height - 1]
         if candidate_order is not None:
             candidates = candidate_order(height, target)
@@ -160,7 +167,7 @@ def jordan_chains(g, candidate_order=None):
             if span.contains_vec(cand):
                 continue
             new_heads.append(cand)
-            span = span.sum(Subspace.span(field, n, [cand.entries]))
+            span = span.sum(Subspace._span(field, n, [cand.entries]))
         assert span.dim == target.dim, "kernel completion failed"
         for head in new_heads:
             chain = [head]
@@ -182,7 +189,7 @@ def _finish_jordan(g, chains):
     field = g.field
     n = g.nrows
     rows = [v.entries for chain in chains for v in chain]
-    basis = Mat(field, rows, ncols=n)
+    basis = Mat._of(field, rows, n)
     standard = basis @ g @ basis.inverse()
     sizes = [len(c) for c in chains]
     assert standard == jordan_matrix(field, sizes), "chain relations broken"

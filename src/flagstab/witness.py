@@ -4,14 +4,16 @@ Given g in S(L) that stabilizes no short subseries and has small
 unipotent exponent, the pipeline picks interleaved Jordan pairs along
 the levels of L and produces h in S(L) with (h-1)^2 = 0 such that
 (g g^h - 1)^(r-1) != 0 for r = floor((n-2)/k).  Every certificate is
-re-verified by direct matrix powering before it is returned.
+re-verified by direct exact arithmetic before it is returned.
 """
 
 from .errors import (
     AdaptationError,
+    FieldMismatchError,
     FlagstabError,
     PreorderError,
     SelectionError,
+    ShapeError,
     WitnessError,
 )
 from .linalg import Mat, Subspace, Vec, left_kernel_rows
@@ -162,7 +164,10 @@ def select_pairs(pb):
             if d in fmap and d - 1 in fmap:
                 choice = bi
                 break
-        assert choice is not None, "greedy selection failed despite the clauses"
+        if choice is None:
+            raise WitnessError(
+                "selection-failed", "greedy selection failed despite the clauses"
+            )
         fmap = by_block_f[choice]
         pairs.append((fmap[d], fmap[d - 1], choice))
         covered.update(fmap.keys())
@@ -183,7 +188,7 @@ def _level_dependency(chains, s):
         items = items_by_level[lvl]
         below = s.members[lvl]
         rows = [v.entries for (_, _, v) in items] + [list(r) for r in below.basis]
-        got = Subspace.span(s.field, s.ambient_dim, rows)
+        got = Subspace._span(s.field, s.ambient_dim, rows)
         if got.dim == below.dim + len(items):
             continue
         # explicit dependency: kill the projections modulo `below`
@@ -258,7 +263,7 @@ def adapted_jordan_chains(g, s):
             for row in inter.basis:
                 if row not in seen:
                     seen.add(row)
-                    cands.append(Vec(s.field, row))
+                    cands.append(Vec._of(s.field, row))
         return cands
 
     chains = [list(c) for c in jordan_chains(g, candidate_order=deep_first)]
@@ -283,8 +288,10 @@ def straighten_chains(chains, g, s):
     nil = g - Mat.identity(g.field, g.nrows)
     for chain in chains:
         for a, b in zip(chain, chain[1:]):
-            assert a @ nil == b
-        assert (chain[-1] @ nil).is_zero()
+            if a @ nil != b:
+                raise AdaptationError("straightened chain breaks v_(j+1) = v_j (g-1)")
+        if not (chain[-1] @ nil).is_zero():
+            raise AdaptationError("straightened chain does not end in the kernel")
     return chains
 
 
@@ -346,7 +353,7 @@ def build_h(sel, basis, s):
         y_cur = sel.pairs[l][1]
         x_next = sel.pairs[l + 1][0]
         coords[y_cur][x_next] = field.add(coords[y_cur][x_next], field.one)
-    h = p.inverse() @ Mat(field, coords) @ p
+    h = p.inverse() @ Mat._of(field, coords, n) @ p
     ident = Mat.identity(field, n)
     if not ((h - ident) @ (h - ident)).is_zero():
         raise WitnessError("h-square", "(h-1)^2 != 0; selection inconsistent")
@@ -380,7 +387,8 @@ def construct_witness(g, s):
         raise WitnessError("not-in-stabilizer", "g does not stabilize the series")
     n = s.num_jumps
     k = unipotent_exponent(g)
-    assert k is not None
+    if k is None:
+        raise WitnessError("not-unipotent", "a stabilizer element is not unipotent")
     coarse = canonical_coarsening(g, s)
     if len(coarse.members) < len(s.members):
         raise WitnessError("coarsenable", "g stabilizes a proper subseries")
@@ -394,12 +402,16 @@ def construct_witness(g, s):
     basis = [v for chain in chains for v in chain]
     nil = g - Mat.identity(g.field, g.nrows)
     for x, y, _ in sel.pairs:
-        assert basis[x] @ nil == basis[y], "pair is not a chain step"
+        if basis[x] @ nil != basis[y]:
+            raise WitnessError("pair-not-chain-step", "a selected pair is not a chain step")
     h = build_h(sel, basis, s)
     r = (n - 2) // k
-    assert r == sel.r
-    gg = g @ (h.inverse() @ g @ h)
-    m = gg - Mat.identity(g.field, g.nrows)
+    if r != sel.r:
+        raise WitnessError("selection-size", f"selected {sel.r} pairs, expected {r}")
+    # build_h checked (h - 1)^2 = 0, so h^-1 = 2 - h.
+    ident = Mat.identity(g.field, g.nrows)
+    gg = g @ ((ident - (h - ident)) @ g @ h)
+    m = gg - ident
     y1 = basis[sel.pairs[0][1]]
     probe, stronger = _power_probe(m, r, [y1] + basis)
     if probe is None:
@@ -411,20 +423,35 @@ def construct_witness(g, s):
 
 
 def verify_witness(g, s, cert):
-    """Re-check a certificate by direct exact arithmetic."""
+    """Re-check a certificate by direct exact arithmetic.
+
+    Once (h - 1)^2 = 0 is checked, h^-1 = 2 - h, and the probe is pushed
+    through m = g g^h - 1 one vector product at a time.  The left kernels
+    of the powers of an n x n matrix stop growing by the n-th power, so
+    v m^(r-1) != 0 exactly when v m^min(r-1, n) != 0.
+    """
     ident = Mat.identity(g.field, g.nrows)
     try:
         if not in_stabilizer(cert.h, s):
             return False
     except FlagstabError:
         return False
-    if not ((cert.h - ident) @ (cert.h - ident)).is_zero():
+    nil = cert.h - ident
+    if not (nil @ nil).is_zero():
         return False
     if cert.r < 1 or cert.probe.is_zero():
         return False
-    gg = g @ (cert.h.inverse() @ g @ cert.h)
-    power = (gg - ident).pow(cert.r - 1)
-    return not (cert.probe @ power).is_zero()
+    v = cert.probe
+    if v.field != g.field:
+        raise FieldMismatchError(f"{v.field} vs {g.field}")
+    if v.dim != g.nrows:
+        raise ShapeError("vector/matrix shapes differ")
+    h_inv = ident - nil
+    for _ in range(min(cert.r - 1, g.nrows)):
+        v = v @ g @ h_inv @ g @ cert.h - v
+        if v.is_zero():
+            return False
+    return True
 
 
 def _series_split_complement(w, s):
@@ -437,11 +464,11 @@ def _series_split_complement(w, s):
     comp = []
     for jump in reversed(s.jumps()):
         current = jump.bottom.sum(jump.top.intersect(w))
-        current = current.sum(Subspace.span(field, s.ambient_dim, [v.entries for v in comp]))
+        current = current.sum(Subspace._span(field, s.ambient_dim, [v.entries for v in comp]))
         for row in jump.top.basis:
             if not current.contains_vec(row):
-                comp.append(Vec(field, row))
-                current = current.sum(Subspace.span(field, s.ambient_dim, [row]))
+                comp.append(Vec._of(field, row))
+                current = current.sum(Subspace._span(field, s.ambient_dim, [row]))
     return comp
 
 
@@ -467,11 +494,12 @@ def invariant_core(g, s, n):
         target = core.members[i + 1]
         found = None
         for row in core.members[i - 1].basis:
-            v = Vec(field, row)
+            v = Vec._of(field, row)
             if not target.contains_vec(v @ nil):
                 found = v
                 break
-        assert found is not None, "coarsening step lost its witness vector"
+        if found is None:
+            raise WitnessError("core-lost-witness", "coarsening step lost its witness vector")
         vs.append(found)
     rows = []
     k = unipotent_exponent(g)
@@ -480,7 +508,7 @@ def invariant_core(g, s, n):
         for _ in range(k):
             rows.append(cur.entries)
             cur = cur @ nil
-    return core, Subspace.span(field, dim, rows)
+    return core, Subspace._span(field, dim, rows)
 
 
 def extend_witness(g, s, n):
@@ -494,7 +522,8 @@ def extend_witness(g, s, n):
     if not in_stabilizer(g, s):
         raise WitnessError("not-in-stabilizer", "g does not stabilize the series")
     k = unipotent_exponent(g)
-    assert k is not None
+    if k is None:
+        raise WitnessError("not-unipotent", "a stabilizer element is not unipotent")
     if not k < n - 2:
         raise WitnessError(
             "exponent-too-large", f"exponent {k} is not below n-2 = {n - 2}"
@@ -510,18 +539,20 @@ def extend_witness(g, s, n):
 
     def coords(v):
         y = solver.solve(v)
-        assert y is not None, "core subspace is not invariant"
+        if y is None:
+            raise WitnessError("core-not-invariant", "core subspace is not invariant")
         return y
 
-    g_w = Mat(field, [coords(v @ g) for v in wb], ncols=w.dim)
+    g_w = Mat._of(field, [coords(v @ g) for v in wb], w.dim)
     members_w = []
     for x in core.members:
-        rows_w = [coords(Vec(field, r)) for r in x.intersect(w).basis]
-        sub = Subspace.span(field, w.dim, rows_w)
+        rows_w = [coords(r) for r in x.intersect(w).basis]
+        sub = Subspace._span(field, w.dim, rows_w)
         if sub not in members_w:
             members_w.append(sub)
     series_w = Series(field, w.dim, members_w)
-    assert series_w.num_jumps == n, "induced series lost a jump"
+    if series_w.num_jumps != n:
+        raise WitnessError("core-lost-jump", "induced series lost a jump")
     inner = construct_witness(g_w, series_w)
     # assemble h = t on W, identity on a splitting complement
     comp = _series_split_complement(w, s)
@@ -533,11 +564,11 @@ def extend_witness(g, s, n):
             block[i][j] = t.rows[i][j]
     for i in range(w.dim, dim):
         block[i][i] = field.one
-    h = p.inverse() @ Mat(field, block) @ p
+    h = p.inverse() @ Mat._of(field, block, dim) @ p
     if not in_stabilizer(h, s):
         raise WitnessError("h-not-in-stabilizer", "extension escaped the stabilizer")
     r = (n - 2) // k
-    probe_v = Vec(field, [field.zero] * dim)
+    probe_v = Vec.zero(field, dim)
     for c, v in zip(inner.probe.entries, wb):
         if c != 0:
             probe_v = probe_v + v.scale(c)

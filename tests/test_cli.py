@@ -198,3 +198,18 @@ def test_unusable_prime_fields_exit_2():
     assert r.returncode == 2 and "too large" in r.stderr and "Traceback" not in r.stderr
     r = cli("check-stab", "-", text_input="field gf " + str(2**89 - 1) + "\ndim 1\n")
     assert r.returncode == 2 and "line 1" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_bad_counts_and_indices_exit_2():
+    cases = [
+        ("mclain", "field gf 5\ndim 2\nmclain x 1\n1/0 2 1\n", "bad rational index"),
+        ("mclain", "field q\ndim 2\nmclain x 1\n1 2/0 1\n", "bad rational index"),
+        ("mclain", "field gf 5\ndim 2\nmclain x -1\n", "must not be negative"),
+        ("check-stab", "field gf 5\ndim 2\nmap m -1 2\n", "must not be negative"),
+        ("check-stab", "field gf 5\ndim 2\nmap m 2 -1\n", "must not be negative"),
+        ("check-stab", "field gf 5\ndim 2\nseries L -1\n", "must not be negative"),
+    ]
+    for command, text, message in cases:
+        r = cli(command, "-", "--elems", "x", text_input=text)
+        assert r.returncode == 2, text
+        assert message in r.stderr and "Traceback" not in r.stderr and r.stdout == ""

@@ -2,9 +2,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flagstab.errors import SeriesError, SingularMatrixError
+from flagstab import linalg, series
+from flagstab.errors import FlagstabError, SeriesError, SingularMatrixError
 from flagstab.instances import (
+    random_invertible,
+    random_scalar,
     random_series,
     random_stabilizer_element,
     random_transvection,
@@ -236,3 +241,175 @@ def test_random_transvections_stabilize():
         x = random_transvection(rng, s)
         assert in_stabilizer(x, s)
         assert unipotent_exponent(x) in (1, 2)
+
+
+# Span-based references: the versions of in_stabilizer, canonical_coarsening,
+# jump_of and Subspace.intersect that span every image and scan every
+# member.  The fast versions must give the same answers and raise the same
+# errors.
+
+
+def ref_in_stabilizer(g, s):
+    if not g.is_square():
+        raise SingularMatrixError("stabilizer membership needs an invertible matrix")
+    gm1 = g - Mat.identity(g.field, g.nrows)
+    for jump in s.jumps():
+        if not jump.bottom.contains(jump.top.apply(gm1)):
+            if not g.is_invertible():
+                raise SingularMatrixError("stabilizer membership needs an invertible matrix")
+            return False
+    return True
+
+
+def ref_canonical_coarsening(g, s):
+    if not ref_in_stabilizer(g, s):
+        raise SeriesError("element does not stabilize the series")
+    gm1 = g - Mat.identity(g.field, g.nrows)
+    chain = [s.members[0]]
+    current = s.members[0]
+    while not current.is_zero():
+        img = current.apply(gm1)
+        nxt = None
+        for member in reversed(s.members):
+            if member.contains(img):
+                nxt = member
+                break
+        assert nxt is not None and nxt.dim < current.dim
+        chain.append(nxt)
+        current = nxt
+    return Series(s.field, s.ambient_dim, chain)
+
+
+def ref_jump_of(v, s):
+    if isinstance(v, Vec) and v.is_zero():
+        raise SeriesError("the zero vector belongs to no jump")
+    level = None
+    for i, member in enumerate(s.members):
+        if member.contains_vec(v):
+            level = i
+        else:
+            break
+    if level is None or level == len(s.members) - 1:
+        raise SeriesError("vector lies in the zero member")
+    return series.Jump(s.members[level + 1], s.members[level], level + 1)
+
+
+def ref_intersect(a, b):
+    a._match(b)
+    n = a.ambient_dim
+    z = a.field.zero
+    rows = [list(r) + list(r) for r in a.basis]
+    rows += [list(r) + [z] * n for r in b.basis]
+    if not rows:
+        return Subspace.zero(a.field, n)
+    reduced, pivots = linalg._echelon(a.field, rows)
+    out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
+    return Subspace._span(a.field, n, out)
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type and message of its error."""
+    try:
+        return "ok", fn(*args)
+    except FlagstabError as exc:
+        return type(exc), str(exc)
+
+
+def random_rows(rng, field, count, n):
+    return [[random_scalar(rng, field) for _ in range(n)] for _ in range(count)]
+
+
+ELEMENT_KINDS = [
+    "stabilizing", "sparse", "product", "identity", "invertible",
+    "foreign", "singular", "non-square", "wrong-size",
+]
+
+
+def element_of_kind(rng, kind, s):
+    field, n = s.field, s.ambient_dim
+    if kind == "stabilizing":
+        return random_stabilizer_element(rng, s)
+    if kind == "sparse":
+        return random_stabilizer_element(rng, s, sparsity=rng.randint(0, 3))
+    if kind == "product":
+        a = random_stabilizer_element(rng, s, sparsity=rng.randint(0, 2))
+        return a @ random_stabilizer_element(rng, s, sparsity=rng.randint(0, 2))
+    if kind == "identity":
+        return Mat.identity(field, n)
+    if kind == "invertible":
+        return random_invertible(rng, field, n)
+    if kind == "foreign":
+        other = random_series(rng, field, n, rng.randint(0, n - 1))
+        return random_stabilizer_element(rng, other)
+    if kind == "singular":
+        rows = random_rows(rng, field, n, n)
+        rows[rng.randrange(n)] = [field.zero] * n
+        return Mat(field, rows)
+    if kind == "non-square":
+        return Mat(field, random_rows(rng, field, n, n + 1))
+    return random_invertible(rng, field, n + 1)
+
+
+FIELDS = [F2, F5, QQ]
+differential = settings(max_examples=60, deadline=None)
+
+
+def draw_series(data, max_dim=7):
+    field = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, max_dim))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    return rng, random_series(rng, field, n, data.draw(st.integers(0, n - 1)))
+
+
+@differential
+@given(st.data())
+def test_complement_rows_complete_every_nested_pair(data):
+    _, s = draw_series(data)
+    for i, upper in enumerate(s.members):
+        for lower in s.members[i:]:
+            rows = series._complement_rows(lower, upper)
+            assert len(rows) == upper.dim - lower.dim
+            assert Subspace.span(s.field, s.ambient_dim, list(lower.basis) + rows) == upper
+
+
+@differential
+@given(st.data(), st.sampled_from(ELEMENT_KINDS))
+def test_stabilizer_and_coarsening_match_span_reference(data, kind):
+    rng, s = draw_series(data)
+    g = element_of_kind(rng, kind, s)
+    assert outcome(in_stabilizer, g, s) == outcome(ref_in_stabilizer, g, s)
+    assert outcome(canonical_coarsening, g, s) == outcome(ref_canonical_coarsening, g, s)
+
+
+@differential
+@given(st.data())
+def test_jump_of_matches_span_reference(data):
+    rng, s = draw_series(data)
+    field, n = s.field, s.ambient_dim
+    vecs = [Vec.zero(field, n), (field.zero,) * n, Vec.zero(field, n + 1)]
+    vecs += [Vec(field, r) for r in random_rows(rng, field, 3, n)]
+    vecs.append(tuple(random_rows(rng, field, 1, n + 1)[0]))
+    for member in s.members:
+        vec = Vec.zero(field, n)
+        for row in member.basis:
+            vec = vec + Vec(field, row).scale(random_scalar(rng, field))
+        vecs += [vec, vec.entries]
+    for v in vecs:
+        assert outcome(jump_of, v, s) == outcome(ref_jump_of, v, s)
+
+
+@differential
+@given(st.data())
+def test_intersect_matches_span_reference(data):
+    rng, s = draw_series(data)
+    field, n = s.field, s.ambient_dim
+    spaces = list(s.members)
+    for _ in range(3):
+        rows = random_rows(rng, field, rng.randint(0, n), n)
+        spaces.append(Subspace.span(field, n, rows))
+    spaces.append(spaces[-1].sum(s.members[len(s.members) // 2]))
+    for a in spaces:
+        for b in spaces:
+            got = a.intersect(b)
+            want = ref_intersect(a, b)
+            assert (got.basis, got.pivots) == (want.basis, want.pivots)

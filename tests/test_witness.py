@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagstab.errors import (
     FlagstabError,
@@ -9,7 +11,13 @@ from flagstab.errors import (
     ShapeError,
     WitnessError,
 )
-from flagstab.instances import random_preordered_basis, witness_instance
+from flagstab.instances import (
+    random_invertible,
+    random_preordered_basis,
+    random_scalar,
+    random_stabilizer_element,
+    witness_instance,
+)
 from flagstab.linalg import GF, QQ, Mat, Subspace, Vec
 from flagstab.series import Series, canonical_coarsening, in_stabilizer, is_adapted_basis
 from flagstab.witness import (
@@ -329,3 +337,122 @@ def test_verify_witness_propagates_foreign_errors(monkeypatch):
     monkeypatch.setattr(witness, "in_stabilizer", broken)
     with pytest.raises(RuntimeError):
         verify_witness(g, s, cert)
+
+
+def test_construct_witness_raises_on_broken_internal_steps(monkeypatch):
+    import flagstab.witness as witness
+
+    rng = random.Random(12)
+    g, s = witness_instance(rng, F5, 8, 2)
+    assert construct_witness(g, s).r == 3
+    with monkeypatch.context() as m:
+        m.setattr(witness, "unipotent_exponent", lambda g: None)
+        with pytest.raises(WitnessError) as e:
+            construct_witness(g, s)
+        assert e.value.reason == "not-unipotent"
+    real = witness.select_pairs
+    monkeypatch.setattr(witness, "select_pairs", lambda pb: PairSelection(real(pb).pairs[:-1]))
+    with pytest.raises(WitnessError) as e:
+        construct_witness(g, s)
+    assert e.value.reason == "selection-size"
+
+
+# The version of verify_witness that forms g g^h with a general inverse
+# and powers it; the vector version must agree with it on valid and
+# corrupted certificates alike.
+
+
+def ref_verify_witness(g, s, cert):
+    ident = Mat.identity(g.field, g.nrows)
+    try:
+        if not in_stabilizer(cert.h, s):
+            return False
+    except FlagstabError:
+        return False
+    if not ((cert.h - ident) @ (cert.h - ident)).is_zero():
+        return False
+    if cert.r < 1 or cert.probe.is_zero():
+        return False
+    gg = g @ (cert.h.inverse() @ g @ cert.h)
+    power = (gg - ident).pow(cert.r - 1)
+    return not (cert.probe @ power).is_zero()
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except FlagstabError as exc:
+        return type(exc), str(exc)
+
+
+H_KINDS = ["valid", "h-times-g", "stabilizing", "square", "identity", "transpose", "zero", "small"]
+R_KINDS = ["valid", "plus-one", "minus-one", "zero", "past-dim", "huge"]
+PROBE_KINDS = ["valid", "zero", "random", "unit", "wide", "foreign"]
+G_KINDS = ["valid", "stabilizing", "invertible"]
+
+
+def corrupt(rng, cert, g, s, h_kind, r_kind, probe_kind, g_kind):
+    field, n = s.field, s.ambient_dim
+    h = {
+        "valid": cert.h,
+        "h-times-g": cert.h @ g,
+        "stabilizing": random_stabilizer_element(rng, s),
+        "square": cert.h @ cert.h,
+        "identity": Mat.identity(field, n),
+        "transpose": cert.h.transpose(),
+        "zero": Mat.zero(field, n, n),
+        "small": Mat.identity(field, n - 1),
+    }[h_kind]
+    r = {
+        "valid": cert.r,
+        "plus-one": cert.r + 1,
+        "minus-one": cert.r - 1,
+        "zero": 0,
+        "past-dim": 2 * n + 1,
+        # Powering a general rational matrix this far is out of reach of
+        # the reference, so QQ stays at 2n + 1.
+        "huge": 10**6 if field.is_prime_field else 2 * n + 1,
+    }[r_kind]
+    probe = {
+        "valid": cert.probe,
+        "zero": Vec.zero(field, n),
+        "random": Vec(field, [random_scalar(rng, field) for _ in range(n)]),
+        "unit": Vec.unit(field, n, rng.randrange(n)),
+        "wide": Vec(field, list(cert.probe.entries) + [field.one]),
+        "foreign": Vec(GF(3), [1] * n),
+    }[probe_kind]
+    g = {
+        "valid": g,
+        "stabilizing": random_stabilizer_element(rng, s),
+        "invertible": random_invertible(rng, field, n),
+    }[g_kind]
+    return g, WitnessCertificate(h, r, probe, cert.selection, False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([F2, F5, QQ]),
+    st.sampled_from([(5, 2), (6, 2), (7, 3), (8, 2)]),
+    st.booleans(),
+    st.integers(0, 2**32),
+    st.tuples(
+        st.sampled_from(H_KINDS),
+        st.sampled_from(R_KINDS),
+        st.sampled_from(PROBE_KINDS),
+        st.sampled_from(G_KINDS),
+    ),
+)
+def test_verify_witness_matches_powering_reference(field, shape, scramble, seed, mixed):
+    rng = random.Random(seed)
+    g, s = witness_instance(rng, field, *shape, scramble=scramble)
+    cert = construct_witness(g, s)
+    assert ref_verify_witness(g, s, cert)
+    # every single corruption, then one drawn mix of them
+    kinds = [(h, "valid", "valid", "valid") for h in H_KINDS]
+    kinds += [("valid", r, "valid", "valid") for r in R_KINDS]
+    kinds += [("valid", "valid", p, "valid") for p in PROBE_KINDS]
+    kinds += [("valid", "valid", "valid", x) for x in G_KINDS]
+    kinds += [("valid", r, "valid", "invertible") for r in ("past-dim", "huge")]
+    for kind in kinds + [mixed]:
+        g2, bad = corrupt(rng, cert, g, s, *kind)
+        assert outcome(verify_witness, g2, s, bad) == outcome(ref_verify_witness, g2, s, bad)
