@@ -129,8 +129,8 @@ def refine_series(s, gens):
                     members.append(pre)
         members.append(jump.bottom)
     refined = Series(s.field, s.ambient_dim, members)
-    for g in gens:
-        assert in_stabilizer(g, refined)
+    if not all(in_stabilizer(g, refined) for g in gens):
+        raise NormalizationError("a generator does not stabilize the refined series")
     return refined
 
 
@@ -204,8 +204,8 @@ def mclain_matrices(elems):
         members.append(Subspace.span(field, d, rows))
     members.append(Subspace.zero(field, d))
     flag = Series(field, d, members)
-    for m in mats:
-        assert in_stabilizer(m, flag)
+    if not all(in_stabilizer(m, flag) for m in mats):
+        raise McLainError("an element does not stabilize its support flag")
     return mats, flag
 
 

@@ -12,13 +12,14 @@ Grammar (UTF-8, `#` starts a comment):
     certificate            followed by `r <int>`, `h` + d rows, `probe` + row
 
 Scalars are integers 0..p-1 over GF(p) and `a` or `a/b` over the
-rationals.  Reports on stdout are stable `key=value` lines; exit code 0
+rationals, written with ASCII digits and an optional sign; a name may
+appear once per kind of section, and a file holds at most one
+certificate.  Reports on stdout are stable `key=value` lines; exit code 0
 means verified/success, 1 a verified negative, 2 an input error.
 """
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .builder import GeneratorSet, McLainElement, mclain_matrices, module_lcs, refine_series
 from .decomposition import SectionAssignment, patch_sections, split_chain
@@ -85,6 +86,10 @@ class _Lines:
         return item
 
 
+def _is_count(tok):
+    return tok.isascii() and tok.isdigit()
+
+
 def _parse_scalar(field, tok, lineno):
     try:
         return field.parse(tok)
@@ -125,10 +130,11 @@ def parse_problem(text):
         raise ParseError(lineno, "field line must be 'field gf <p>' or 'field q'")
     lineno, line = lines.next("dimension")
     toks = line.split()
-    if len(toks) != 2 or toks[0] != "dim" or not toks[1].isdigit():
+    if len(toks) != 2 or toks[0] != "dim" or not _is_count(toks[1]):
         raise ParseError(lineno, "expected 'dim <d>'")
     dim = int(toks[1])
     pf = ProblemFile(field, dim)
+    tables = {"matrix": pf.matrices, "map": pf.maps, "series": pf.series, "mclain": pf.mclain}
     while True:
         item = lines.peek()
         if item is None:
@@ -136,6 +142,10 @@ def parse_problem(text):
         lineno, line = lines.next("section")
         toks = line.split()
         kind = toks[0]
+        if kind in tables and len(toks) > 1 and toks[1] in tables[kind]:
+            raise ParseError(lineno, f"duplicate {kind} {toks[1]!r}")
+        if kind == "certificate" and pf.certificate is not None:
+            raise ParseError(lineno, "duplicate certificate")
         if kind == "matrix" and len(toks) == 2:
             rows = _parse_matrix_rows(lines, field, dim, dim, f"matrix {toks[1]}")
             pf.matrices[toks[1]] = Mat(field, rows)
@@ -159,7 +169,7 @@ def parse_problem(text):
             for _ in range(m):
                 l2, header = lines.next("subspace header")
                 htoks = header.split()
-                if len(htoks) != 2 or htoks[0] != "subspace" or not htoks[1].isdigit():
+                if len(htoks) != 2 or htoks[0] != "subspace" or not _is_count(htoks[1]):
                     raise ParseError(l2, "expected 'subspace <rows>'")
                 rows = _parse_matrix_rows(lines, field, int(htoks[1]), dim, "subspace")
                 subs.append(Subspace.span(field, dim, rows))
@@ -183,8 +193,8 @@ def parse_problem(text):
                 if len(parts) != 3:
                     raise ParseError(l2, "mclain term is 'r s coeff'")
                 try:
-                    r_idx = Fraction(parts[0])
-                    s_idx = Fraction(parts[1])
+                    r_idx = QQ.parse(parts[0])
+                    s_idx = QQ.parse(parts[1])
                 except (ValueError, ZeroDivisionError):
                     raise ParseError(l2, "bad rational index") from None
                 coeff = _parse_scalar(field, parts[2], l2)
@@ -196,7 +206,7 @@ def parse_problem(text):
         elif kind == "certificate" and len(toks) == 1:
             l2, rline = lines.next("certificate r")
             rtoks = rline.split()
-            if len(rtoks) != 2 or rtoks[0] != "r" or not rtoks[1].isdigit():
+            if len(rtoks) != 2 or rtoks[0] != "r" or not _is_count(rtoks[1]):
                 raise ParseError(l2, "expected 'r <int>'")
             r = int(rtoks[1])
             l3, hline = lines.next("certificate h")

@@ -1,7 +1,7 @@
 """Constructive chain splitting and block patching of section maps."""
 
 from .errors import SectionError, SeriesError
-from .linalg import LinearSolver, Mat, Subspace, Vec, complement_basis
+from .linalg import LinearSolver, Mat, QuotientMap, Subspace
 from .series import in_stabilizer, is_adapted_basis, section_series
 
 __all__ = [
@@ -50,27 +50,22 @@ def split_chain(chain):
     prev_b = Subspace.zero(field, n)
     for i in range(1, len(chain)):
         # extend the previous complement to a complement of chain[i]
-        ext = []
-        current = prev_b.sum(chain[i])
-        for row in chain[0].basis:
-            if current.dim == n:
-                break
-            if not current.contains_vec(row):
-                ext.append(row)
-                current = current.sum(Subspace._span(field, n, [row]))
+        ext, _ = prev_b.sum(chain[i])._extend(chain[0].basis)
         b_i = prev_b.sum(Subspace._span(field, n, ext))
-        assert b_i.intersect(chain[i]).is_zero()
-        assert b_i.sum(chain[i]).is_full()
+        if not (b_i.intersect(chain[i]).is_zero() and b_i.sum(chain[i]).is_full()):
+            raise SeriesError("extended complement does not split the chain member")
         a_i = b_i.intersect(chain[i - 1])
-        assert b_i == prev_b.sum(a_i)
-        assert prev_b.intersect(a_i).is_zero()
+        if b_i != prev_b.sum(a_i) or not prev_b.intersect(a_i).is_zero():
+            raise SeriesError("chain part breaks the modular-law identity")
         parts.append(a_i)
         prev_b = b_i
-    assert prev_b.is_full()
     stacked = [row for a in parts for row in a.basis]
-    assert Subspace._span(field, n, stacked).dim == n
-    for a, top, bottom in zip(parts, chain, chain[1:]):
-        assert a.dim == top.dim - bottom.dim
+    if (
+        not prev_b.is_full()
+        or Subspace._span(field, n, stacked).dim != n
+        or any(a.dim != top.dim - bottom.dim for a, top, bottom in zip(parts, chain, chain[1:]))
+    ):
+        raise SeriesError("chain parts do not split the space")
     return ChainSplit(chain, parts)
 
 
@@ -87,10 +82,10 @@ def section_basis(adapted, s, w, u):
     if not is_adapted_basis(adapted, s):
         raise SeriesError("basis is not adapted to the series")
     chosen = [v for v in adapted if w.contains_vec(v) and not u.contains_vec(v)]
-    assert len(chosen) == w.dim - u.dim
     rows = [v.entries for v in chosen] + [list(r) for r in u.basis]
     got = Subspace._span(s.field, s.ambient_dim, rows)
-    assert got.dim == u.dim + len(chosen)
+    if len(chosen) != w.dim - u.dim or got.dim != w.dim:
+        raise SeriesError("adapted vectors do not give a basis of the section")
     return chosen
 
 
@@ -134,7 +129,11 @@ def patch_sections(adapted, s, assignment):
     _check_disjoint(sections)
     field = s.field
     n = s.ambient_dim
-    images = {}
+    index_of = {id(v): i for i, v in enumerate(adapted)}
+    coords_rows = [
+        [field.one if i == j else field.zero for j in range(n)] for i in range(n)
+    ]
+    qmaps = []
     for u, w, hmap in sections:
         if u not in s.members or w not in s.members:
             raise SectionError("section endpoints must be members")
@@ -146,58 +145,29 @@ def patch_sections(adapted, s, assignment):
         if not in_stabilizer(hmap, induced):
             raise SectionError("map does not stabilize the induced section series")
         # move the map from deterministic-complement coordinates to the
-        # adapted section basis of this section
-        reps = complement_basis(u, w)
+        # adapted section basis of this section; the section vectors are
+        # adapted basis vectors, so their coefficients are coordinates
+        qm = QuotientMap(u, w)
         vecs = section_basis(adapted, s, w, u)
-        solver = LinearSolver(
-            field, [v.entries for v in reps] + [r for r in u.basis], n
-        )
-        q = len(reps)
-
-        def coords(v, solver=solver, q=q):
-            y = solver.solve(v)
-            assert y is not None
-            return Vec._of(field, y[:q])
-
-        sec_solver = LinearSolver(
-            field, [coords(v).entries for v in vecs], q
-        )
-        for v in vecs:
-            target = coords(v) @ hmap
-            a = sec_solver.solve(target)
-            assert a is not None, "section basis failed to span the quotient"
-            out = Vec.zero(field, n)
-            for c, bvec in zip(a, vecs):
-                if c != 0:
-                    out = out + bvec.scale(c)
-            images[id(v)] = (v, out)
-    rows = []
-    index_of = {id(v): i for i, v in enumerate(adapted)}
+        coords = [qm.project(v) for v in vecs]
+        sec_solver = LinearSolver(field, [c.entries for c in coords], qm.dim)
+        for v, c in zip(vecs, coords):
+            a = sec_solver.solve(c @ hmap)
+            if a is None:
+                raise SectionError("section basis failed to span the quotient")
+            row = [field.zero] * n
+            for x, b in zip(a, vecs):
+                row[index_of[id(b)]] = x
+            coords_rows[index_of[id(v)]] = row
+        qmaps.append(qm)
     p = Mat.from_vecs(field, adapted, ncols=n)
-    coords_rows = [
-        [field.one if i == j else field.zero for j in range(n)] for i in range(n)
-    ]
-    basis_solver = LinearSolver(field, [v.entries for v in adapted], n)
-    for key, (v, out) in images.items():
-        y = basis_solver.solve(out)
-        assert y is not None
-        coords_rows[index_of[key]] = list(y)
     h = p.inverse() @ Mat._of(field, coords_rows, n) @ p
     if not h.is_invertible():
         raise SectionError("patched map is singular")
     if not in_stabilizer(h, s):
         raise SectionError("patched map escapes the stabilizer")
     # verify the induced action on every section equals the given map
-    for u, w, hmap in sections:
-        reps = complement_basis(u, w)
-        solver = LinearSolver(
-            field, [v.entries for v in reps] + [r for r in u.basis], n
-        )
-        q = len(reps)
-        got_rows = []
-        for rep in reps:
-            y = solver.solve(rep @ h)
-            assert y is not None
-            got_rows.append(y[:q])
-        assert Mat._of(field, got_rows, q) == hmap, "induced action mismatch"
+    for (_, _, hmap), qm in zip(sections, qmaps):
+        if qm.induced_matrix(h) != hmap:
+            raise SectionError("patched map induces a different section map")
     return h

@@ -33,13 +33,6 @@ def random_scalar(rng, field, small=False):
     return field.coerce(rng.randint(-2, 2))
 
 
-def random_nonzero_scalar(rng, field):
-    while True:
-        x = random_scalar(rng, field)
-        if x != 0:
-            return x
-
-
 def random_invertible(rng, field, n):
     while True:
         m = Mat(field, [[random_scalar(rng, field) for _ in range(n)] for _ in range(n)])

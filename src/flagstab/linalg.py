@@ -23,9 +23,16 @@ QQ), and every kernel returns canonical entries when given canonical
 ones.  The public constructors `Vec(...)`, `Mat(...)` and
 `Subspace.span(...)` coerce their input; kernel results go through the
 private `Vec._of`, `Mat._of` and `Subspace._span`, which trust it.
+
+Spans grow through one private primitive, `Subspace._extend`: given rows
+in order, it keeps each row that lies outside the span so far and
+returns the kept rows with the span they complete.  Complements, chain
+splittings, new Jordan-chain heads and series-splitting complements are
+all built with it.
 """
 
 import math
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -57,6 +64,9 @@ __all__ = [
 # below this bound (Sorenson and Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+
+# `int` alone would also take underscores, whitespace and non-ASCII digits.
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[+-]?[0-9]+)?")
 
 
 def _is_prime(n):
@@ -120,14 +130,8 @@ class Field:
     def add(self, a, b):
         return (a + b) % self.p if self.p is not None else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.p is not None else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.p is not None else -a
 
     def inv(self, a):
         if a == 0:
@@ -137,7 +141,10 @@ class Field:
         return 1 / a
 
     def parse(self, text):
-        """Parse 'a' or 'a/b' into a canonical scalar."""
+        """Parse 'a', or 'a/b' over QQ, into a canonical scalar; a and b
+        are ASCII decimal integers with an optional sign."""
+        if not (text.isascii() and text.isdigit() or _SCALAR.fullmatch(text)):
+            raise ValueError(f"bad scalar {text!r}")
         if self.p is not None:
             return int(text) % self.p
         if "/" in text:
@@ -780,6 +787,24 @@ class Subspace:
     def __hash__(self):
         return hash((self.field, self.ambient_dim, self.basis))
 
+    def _extend(self, rows, dim=None):
+        """(new, span): the rows, in order, that lie outside the span of
+        this subspace and the rows before them, and the span they complete.
+
+        Rows are `Vec`s or canonical tuples; `new` holds them as given.
+        Stops once the span reaches dimension dim (default: the ambient one).
+        """
+        dim = self.ambient_dim if dim is None else dim
+        span, new = self, []
+        for row in rows:
+            if span.dim >= dim:
+                break
+            if not span.contains_vec(row):
+                new.append(row)
+                entries = row.entries if isinstance(row, Vec) else tuple(row)
+                span = Subspace._span(self.field, self.ambient_dim, span.basis + (entries,))
+        return new, span
+
     def apply(self, m):
         """Image of this subspace under the row action of m."""
         if m.nrows != self.ambient_dim:
@@ -838,15 +863,8 @@ def complement_basis(u, w):
     u._match(w)
     if not w.contains(u):
         raise ContainmentError("first subspace is not contained in the second")
-    field = u.field
-    state = u
-    chosen = []
-    for row in w.basis:
-        if not state.contains_vec(row):
-            chosen.append(Vec._of(field, row))
-            state = Subspace._span(field, u.ambient_dim, state.basis + (row,))
-    assert len(chosen) == w.dim - u.dim
-    return chosen
+    chosen, _ = u._extend(w.basis, w.dim)
+    return [Vec._of(u.field, row) for row in chosen]
 
 
 def complement_in(u, w):

@@ -81,9 +81,6 @@ class Series:
             for i in range(1, len(self.members))
         ]
 
-    def jump_at(self, level):
-        return Jump(self.members[level], self.members[level - 1], level)
-
     def __iter__(self):
         return iter(self.members)
 

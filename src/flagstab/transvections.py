@@ -82,7 +82,8 @@ def make_transvection(spec):
     n = spec.u.ambient_dim
     eta = spec.displacement()
     x = Mat.identity(spec.field, n) + eta
-    assert (eta @ eta).is_zero()
+    if not (eta @ eta).is_zero():
+        raise TransvectionError("displacement does not square to zero")
     full = Subspace.full(spec.field, n)
     zero = Subspace.zero(spec.field, n)
     members = [full]
@@ -90,7 +91,8 @@ def make_transvection(spec):
         members.append(spec.u)
     members.append(zero)
     mini = Series(spec.field, n, members)
-    assert in_stabilizer(x, mini)
+    if not in_stabilizer(x, mini):
+        raise TransvectionError("transvection escapes the stabilizer of {0, U, V}")
     return x
 
 

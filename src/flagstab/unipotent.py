@@ -4,7 +4,7 @@ All computations run the kernel-chain pullback, so they are exact over
 any supported field and deterministic through pivot-order choices.
 """
 
-from .errors import NotUnipotentError, ShapeError
+from .errors import ContainmentError, NotUnipotentError, ShapeError
 from .linalg import Mat, Subspace, kernel
 
 __all__ = [
@@ -70,8 +70,8 @@ def kernel_chain(g):
         power = power @ nil
     if chain and not chain[-1].is_full():
         raise NotUnipotentError("matrix is not unipotent")
-    for a, b in zip(chain, chain[1:]):
-        assert b.contains(a) and a.dim < b.dim
+    if any(not (b.contains(a) and a.dim < b.dim) for a, b in zip(chain, chain[1:])):
+        raise NotUnipotentError("kernel chain does not strictly ascend")
     return KernelChain(g, chain)
 
 
@@ -119,18 +119,6 @@ def jordan_matrix(field, sizes):
     return Mat(field, rows)
 
 
-def _chains_from_heads(nil, heads_by_height):
-    chains = []
-    for height, heads in heads_by_height:
-        for head in heads:
-            chain = [head]
-            for _ in range(height - 1):
-                chain.append(chain[-1] @ nil)
-            assert (chain[-1] @ nil).is_zero()
-            chains.append(chain)
-    return chains
-
-
 def jordan_chains(g, candidate_order=None):
     """Jordan chains via kernel-chain pullback.
 
@@ -158,23 +146,17 @@ def jordan_chains(g, candidate_order=None):
             candidates = candidate_order(height, target)
         else:
             candidates = target.basis_vecs()
-        new_heads = []
-        for cand in candidates:
-            if span.dim == target.dim:
-                break
-            if not target.contains_vec(cand):
-                continue
-            if span.contains_vec(cand):
-                continue
-            new_heads.append(cand)
-            span = span.sum(Subspace._span(field, n, [cand.entries]))
-        assert span.dim == target.dim, "kernel completion failed"
+        in_target = (c for c in candidates if target.contains_vec(c))
+        new_heads, span = span._extend(in_target, target.dim)
+        if span.dim != target.dim:
+            raise ContainmentError(f"candidates do not complete the kernel at height {height}")
         for head in new_heads:
             chain = [head]
             for _ in range(height - 1):
                 chain.append(chain[-1] @ nil)
             chains.append(chain)
-    assert sum(len(c) for c in chains) == n
+    if sum(len(c) for c in chains) != n:
+        raise ContainmentError("Jordan chains do not span the space")
     chains.sort(key=lambda c: -len(c))
     return chains
 
@@ -192,7 +174,6 @@ def _finish_jordan(g, chains):
     basis = Mat._of(field, rows, n)
     standard = basis @ g @ basis.inverse()
     sizes = [len(c) for c in chains]
-    assert standard == jordan_matrix(field, sizes), "chain relations broken"
-    e = max(sizes)
-    assert len(chains) >= n // e
+    if standard != jordan_matrix(field, sizes) or len(chains) < n // max(sizes):
+        raise NotUnipotentError("chain relations broken")
     return JordanData(chains, basis)

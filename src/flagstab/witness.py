@@ -59,12 +59,6 @@ class PreorderedBasis:
     def size(self):
         return len(self.fvals)
 
-    def block_of(self, e):
-        for i, b in enumerate(self.blocks):
-            if e in b:
-                return i
-        raise PreorderError(f"element {e} is in no block")
-
     def _validate(self):
         m = self.size
         if len(self.keys) != m:
@@ -460,15 +454,12 @@ def _series_split_complement(w, s):
     Processes jumps from the deepest up, extending bottom + (top & w)
     to the top from the top's canonical basis.
     """
-    field = s.field
     comp = []
     for jump in reversed(s.jumps()):
+        # the rows chosen at deeper jumps already lie in jump.bottom
         current = jump.bottom.sum(jump.top.intersect(w))
-        current = current.sum(Subspace._span(field, s.ambient_dim, [v.entries for v in comp]))
-        for row in jump.top.basis:
-            if not current.contains_vec(row):
-                comp.append(Vec._of(field, row))
-                current = current.sum(Subspace._span(field, s.ambient_dim, [row]))
+        new, _ = current._extend(jump.top.basis, jump.top.dim)
+        comp += [Vec._of(s.field, row) for row in new]
     return comp
 
 
@@ -565,6 +556,9 @@ def extend_witness(g, s, n):
     for i in range(w.dim, dim):
         block[i][i] = field.one
     h = p.inverse() @ Mat._of(field, block, dim) @ p
+    nil = h - ident
+    if not (nil @ nil).is_zero():
+        raise WitnessError("h-square", "(h-1)^2 != 0 after the extension")
     if not in_stabilizer(h, s):
         raise WitnessError("h-not-in-stabilizer", "extension escaped the stabilizer")
     r = (n - 2) // k
@@ -572,7 +566,8 @@ def extend_witness(g, s, n):
     for c, v in zip(inner.probe.entries, wb):
         if c != 0:
             probe_v = probe_v + v.scale(c)
-    gg = g @ (h.inverse() @ g @ h)
+    # (h - 1)^2 = 0 was checked, so h^-1 = 2 - h.
+    gg = g @ ((ident - nil) @ g @ h)
     m = gg - ident
     candidates = [probe_v] + wb
     probe, stronger = _power_probe(m, r, candidates)

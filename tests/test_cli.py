@@ -213,3 +213,40 @@ def test_bad_counts_and_indices_exit_2():
         r = cli(command, "-", "--elems", "x", text_input=text)
         assert r.returncode == 2, text
         assert message in r.stderr and "Traceback" not in r.stderr and r.stdout == ""
+
+
+def test_repeated_sections_exit_2():
+    head = "field gf 5\ndim 2\n"
+    cert = "certificate\nr 1\nh\n1 0\n0 1\nprobe\n1 0\n"
+    cases = [
+        (head + "matrix g\n1 1\n0 1\nmatrix g\n1 0\n0 1\n", "duplicate matrix 'g'"),
+        (head + "map m 1 1\n1\nmap m 1 2\n1 0\n", "duplicate map 'm'"),
+        (head + "series L 1\nsubspace 1\n0 1\nseries L 0\n", "duplicate series 'L'"),
+        (head + "mclain x 1\n0 1 1\nmclain x 1\n1 2 1\n", "duplicate mclain 'x'"),
+        (head + "matrix g\n1 0\n0 1\n" + cert + cert, "duplicate certificate"),
+    ]
+    for text, message in cases:
+        r = cli("check-stab", "-", text_input=text)
+        assert r.returncode == 2, text
+        assert message in r.stderr and "Traceback" not in r.stderr and r.stdout == ""
+    pf = parse_problem(head + "matrix g\n1 0\n0 1\nmap g 1 1\n1\nseries g 0\nmclain g 0\n")
+    assert set(pf.matrices) == set(pf.maps) == set(pf.series) == set(pf.mclain) == {"g"}
+
+
+def test_non_ascii_or_underscored_numbers_exit_2():
+    cases = [
+        ("exponent", "field gf 5\ndim 1\nmatrix g\n1_0\n", "bad scalar"),
+        ("exponent", "field gf 5\ndim 1\nmatrix g\n١\n", "bad scalar"),
+        ("exponent", "field q\ndim 1\nmatrix g\n1/٢\n", "bad scalar"),
+        ("mclain", "field q\ndim 1\nmclain x 1\n1_0 20 1\n", "bad rational index"),
+        ("mclain", "field q\ndim 1\nmclain x 1\n1.5 2 1\n", "bad rational index"),
+        ("mclain", "field q\ndim 1\nmclain x 1\n0 ١ 1\n", "bad rational index"),
+        ("exponent", "field gf 5\ndim ²\n", "expected 'dim <d>'"),
+        ("exponent", "field gf 5\ndim ١\nmatrix g\n1\n", "expected 'dim <d>'"),
+        ("check-stab", "field gf 5\ndim 1\nseries L 1\nsubspace ²\n", "expected 'subspace <rows>'"),
+        ("verify", "field gf 5\ndim 1\ncertificate\nr ²\n", "expected 'r <int>'"),
+    ]
+    for command, text, message in cases:
+        r = cli(command, "-", "--elems", "x", text_input=text)
+        assert r.returncode == 2, text
+        assert message in r.stderr and "Traceback" not in r.stderr and r.stdout == ""

@@ -68,6 +68,30 @@ def test_scalar_normalization():
     assert F5.parse("12") == 2
 
 
+SCALAR_FIELDS = [GF(2), F5, QQ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(SCALAR_FIELDS),
+    st.integers(-(2**70), 2**70),
+    st.integers(1, 2**40),
+)
+def test_parse_inverts_format(field, num, den):
+    x = field.coerce(num) if field.is_prime_field else Fraction(num, den)
+    assert field.parse(field.format(x)) == x
+
+
+def test_parse_accepts_only_ascii_integers_and_fractions():
+    assert QQ.parse("-3/+6") == Fraction(-1, 2) and F5.parse("+7") == 2
+    for text in ["1_0", "\u0661", "\uff11", "1.5", "1e3", " 1", "1 ", "", "+", "0x1", "1/2/3", "/2"]:
+        for field in SCALAR_FIELDS:
+            with pytest.raises(ValueError):
+                field.parse(text)
+    with pytest.raises(ValueError):
+        F5.parse("1/2")
+
+
 def test_echelonize_examples():
     # full space from swapped unit rows
     s = echelonize(Mat(F2, [[0, 1], [1, 0]]))

@@ -20,6 +20,7 @@ from flagstab.instances import (
 )
 from flagstab.linalg import GF, QQ, Mat, Subspace, Vec
 from flagstab.series import Series, canonical_coarsening, in_stabilizer, is_adapted_basis
+from flagstab.unipotent import jordan_matrix
 from flagstab.witness import (
     PairSelection,
     PreorderedBasis,
@@ -308,6 +309,25 @@ def test_unverified_extension_raises(monkeypatch):
         extend_witness(g, s, 7)
     assert e.value.reason == "not-verified"
     assert len(calls) == 2
+
+
+def test_extension_checks_square_zero_before_inverting(monkeypatch):
+    import flagstab.witness as witness
+
+    real = witness.construct_witness
+
+    def jordan_block_inner(g, s):
+        # An inner h with (h - 1)^2 != 0: one Jordan block on the core.
+        cert = real(g, s)
+        cert.h = jordan_matrix(g.field, [g.nrows])
+        return cert
+
+    rng = random.Random(10)
+    g, s = witness_instance(rng, F5, 7, 2, pad=4)
+    monkeypatch.setattr(witness, "construct_witness", jordan_block_inner)
+    with pytest.raises(WitnessError) as e:
+        extend_witness(g, s, 7)
+    assert e.value.reason == "h-square"
 
 
 def test_verify_witness_rejects_malformed_h():
