@@ -19,6 +19,7 @@ means verified/success, 1 a verified negative, 2 an input error.
 """
 
 import argparse
+import re
 import sys
 
 from .builder import GeneratorSet, McLainElement, mclain_matrices, module_lcs, refine_series
@@ -90,6 +91,17 @@ def _is_count(tok):
     return tok.isascii() and tok.isdigit()
 
 
+# `int` alone would also take underscores, whitespace and non-ASCII digits.
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(tok):
+    """The value of an ASCII decimal integer with an optional sign."""
+    if not _INT.fullmatch(tok):
+        raise ValueError(f"invalid integer {tok!r}")
+    return int(tok)
+
+
 def _parse_scalar(field, tok, lineno):
     try:
         return field.parse(tok)
@@ -123,7 +135,7 @@ def parse_problem(text):
         field = QQ
     elif len(toks) == 3 and toks[1] == "gf":
         try:
-            field = GF(int(toks[2]))
+            field = GF(_int(toks[2]))
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
     else:
@@ -151,7 +163,7 @@ def parse_problem(text):
             pf.matrices[toks[1]] = Mat(field, rows)
         elif kind == "map" and len(toks) == 4:
             try:
-                r, c = int(toks[2]), int(toks[3])
+                r, c = _int(toks[2]), _int(toks[3])
             except ValueError:
                 raise ParseError(lineno, "map needs integer row/col counts") from None
             if r < 0 or c < 0:
@@ -160,7 +172,7 @@ def parse_problem(text):
             pf.maps[toks[1]] = Mat(field, rows, ncols=c)
         elif kind == "series" and len(toks) == 3:
             try:
-                m = int(toks[2])
+                m = _int(toks[2])
             except ValueError:
                 raise ParseError(lineno, "series needs a block count") from None
             if m < 0:
@@ -181,7 +193,7 @@ def parse_problem(text):
                 raise ParseError(lineno, f"invalid series: {exc}") from None
         elif kind == "mclain" and len(toks) == 3:
             try:
-                t = int(toks[2])
+                t = _int(toks[2])
             except ValueError:
                 raise ParseError(lineno, "mclain needs a term count") from None
             if t < 0:
@@ -405,7 +417,7 @@ def run(command, pf, options):
         for txt in options.section or []:
             try:
                 u_i, w_i, name = txt.split(":")
-                u_i, w_i = int(u_i), int(w_i)
+                u_i, w_i = _int(u_i), _int(w_i)
             except ValueError:
                 raise FlagstabError(
                     f"--section must be u_index:w_index:map, got {txt!r}"
@@ -467,7 +479,7 @@ def _cmd_gen(options):
         if not options.field.startswith("gf"):
             raise FlagstabError("--field must be q or gf<p>")
         try:
-            field = GF(int(options.field[2:]))
+            field = GF(_int(options.field[2:]))
         except ValueError as exc:
             raise FlagstabError(f"--field: {exc}") from None
     n, k = options.length, options.exponent

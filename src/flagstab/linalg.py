@@ -490,16 +490,23 @@ class Mat:
         return Mat._of(self.field, cols, self.nrows)
 
     def inverse(self):
+        return self._inverse_columns(range(self.nrows))
+
+    def _inverse_columns(self, cols):
+        """Columns `cols` of the inverse, as an n x len(cols) matrix: one
+        elimination of [self | those columns of the identity]."""
         if not self.is_square():
             raise SingularMatrixError("non-square matrix")
         n = self.nrows
         field = self.field
-        aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
+        cols = list(cols)
+        aug = [list(r) + [field.one if i == j else field.zero for j in cols]
                for i, r in enumerate(self.rows)]
         reduced, pivots = _echelon(field, aug)
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Mat._of(field, [_canonical(field, r, c, n) for r, c in zip(reduced, pivots)], n)
+        rows = [_canonical(field, r, c, n) for r, c in zip(reduced, pivots)]
+        return Mat._of(field, rows, len(cols))
 
     def is_invertible(self):
         try:
@@ -883,11 +890,13 @@ class QuotientMap:
     __slots__ = ("u", "w", "reps", "field", "dim", "_solver")
 
     def __init__(self, u, w, reps=None):
-        u._match(w)
-        if not w.contains(u):
-            raise ContainmentError("first subspace is not contained in the second")
         if reps is None:
+            # complement_basis checks u <= w itself
             reps = complement_basis(u, w)
+        else:
+            u._match(w)
+            if not w.contains(u):
+                raise ContainmentError("first subspace is not contained in the second")
         self.u = u
         self.w = w
         self.reps = tuple(reps)

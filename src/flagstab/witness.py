@@ -5,6 +5,19 @@ unipotent exponent, the pipeline picks interleaved Jordan pairs along
 the levels of L and produces h in S(L) with (h-1)^2 = 0 such that
 (g g^h - 1)^(r-1) != 0 for r = floor((n-2)/k).  Every certificate is
 re-verified by direct exact arithmetic before it is returned.
+
+The witness is decided in Jordan coordinates.  Let p be the matrix whose
+rows are the straightened chain vectors.  Then p g p^-1 = J is 1 plus
+the shift along each chain and p h p^-1 = C is 1 plus r - 1 ones at
+(y_l, x_{l+1}), whatever the field and however scrambled g is.  So
+`build_h` forms h - 1 as r - 1 rank-one terms (columns y_l of p^-1 times
+rows x_{l+1} of p), and (h - 1)^2 = 0 becomes an index test.  The probe
+candidates are rows of p, i.e. unit rows there, so the probe and the
+`stronger_power_nonzero` flag are read off powers of the small integer
+matrix J (2 - C) J C - 1 (C^-1 = 2 - C, as (C - 1)^2 = 0).
+`verify_witness` re-checks the result in the original coordinates.
+`extend_witness` still forms g g^h densely: its g is not in Jordan form
+on all of V.
 """
 
 from .errors import (
@@ -198,7 +211,7 @@ def _level_dependency(chains, s):
             ]
             if support:
                 return support
-        raise AssertionError("rank drop without an explicit dependency")
+        raise AdaptationError("rank drop without an explicit dependency")
     return None
 
 
@@ -327,7 +340,10 @@ def build_h(sel, basis, s):
     """The square-zero stabilizer element sending y_l to y_l + x_{l+1}.
 
     `basis` lists the Jordan basis vectors that the selection indexes;
-    every other basis vector is fixed.
+    every other basis vector is fixed.  h - 1 is the sum over l of
+    column y_l of p^-1 times row x_{l+1} of p, for p the basis matrix.
+    (h - 1)^2 = 0 when no y_l is an x_{m+1}; with distinct y_l, as in
+    pairs from distinct chains, that index test is exact.
     """
     seen_blocks = set()
     for _, _, bi in sel.pairs:
@@ -339,18 +355,16 @@ def build_h(sel, basis, s):
     basis = list(basis)
     if len(basis) != n:
         raise SelectionError("basis size differs from the ambient dimension")
+    ys = [sel.pairs[l][1] for l in range(sel.r - 1)]
+    xs = [sel.pairs[l + 1][0] for l in range(sel.r - 1)]
+    if not all(0 <= i < n for i in ys + xs):
+        raise SelectionError("a pair indexes outside the basis")
     p = Mat.from_vecs(field, basis, ncols=n)
-    coords = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        coords[i][i] = field.one
-    for l in range(sel.r - 1):
-        y_cur = sel.pairs[l][1]
-        x_next = sel.pairs[l + 1][0]
-        coords[y_cur][x_next] = field.add(coords[y_cur][x_next], field.one)
-    h = p.inverse() @ Mat._of(field, coords, n) @ p
-    ident = Mat.identity(field, n)
-    if not ((h - ident) @ (h - ident)).is_zero():
+    p_inv_cols = p._inverse_columns(ys)
+    if set(ys) & set(xs):
         raise WitnessError("h-square", "(h-1)^2 != 0; selection inconsistent")
+    x_rows = Mat._of(field, [p.rows[x] for x in xs], n)
+    h = Mat.identity(field, n) + p_inv_cols @ x_rows
     if not in_stabilizer(h, s):
         raise WitnessError(
             "h-not-in-stabilizer", "constructed h escapes the stabilizer"
@@ -367,6 +381,43 @@ def _power_probe(m, r, candidates):
             probe = v
             break
     stronger = not (power @ m).is_zero()
+    return probe, stronger
+
+
+def _jordan_probe(chains, sel, p):
+    """Index of the probe, and whether m^r != 0, for m = g g^h - 1 and
+    r = sel.r.
+
+    In the chain basis m is M = J (2 - C) J C - 1 (module docstring),
+    an integer matrix, reduced mod p over GF(p) (p is None over QQ).
+    The candidates y_1, then every chain vector, are unit rows there,
+    so candidate i survives m^(r-1) exactly when row i of M^(r-1) is
+    nonzero.  The index is None when no candidate survives.
+    """
+    shift, n = [], 0
+    for chain in chains:
+        shift += [(n + j, n + j + 1) for j in range(len(chain) - 1)]
+        n += len(chain)
+    twists = [(sel.pairs[l][1], sel.pairs[l + 1][0]) for l in range(sel.r - 1)]
+
+    def plus(v, edges, sign=1):
+        # v (1 + sign * sum of E(a, b) over the edges)
+        w = list(v)
+        for a, b in edges:
+            w[b] += sign * v[a]
+        return w
+
+    def times_m(v):
+        w = plus(plus(plus(plus(v, shift), twists, -1), shift), twists)
+        w = [a - b for a, b in zip(w, v)]
+        return [a % p for a in w] if p is not None else w
+
+    powers = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(sel.r - 1):
+        powers = [times_m(v) for v in powers]
+    order = [sel.pairs[0][1]] + list(range(n))
+    probe = next((i for i in order if any(powers[i])), None)
+    stronger = any(any(times_m(v)) for v in powers)
     return probe, stronger
 
 
@@ -402,15 +453,10 @@ def construct_witness(g, s):
     r = (n - 2) // k
     if r != sel.r:
         raise WitnessError("selection-size", f"selected {sel.r} pairs, expected {r}")
-    # build_h checked (h - 1)^2 = 0, so h^-1 = 2 - h.
-    ident = Mat.identity(g.field, g.nrows)
-    gg = g @ ((ident - (h - ident)) @ g @ h)
-    m = gg - ident
-    y1 = basis[sel.pairs[0][1]]
-    probe, stronger = _power_probe(m, r, [y1] + basis)
+    probe, stronger = _jordan_probe(chains, sel, g.field.p)
     if probe is None:
         raise WitnessError("power-vanished", "(g g^h - 1)^(r-1) = 0 unexpectedly")
-    cert = WitnessCertificate(h, r, probe, sel, stronger)
+    cert = WitnessCertificate(h, r, basis[probe], sel, stronger)
     if not verify_witness(g, s, cert):
         raise WitnessError("not-verified", "the built certificate failed re-verification")
     return cert

@@ -250,3 +250,27 @@ def test_non_ascii_or_underscored_numbers_exit_2():
         r = cli(command, "-", "--elems", "x", text_input=text)
         assert r.returncode == 2, text
         assert message in r.stderr and "Traceback" not in r.stderr and r.stdout == ""
+
+
+@pytest.mark.parametrize("tok", ["1_1", "١١", "1.0"])
+def test_header_counts_and_indices_take_ascii_integers_only(tok, monkeypatch, capsys):
+    import io
+
+    from flagstab.cli import main
+
+    series = "series L 1\nsubspace 1\n0 1\nmap m 1 1\n1\n"
+    cases = [
+        (["exponent", "-"], f"field gf {tok}\ndim 1\nmatrix g\n1\n", "invalid integer"),
+        (["check-stab", "-"], f"field gf 5\ndim 2\nmap m {tok} 1\n1\n", "integer row/col"),
+        (["check-stab", "-"], f"field gf 5\ndim 2\nmap m 1 {tok}\n1\n", "integer row/col"),
+        (["check-stab", "-"], f"field gf 5\ndim 2\nseries L {tok}\n", "block count"),
+        (["mclain", "-", "--elems", "x"], f"field q\ndim 2\nmclain x {tok}\n", "term count"),
+        (["gen", "--field", f"gf{tok}"], None, "--field: invalid integer"),
+        (["patch", "-", "--section", f"{tok}:0:m"], "field gf 5\ndim 2\n" + series, "--section"),
+        (["patch", "-", "--section", f"1:{tok}:m"], "field gf 5\ndim 2\n" + series, "--section"),
+    ]
+    for argv, text, message in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text or ""))
+        assert main(argv) == 2, (argv, text)
+        out, err = capsys.readouterr()
+        assert message in err and out == "", (argv, text, err)

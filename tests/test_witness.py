@@ -476,3 +476,115 @@ def test_verify_witness_matches_powering_reference(field, shape, scramble, seed,
     for kind in kinds + [mixed]:
         g2, bad = corrupt(rng, cert, g, s, *kind)
         assert outcome(verify_witness, g2, s, bad) == outcome(ref_verify_witness, g2, s, bad)
+
+
+# The dense versions of build_h and of the probe in construct_witness:
+# h = p^-1 C p by a general inverse and two products, and the probe read
+# off the power (g g^h - 1)^(r-1).  The Jordan-coordinate versions must
+# give the same h, probe, stronger flag and errors.
+
+
+def ref_build_h(sel, basis, s):
+    seen_blocks = set()
+    for _, _, bi in sel.pairs:
+        if bi in seen_blocks:
+            raise SelectionError("selection reuses a block")
+        seen_blocks.add(bi)
+    field = s.field
+    n = s.ambient_dim
+    basis = list(basis)
+    if len(basis) != n:
+        raise SelectionError("basis size differs from the ambient dimension")
+    p = Mat.from_vecs(field, basis, ncols=n)
+    coords = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        coords[i][i] = field.one
+    for l in range(sel.r - 1):
+        y_cur = sel.pairs[l][1]
+        x_next = sel.pairs[l + 1][0]
+        coords[y_cur][x_next] = field.add(coords[y_cur][x_next], field.one)
+    h = p.inverse() @ Mat._of(field, coords, n) @ p
+    ident = Mat.identity(field, n)
+    if not ((h - ident) @ (h - ident)).is_zero():
+        raise WitnessError("h-square", "(h-1)^2 != 0; selection inconsistent")
+    if not in_stabilizer(h, s):
+        raise WitnessError(
+            "h-not-in-stabilizer", "constructed h escapes the stabilizer"
+        )
+    return h
+
+
+def ref_power_probe(m, r, candidates):
+    power = m.pow(r - 1) if r >= 1 else None
+    probe = None
+    for v in candidates:
+        if not (v @ power).is_zero():
+            probe = v
+            break
+    stronger = not (power @ m).is_zero()
+    return probe, stronger
+
+
+def ref_probe(g, h, sel, basis):
+    ident = Mat.identity(g.field, g.nrows)
+    m = g @ ((ident - (h - ident)) @ g @ h) - ident
+    return ref_power_probe(m, sel.r, [basis[sel.pairs[0][1]]] + basis)
+
+
+def selections_to_try(rng, sel, n):
+    """The greedy selection, its prefixes, selections that break
+    (C - 1)^2 = 0 through y_l = x_(m+1), and random ones; every y_l
+    distinct."""
+    out = [sel] + [PairSelection(sel.pairs[:l]) for l in range(1, sel.r)]
+    for _ in range(4):
+        r = rng.randint(1, min(5, n))
+        ys = rng.sample(range(n), r)
+        xs = [rng.randrange(n) for _ in range(r)]
+        out.append(PairSelection([(x, y, l) for l, (x, y) in enumerate(zip(xs, ys))]))
+        if r >= 2:
+            m = rng.randrange(r - 1)
+            xs[m + 1] = ys[rng.randrange(r - 1)]
+            out.append(PairSelection([(x, y, l) for l, (x, y) in enumerate(zip(xs, ys))]))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([F2, F5, QQ]),
+    # r = (n - 2) // k runs over 1..5
+    st.sampled_from([(5, 2), (6, 2), (7, 3), (8, 2), (10, 2), (11, 3), (12, 2)]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_jordan_coordinates_match_dense_reference(field, shape, scramble, seed):
+    from flagstab.witness import _jordan_probe, _preordered_basis_from_chains
+
+    rng = random.Random(seed)
+    g, s = witness_instance(rng, field, *shape, scramble=scramble)
+    chains = adapted_jordan_chains(g, s)
+    basis = [v for c in chains for v in c]
+    sel = select_pairs(_preordered_basis_from_chains(chains, s))
+    for trial in selections_to_try(rng, sel, len(basis)):
+        got = outcome(build_h, trial, basis, s)
+        assert got == outcome(ref_build_h, trial, basis, s)
+        if got[0] != "ok":
+            assert trial is not sel
+            continue
+        probe, stronger = _jordan_probe(chains, trial, field.p)
+        probe = None if probe is None else basis[probe]
+        assert (probe, stronger) == ref_probe(g, got[1], trial, basis)
+
+
+def test_build_h_square_zero_index_test():
+    # y_0 = x_1 makes (C - 1)^2 != 0; y_0 = x_0 does not matter
+    rng = random.Random(13)
+    for field in (F2, F5, QQ):
+        g, s = witness_instance(rng, field, 8, 2, scramble=True)
+        basis = [v for c in adapted_jordan_chains(g, s) for v in c]
+        bad = PairSelection([(0, 1, 0), (1, 2, 1)])
+        for fn in (build_h, ref_build_h):
+            with pytest.raises(WitnessError) as e:
+                fn(bad, basis, s)
+            assert e.value.reason == "h-square"
+        with pytest.raises(SelectionError):
+            build_h(PairSelection([(0, 1, 0), (len(basis), 2, 1)]), basis, s)
