@@ -22,7 +22,7 @@ import argparse
 import re
 import sys
 
-from .builder import GeneratorSet, McLainElement, mclain_matrices, module_lcs, refine_series
+from .builder import GeneratorSet, McLainElement, mclain_truncate, module_lcs, refine_series
 from .decomposition import SectionAssignment, patch_sections, split_chain
 from .errors import FlagstabError, ParseError, RefinementObstruction, WitnessError
 from .instances import adapted_basis_of, witness_instance, _chain_layout
@@ -290,7 +290,6 @@ def _hypothesis_phi(pf, s, u_index, t):
     qm = QuotientMap(u, full)
     bad = qm.project_subspace(image(t - Mat.identity(field, pf.dim)).sum(u))
     qfull = Subspace.full(field, qm.dim) if qm.dim else Subspace.zero(field, 0)
-    rows = []
     if qm.dim:
         inner = QuotientMap(bad, qfull)
         pi = inner.projection_matrix()
@@ -459,10 +458,7 @@ def run(command, pf, options):
         elems = [
             el for n in names for el in _need(pf, pf.mclain, n, "mclain element")
         ]
-        mats, flag = mclain_matrices(elems)
-        product = Mat.identity(field, flag.ambient_dim)
-        for m in mats:
-            product = product @ m
+        product, flag = mclain_truncate(elems)
         e = unipotent_exponent(product)
         out.append("result=ok")
         out.append(f"support={flag.ambient_dim}")
@@ -525,18 +521,18 @@ def main(argv=None):
         p.add_argument("--matrix", default="g", help="matrix name (default g)")
         p.add_argument("--series", default="L", help="series name (default L)")
         p.add_argument("--t", default="t", help="matrix name for comm-check (default t)")
-        p.add_argument("--u", type=int, default=1, help="member index for comm-check")
-        p.add_argument("--k", type=int, default=3, help="exponent bound for comm-check")
-        p.add_argument("--n", type=int, default=None, help="length for extend-witness")
+        p.add_argument("--u", type=_int, default=1, help="member index for comm-check")
+        p.add_argument("--k", type=_int, default=3, help="exponent bound for comm-check")
+        p.add_argument("--n", type=_int, default=None, help="length for extend-witness")
         p.add_argument("--out", default=None, help="certificate output file")
         p.add_argument("--section", action="append", help="u:w:map (repeatable)")
         p.add_argument("--gens", default=None, help="comma-separated matrix names")
         p.add_argument("--elems", default=None, help="comma-separated mclain names")
     g = sub.add_parser("gen")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--dim", type=int, default=None)
-    g.add_argument("--length", type=int, default=6)
-    g.add_argument("--exponent", type=int, default=2)
+    g.add_argument("--seed", type=_int, default=0)
+    g.add_argument("--dim", type=_int, default=None)
+    g.add_argument("--length", type=_int, default=6)
+    g.add_argument("--exponent", type=_int, default=2)
     g.add_argument("--field", default="gf5", help="q or gf<p>")
     g.add_argument("--scramble", action="store_true")
     options = parser.parse_args(argv)

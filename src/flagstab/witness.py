@@ -16,12 +16,20 @@ candidates are rows of p, i.e. unit rows there, so the probe and the
 `stronger_power_nonzero` flag are read off powers of the small integer
 matrix J (2 - C) J C - 1 (C^-1 = 2 - C, as (C - 1)^2 = 0).
 `verify_witness` re-checks the result in the original coordinates.
-`extend_witness` still forms g g^h densely: its g is not in Jordan form
-on all of V.
+
+`extend_witness` builds the witness for the induced series on a
+g-invariant core W and extends it by the identity on a complement that
+splits every member.  In the basis made of W's chain vectors, lifted to
+V, and that complement, the extension is again 1 + the r - 1 ones at
+(y_l, x_{l+1}), so `build_h` forms it, and the lifted inner probe
+survives on V.  Its `stronger_power_nonzero` flag is still m^r != 0 for
+the dense m = g g^h - 1: on V/W, m acts as g^2 - 1, which the chains of
+W do not see.
 """
 
 from .errors import (
     AdaptationError,
+    ContainmentError,
     FieldMismatchError,
     FlagstabError,
     PreorderError,
@@ -29,7 +37,7 @@ from .errors import (
     ShapeError,
     WitnessError,
 )
-from .linalg import Mat, Subspace, Vec, left_kernel_rows
+from .linalg import Mat, QuotientMap, Subspace, Vec, left_kernel_rows
 from .series import Series, canonical_coarsening, in_stabilizer, is_adapted_basis
 from .series import level_of as level
 from .unipotent import jordan_chains, unipotent_exponent
@@ -199,8 +207,6 @@ def _level_dependency(chains, s):
         if got.dim == below.dim + len(items):
             continue
         # explicit dependency: kill the projections modulo `below`
-        from .linalg import QuotientMap
-
         qm = QuotientMap(below, s.members[lvl - 1])
         proj = [qm.project(v).entries for (_, _, v) in items]
         for coeffs in left_kernel_rows(s.field, proj, qm.dim):
@@ -372,18 +378,6 @@ def build_h(sel, basis, s):
     return h
 
 
-def _power_probe(m, r, candidates):
-    """First candidate v with v @ m^(r-1) != 0, plus whether m^r != 0."""
-    power = m.pow(r - 1) if r >= 1 else None
-    probe = None
-    for v in candidates:
-        if not (v @ power).is_zero():
-            probe = v
-            break
-    stronger = not (power @ m).is_zero()
-    return probe, stronger
-
-
 def _jordan_probe(chains, sel, p):
     """Index of the probe, and whether m^r != 0, for m = g g^h - 1 and
     r = sel.r.
@@ -428,6 +422,11 @@ def construct_witness(g, s):
     stabilizes no proper subseries of s, and exponent(g) < n - 2 where
     n counts the jumps of s.
     """
+    return _witness_with_basis(g, s)[0]
+
+
+def _witness_with_basis(g, s):
+    """`construct_witness`, plus the chain basis that its selection indexes."""
     if not in_stabilizer(g, s):
         raise WitnessError("not-in-stabilizer", "g does not stabilize the series")
     n = s.num_jumps
@@ -459,7 +458,7 @@ def construct_witness(g, s):
     cert = WitnessCertificate(h, r, basis[probe], sel, stronger)
     if not verify_witness(g, s, cert):
         raise WitnessError("not-verified", "the built certificate failed re-verification")
-    return cert
+    return cert, basis
 
 
 def verify_witness(g, s, cert):
@@ -539,12 +538,13 @@ def invariant_core(g, s, n):
             raise WitnessError("core-lost-witness", "coarsening step lost its witness vector")
         vs.append(found)
     rows = []
-    k = unipotent_exponent(g)
     for v in vs:
-        cur = v
-        for _ in range(k):
-            rows.append(cur.entries)
-            cur = cur @ nil
+        # g stabilizes the coarsening, so (g - 1)^jumps vanishes
+        for _ in range(coarse.num_jumps):
+            if v.is_zero():
+                break
+            rows.append(v.entries)
+            v = v @ nil
     return core, Subspace._span(field, dim, rows)
 
 
@@ -567,59 +567,32 @@ def extend_witness(g, s, n):
         )
     field = s.field
     dim = s.ambient_dim
-    ident = Mat.identity(field, dim)
     core, w = invariant_core(g, s, n)
-    wb = w.basis_vecs()
-    from .linalg import LinearSolver
-
-    solver = LinearSolver(field, [v.entries for v in wb], dim)
-
-    def coords(v):
-        y = solver.solve(v)
-        if y is None:
-            raise WitnessError("core-not-invariant", "core subspace is not invariant")
-        return y
-
-    g_w = Mat._of(field, [coords(v @ g) for v in wb], w.dim)
-    members_w = []
-    for x in core.members:
-        rows_w = [coords(r) for r in x.intersect(w).basis]
-        sub = Subspace._span(field, w.dim, rows_w)
-        if sub not in members_w:
-            members_w.append(sub)
+    # coordinates in w's basis
+    qm = QuotientMap(Subspace.zero(field, dim), w)
+    try:
+        g_w = qm.induced_matrix(g)
+        members_w = []
+        for x in core.members:
+            sub = qm.project_subspace(x.intersect(w))
+            if sub not in members_w:
+                members_w.append(sub)
+    except ContainmentError:
+        raise WitnessError("core-not-invariant", "core subspace is not invariant") from None
     series_w = Series(field, w.dim, members_w)
     if series_w.num_jumps != n:
         raise WitnessError("core-lost-jump", "induced series lost a jump")
-    inner = construct_witness(g_w, series_w)
-    # assemble h = t on W, identity on a splitting complement
-    comp = _series_split_complement(w, s)
-    p = Mat.from_vecs(field, wb + comp, ncols=dim)
-    t = inner.h
-    block = [[field.zero] * dim for _ in range(dim)]
-    for i in range(w.dim):
-        for j in range(w.dim):
-            block[i][j] = t.rows[i][j]
-    for i in range(w.dim, dim):
-        block[i][i] = field.one
-    h = p.inverse() @ Mat._of(field, block, dim) @ p
-    nil = h - ident
-    if not (nil @ nil).is_zero():
-        raise WitnessError("h-square", "(h-1)^2 != 0 after the extension")
-    if not in_stabilizer(h, s):
-        raise WitnessError("h-not-in-stabilizer", "extension escaped the stabilizer")
+    inner, chain_basis = _witness_with_basis(g_w, series_w)
+    # h is the inner h on W and the identity on a splitting complement
+    basis = [qm.lift(v) for v in chain_basis] + _series_split_complement(w, s)
+    h = build_h(inner.selection, basis, s)
     r = (n - 2) // k
-    probe_v = Vec.zero(field, dim)
-    for c, v in zip(inner.probe.entries, wb):
-        if c != 0:
-            probe_v = probe_v + v.scale(c)
-    # (h - 1)^2 = 0 was checked, so h^-1 = 2 - h.
-    gg = g @ ((ident - nil) @ g @ h)
-    m = gg - ident
-    candidates = [probe_v] + wb
-    probe, stronger = _power_probe(m, r, candidates)
-    if probe is None:
-        raise WitnessError("power-vanished", "(g g^h - 1)^(r-1) = 0 on V unexpectedly")
-    cert = WitnessCertificate(h, r, probe, inner.selection, stronger)
+    # W is invariant under g and h, and r <= inner.r, so the lifted probe
+    # survives m^(r-1); m^r is decided on all of V, with h^-1 = 2 - h.
+    ident = Mat.identity(field, dim)
+    m = g @ ((ident - (h - ident)) @ g @ h) - ident
+    stronger = not m.pow(r).is_zero()
+    cert = WitnessCertificate(h, r, qm.lift(inner.probe), inner.selection, stronger)
     if not verify_witness(g, s, cert):
         raise WitnessError("not-verified", "the extended certificate failed re-verification")
     return cert

@@ -274,3 +274,20 @@ def test_header_counts_and_indices_take_ascii_integers_only(tok, monkeypatch, ca
         assert main(argv) == 2, (argv, text)
         out, err = capsys.readouterr()
         assert message in err and out == "", (argv, text, err)
+
+
+@pytest.mark.parametrize("tok", ["1_2", "١٢", "1.0"])
+def test_integer_options_take_ascii_integers_only(tok, capsys):
+    from flagstab.cli import main
+
+    gen_opts = ["--seed", "--dim", "--length", "--exponent"]
+    cases = [["gen", opt, tok] for opt in gen_opts]
+    cases += [["comm-check", "-", opt, tok] for opt in ("--u", "--k")]
+    cases += [["extend-witness", "-", "--n", tok]]
+    for argv in cases:
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert f"argument {argv[-2]}: invalid" in err, (argv, err)
+        assert "Traceback" not in err and out == "", (argv, err)

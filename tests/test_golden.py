@@ -1,10 +1,14 @@
-"""Golden `flagstab witness` reports on a small `gen` corpus.
+"""Golden `flagstab witness` and `flagstab extend-witness` reports on a
+small `gen` corpus.
 
 Each digest is the sha256 of the stdout of `flagstab gen ... | flagstab
-witness -`.  They pin every byte of the report (h, the probe, r and the
-`stronger_power_nonzero=` line), so a change in how the witness is
-computed must leave the certificate itself unchanged.  The corpus has
-r = 1, 2, 3 and 5, and both values of `stronger_power_nonzero`.
+witness -` (or `flagstab extend-witness - [--n N]`).  They pin every
+byte of the report (h, the probe, r and the `stronger_power_nonzero=`
+line), so a change in how the witness is computed must leave the
+certificate itself unchanged.  The `witness` corpus has r = 1, 2, 3 and
+5.  The `extend-witness` corpus has padded and unpadded problems, `--n`
+equal to the number of jumps and one below it, and r = 1 to 4.  Both
+corpora have both values of `stronger_power_nonzero`.
 """
 
 import contextlib
@@ -44,6 +48,32 @@ GOLDEN = {
 }
 
 
+# (field, --length, --dim or None, --n or None), all at --exponent 2;
+# --dim 17 pads length 8 by three vectors, --dim 21 pads length 10.
+EXTEND_GOLDEN = {
+    ("gf2", 8, None, None): "056d3ab4f583b2149b892a180fc4f7dfaadfdcf333e051a1fda31b99c8de1ebc",
+    ("gf2", 8, None, 7): "eb496bdf2f222a66abf24434d52f189b7879fbff1ef052f3e787fbb7717a31bc",
+    ("gf2", 8, 17, None): "384f02181d6654b75b6cbb615d7a8cc147e4391180170a4f1b9771bb9f4dfe06",
+    ("gf2", 8, 17, 7): "f8c46c80f0e10670e9915424c1eeac2fd95d175e7e3a13583945a39d8f153756",
+    ("gf2", 10, 21, None): "d693ce696dc632e62084eaba72c8da738964ce00e739e463e12b316f776ba2d2",
+    ("gf2", 10, 21, 9): "8bd577f4e852500c276aadb4ffa44eb833d0cff4d5289564e3368452cc359240",
+    ("gf5", 8, None, None): "59222e68e1efb4efecb53b0d114feba436712876b6291e518c8e8620c6d83433",
+    ("gf5", 8, None, 7): "00674df3f568910b7e5b8484b4a7771613506ac1d5c57fc8867fc3641f0c9375",
+    ("gf5", 8, 17, None): "c441ba0f43f11fe4e4ff29083fc92776f418c70f4414dbccb077635c16f9dbd1",
+    ("gf5", 8, 17, 7): "d166eac41ad8735c6c97e5153f0e75a8b7d1aaf0126d9b61902503d36e126506",
+    ("gf5", 10, 21, None): "d5f32ee62dd7cdffeb81042c2d253c4de553604d2111f09bbdf877315adc0495",
+    ("gf5", 10, 21, 9): "c744bf378dfd1faeb96e1f138d851c10615663c4b8d74e497ee18ac3cedb9451",
+    ("q", 8, None, None): "71abba24eef1b3f3929b394b30b80491719602a09e411bb710b4562d3a5bf06c",
+    ("q", 8, None, 7): "bf50ab65c1fef413920c488d1dcf383f086773782bd17bab86768e220d272f87",
+    ("q", 8, 17, None): "96152fb679d395c9dd47180ba2302d126d018008e994654e19d3b3fcaea7a6f2",
+    ("q", 8, 17, 7): "ffd0df9f02a82ae452733408bdb6f9257f76f7995fcbb96d887e94ad719e4f35",
+    ("q", 10, 21, None): "b707de5b1ea5fc422faa61a0b9805be389c19388e66067f26bad6f8996993505",
+    ("q", 10, 21, 9): "4a4fb73d58262939ec1c65a70ccc55e0b39890e276e7878bb5be3b16fb2a8db1",
+    ("gf2", 6, None, 5): "2274434afd2507710e0e637fec1b1086f6a8d19716f0e09e11f1b5808477a136",
+    ("q", 6, None, 5): "f2f4f679d0b1ba8e4db30d9c492009821cb660403b26ae568dcb8a6160578098",
+}
+
+
 def run_cli(argv, stdin_text=None):
     out = io.StringIO()
     old = sys.stdin
@@ -77,3 +107,26 @@ def test_corpus_covers_both_stronger_flags_and_long_powers():
         lines = report.splitlines()
         seen.add((lines[1], lines[2]))
     assert seen == {("r=1", "stronger_power_nonzero=true"), ("r=5", "stronger_power_nonzero=false")}
+
+
+def extend_report(field, length, dim, n):
+    argv = ["gen", "--field", field, "--length", str(length), "--exponent", "2"]
+    code, problem = run_cli(argv + ([] if dim is None else ["--dim", str(dim)]))
+    assert code == 0
+    code, report = run_cli(["extend-witness", "-"] + ([] if n is None else ["--n", str(n)]),
+                           problem)
+    assert code == 0
+    return report
+
+
+@pytest.mark.parametrize("key", sorted(EXTEND_GOLDEN, key=repr))
+def test_extend_witness_report_digest(key):
+    report = extend_report(*key)
+    assert hashlib.sha256(report.encode()).hexdigest() == EXTEND_GOLDEN[key]
+
+
+def test_extend_corpus_covers_both_stronger_flags_and_short_n():
+    seen = set()
+    for key in (("gf2", 8, None, 7), ("gf5", 10, 21, 9)):
+        seen.add(tuple(extend_report(*key).splitlines()[1:3]))
+    assert seen == {("r=2", "stronger_power_nonzero=false"), ("r=3", "stronger_power_nonzero=true")}

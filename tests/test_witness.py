@@ -20,7 +20,6 @@ from flagstab.instances import (
 )
 from flagstab.linalg import GF, QQ, Mat, Subspace, Vec
 from flagstab.series import Series, canonical_coarsening, in_stabilizer, is_adapted_basis
-from flagstab.unipotent import jordan_matrix
 from flagstab.witness import (
     PairSelection,
     PreorderedBasis,
@@ -311,20 +310,20 @@ def test_unverified_extension_raises(monkeypatch):
     assert len(calls) == 2
 
 
-def test_extension_checks_square_zero_before_inverting(monkeypatch):
+def test_extension_builds_h_through_the_square_zero_check(monkeypatch):
     import flagstab.witness as witness
 
-    real = witness.construct_witness
+    real = witness._witness_with_basis
 
-    def jordan_block_inner(g, s):
-        # An inner h with (h - 1)^2 != 0: one Jordan block on the core.
-        cert = real(g, s)
-        cert.h = jordan_matrix(g.field, [g.nrows])
-        return cert
+    def forged_inner(g, s):
+        # y_0 = x_1 in distinct blocks: (h - 1)^2 != 0 in the lifted basis
+        cert, basis = real(g, s)
+        cert.selection = PairSelection([(0, 1, 0), (1, 2, 1)])
+        return cert, basis
 
     rng = random.Random(10)
     g, s = witness_instance(rng, F5, 7, 2, pad=4)
-    monkeypatch.setattr(witness, "construct_witness", jordan_block_inner)
+    monkeypatch.setattr(witness, "_witness_with_basis", forged_inner)
     with pytest.raises(WitnessError) as e:
         extend_witness(g, s, 7)
     assert e.value.reason == "h-square"
