@@ -11,11 +11,24 @@ integer numerators over one common denominator, and elimination
 cross-multiplies and divides each row by its content (Bareiss 1968).
 Canonical `Fraction`s are built only where a `Vec`, `Mat`, `Subspace`
 or solution row is handed out, so every result is the same as with
-`Fraction` arithmetic throughout.  The integer forms that products and
-membership tests read (a `Mat`'s columns, a `Subspace`'s non-pivot
-columns, each over one common denominator) are built on first use and
-cached in a lazy `_int_cols` slot, so a matrix or subspace used many
-times is converted once.
+`Fraction` arithmetic throughout.
+
+Over QQ each object keeps the integer form of its rows, so no kernel
+converts the same row twice:
+- a `Subspace` keeps the primitive integer rows its elimination returned
+  (`_int_rows`, read through `_rows`): basis row i times its pivot
+  entry, which is also its lcm denominator;
+- a `Vec` keeps its (numerators, denominator) pair (`_int`), and a
+  `Mat` one pair per row (`_int_forms`, read through `_forms`); a
+  product stores the pairs it computed, in lowest terms;
+- a `Mat`'s columns and a `Subspace`'s non-pivot columns, each over one
+  common denominator (`_int_cols`), are derived on first use from those
+  rows (for a `Mat` that has none, from its entries).
+An object built otherwise (user input, `Fraction` sums and scalings, the
+public `Subspace(...)`) gets its form on first use through `_int_row`: a
+`Mat` in one conversion of all its entries over a common denominator.
+Rows of plain ints, such as images and elimination output, are read as
+they are.  Over GF(p) the kernels read the canonical rows themselves.
 
 Canonical in, canonical out: every entry held by a `Vec`, `Mat` or
 `Subspace` is canonical (an int in [0, p) over GF(p), a `Fraction` over
@@ -211,18 +224,21 @@ def _scale(p, c, r):
 class Vec:
     """Immutable row vector with exact entries."""
 
-    __slots__ = ("field", "entries")
+    __slots__ = ("field", "entries", "_int")
 
     def __init__(self, field, entries):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", tuple(field.coerce(x) for x in entries))
+        object.__setattr__(self, "_int", None)
 
     @classmethod
-    def _of(cls, field, entries):
-        """Trusted constructor for entries that are already canonical."""
+    def _of(cls, field, entries, form=None):
+        """Trusted constructor for entries that are already canonical; over
+        QQ, form may give them as (numerators, denominator)."""
         v = object.__new__(cls)
         object.__setattr__(v, "field", field)
         object.__setattr__(v, "entries", tuple(entries))
+        object.__setattr__(v, "_int", form)
         return v
 
     def __setattr__(self, name, value):
@@ -262,7 +278,10 @@ class Vec:
         _check_same_field(self, m)
         if self.dim != m.nrows:
             raise ShapeError("vector/matrix shapes differ")
-        return Vec._of(self.field, _times(self.field, [self.entries], m)[0])
+        if self.field.p is None:
+            (form,) = _int_times([_int_form(self)], m)
+            return Vec._of(self.field, _fractions(*form), form)
+        return Vec._of(self.field, _row_times(self.field, self.entries, m.rows, m.ncols))
 
     def __eq__(self, other):
         return (
@@ -297,15 +316,61 @@ _ZERO = Fraction(0)
 
 
 def _int_row(row):
-    """(numerators, denominator) of a rational row over its lcm denominator."""
-    try:
-        pairs = [x.as_integer_ratio() for x in row]
-    except AttributeError:
-        pairs = [Fraction(x).as_integer_ratio() for x in row]
+    """(numerators, denominator) of a row of Fractions or ints over its
+    lcm denominator: the integer form of a row that lacks one."""
+    pairs = [x.as_integer_ratio() for x in row]
     den = math.lcm(*[d for _, d in pairs])
     if den == 1:
         return [n for n, _ in pairs], 1
     return [n * (den // d) for n, d in pairs], den
+
+
+def _int_form(row):
+    """(numerators, denominator) of a rational `Vec` or row.
+
+    A `Vec` keeps its form, filled through `_int_row` on first use; a
+    row of ints is its own numerators over 1.
+    """
+    if isinstance(row, Vec):
+        form = row._int
+        if form is None:
+            form = _int_row(row.entries)
+            object.__setattr__(row, "_int", form)
+        return form
+    if all(type(x) is int for x in row):
+        return row, 1
+    return _int_row(row)
+
+
+def _row_forms(field, rows):
+    """Each `Vec` or row as (numerators, denominator); over GF(p) its
+    canonical entries over 1."""
+    if field.p is None:
+        return [_int_form(r) for r in rows]
+    return [(r.entries if isinstance(r, Vec) else r, 1) for r in rows]
+
+
+def _coerced(field, rows, width, message):
+    """Rows as lists of canonical scalars, `Vec`s of the field kept whole
+    (with their integer forms); ShapeError(message) unless each has the
+    width."""
+    out = [
+        r if isinstance(r, Vec) and r.field == field
+        else [field.coerce(x) for x in (r.entries if isinstance(r, Vec) else r)]
+        for r in rows
+    ]
+    for r in out:
+        if len(r.entries if isinstance(r, Vec) else r) != width:
+            raise ShapeError(message)
+    return out
+
+
+def _kernel_row(field, row):
+    """A `Vec` or canonical row in the form the kernels read: its entries
+    over GF(p), integer numerators over QQ (a span ignores scaling)."""
+    if field.p is None:
+        return _int_form(row)[0]
+    return row.entries if isinstance(row, Vec) else row
 
 
 def _fractions(nums, den):
@@ -315,17 +380,24 @@ def _fractions(nums, den):
     return [Fraction(x, den) if x else _ZERO for x in nums]
 
 
-def _int_times(rows, m):
-    """r @ m for each rational row r, as (integer numerators, denominator).
+def _int_times(forms, m):
+    """r @ m for each rational row r given as (numerators, denominator),
+    in the same form and in lowest terms, as `_int_row` would give it.
 
     The right factor's columns over one common denominator are cached on
     it, so a matrix used in many products is converted once.
     """
     den, cols = m._integer_columns()
     out = []
-    for r in rows:
-        nums, e = _int_row(r)
-        out.append(([sum(map(mul, nums, col)) for col in cols], e * den))
+    for nums, e in forms:
+        prod = [sum(map(mul, nums, col)) for col in cols]
+        e *= den
+        if e > 1:
+            g = math.gcd(e, *prod)
+            if g > 1:
+                prod = [x // g for x in prod]
+                e //= g
+        out.append((prod, e))
     return out
 
 
@@ -342,25 +414,19 @@ def _row_times(field, row, rows, ncols):
     return [x % p for x in out]
 
 
-def _times(field, rows, m):
-    """Canonical rows r @ m for each row r."""
-    if field.p is None:
-        return [_fractions(nums, den) for nums, den in _int_times(rows, m)]
-    return [_row_times(field, r, m.rows, m.ncols) for r in rows]
-
-
 def _images(field, rows, m):
-    """Rows r @ m, each up to a nonzero scalar: over QQ the integer
-    numerators, which do for spans and membership."""
+    """Rows r @ m for rows in kernel form (see `_kernel_row`), in kernel
+    form: over QQ the integer numerators, which do for spans and
+    membership."""
     if field.p is None:
-        return [nums for nums, _ in _int_times(rows, m)]
-    return _times(field, rows, m)
+        return [nums for nums, _ in _int_times([(r, 1) for r in rows], m)]
+    return [_row_times(field, r, m.rows, m.ncols) for r in rows]
 
 
 class Mat:
     """Immutable dense matrix, row major."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_int_cols")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_int_forms", "_int_cols")
 
     def __init__(self, field, rows, ncols=None):
         rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
@@ -374,26 +440,53 @@ class Mat:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_int_forms", None)
         object.__setattr__(self, "_int_cols", None)
 
     @classmethod
-    def _of(cls, field, rows, ncols):
-        """Trusted constructor for rectangular rows of canonical entries."""
+    def _of(cls, field, rows, ncols, forms=None):
+        """Trusted constructor for rectangular rows of canonical entries;
+        over QQ, forms may give each row as (numerators, denominator)."""
         m = object.__new__(cls)
         rows = tuple(map(tuple, rows))
         object.__setattr__(m, "field", field)
         object.__setattr__(m, "nrows", len(rows))
         object.__setattr__(m, "ncols", ncols)
         object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_int_forms", forms)
         object.__setattr__(m, "_int_cols", None)
         return m
+
+    def _forms(self):
+        """Each row as (numerators, denominator), over GF(p) over 1.
+
+        Over QQ these are kept from the product that built the matrix,
+        else all entries are converted once over a common denominator.
+        """
+        if self.field.p is not None:
+            return [(r, 1) for r in self.rows]
+        forms = self._int_forms
+        if forms is None:
+            n = self.ncols
+            flat, den = _int_row([x for r in self.rows for x in r])
+            forms = [(flat[i * n:(i + 1) * n], den) for i in range(self.nrows)]
+            object.__setattr__(self, "_int_forms", forms)
+        return forms
 
     def _integer_columns(self):
         """(den, [column j of den * self for each j]) over QQ, cached."""
         form = self._int_cols
         if form is None:
+            forms = self._int_forms
+            if forms is None:
+                # a right factor only needs its columns: skip the row forms
+                flat, den = _int_row([x for r in self.rows for x in r])
+            else:
+                den = math.lcm(*[d for _, d in forms])
+                flat = []
+                for nums, d in forms:
+                    flat += nums if d == den else [x * (den // d) for x in nums]
             n = self.ncols
-            flat, den = _int_row([x for r in self.rows for x in r])
             form = (den, [flat[j::n] for j in range(n)])
             object.__setattr__(self, "_int_cols", form)
         return form
@@ -469,7 +562,12 @@ class Mat:
         _check_same_field(self, other)
         if self.ncols != other.nrows:
             raise ShapeError("inner dimensions differ")
-        return Mat._of(self.field, _times(self.field, self.rows, other), other.ncols)
+        field = self.field
+        if field.p is None:
+            forms = _int_times(self._forms(), other)
+            return Mat._of(field, [_fractions(*f) for f in forms], other.ncols, forms)
+        rows = [_row_times(field, r, other.rows, other.ncols) for r in self.rows]
+        return Mat._of(field, rows, other.ncols)
 
     def pow(self, e):
         if not self.is_square():
@@ -500,9 +598,9 @@ class Mat:
         n = self.nrows
         field = self.field
         cols = list(cols)
-        aug = [list(r) + [field.one if i == j else field.zero for j in cols]
-               for i, r in enumerate(self.rows)]
-        reduced, pivots = _echelon(field, aug)
+        aug = [list(nums) + [d if i == j else 0 for j in cols]
+               for i, (nums, d) in enumerate(self._forms())]
+        reduced, pivots = _eliminate(field, aug)
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
         rows = [_canonical(field, r, c, n) for r, c in zip(reduced, pivots)]
@@ -514,10 +612,6 @@ class Mat:
             return True
         except SingularMatrixError:
             return False
-
-    def rank(self):
-        _, pivots = _echelon(self.field, [list(r) for r in self.rows])
-        return len(pivots)
 
     def __eq__(self, other):
         return (
@@ -542,10 +636,18 @@ def _echelon(field, rows):
     Over GF(p) the rows are the reduced row echelon form, computed in
     place.  Over QQ they are primitive integer rows, each its reduced
     echelon row times the pivot entry; `_canonical` divides that out.
+    Over QQ the rows may also be integer rows or `Vec`s.
     """
+    if field.p is None:
+        rows = [_int_form(r)[0] for r in rows]
+    return _eliminate(field, rows)
+
+
+def _eliminate(field, rows):
+    """`_echelon` of rows in kernel form (see `_kernel_row`), in place."""
     p = field.p
     if p is None:
-        return _echelon_int([_int_row(r)[0] for r in rows])
+        return _echelon_int(rows)
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots = []
@@ -642,13 +744,14 @@ def _rref(field, rows):
 class Subspace:
     """Row space in canonical reduced echelon form; equality is syntactic."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_int_cols")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_int_rows", "_int_cols")
 
     def __init__(self, field, ambient_dim, basis, pivots):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(tuple(r) for r in basis))
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_int_rows", None)
         object.__setattr__(self, "_int_cols", None)
 
     def __setattr__(self, name, value):
@@ -656,24 +759,33 @@ class Subspace:
 
     @classmethod
     def span(cls, field, ambient_dim, rows):
-        """Canonical subspace spanned by the given rows."""
-        rows = [list(r.entries if isinstance(r, Vec) else r) for r in rows]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ShapeError("row width differs from ambient dimension")
-        if field.p is not None:
-            rows = [[field.coerce(x) for x in r] for r in rows]
+        """Canonical subspace spanned by the given rows or `Vec`s."""
+        rows = _coerced(field, rows, ambient_dim, "row width differs from ambient dimension")
         return cls._span(field, ambient_dim, rows)
 
     @classmethod
     def _span(cls, field, ambient_dim, rows):
-        """`span` of rows that are canonical and of width ambient_dim.
+        """`span` of `Vec`s or canonical rows of width ambient_dim.
 
         Over QQ the rows may also be integer rows: a span ignores scaling.
         """
-        rows = list(rows)
-        reduced, pivots = _rref(field, rows) if rows else ([], [])
-        return cls(field, ambient_dim, reduced, pivots)
+        return cls._of_rows(field, ambient_dim, [_kernel_row(field, r) for r in rows])
+
+    @classmethod
+    def _of_rows(cls, field, ambient_dim, rows):
+        """Span of a fresh list of rows in kernel form (see `_kernel_row`).
+
+        Over QQ the subspace keeps the primitive integer rows that the
+        elimination returns, each with a positive pivot entry.
+        """
+        if field.p is not None or not rows:
+            reduced, pivots = _rref(field, rows) if rows else ([], [])
+            return cls(field, ambient_dim, reduced, pivots)
+        reduced, pivots = _echelon_int(rows)
+        ints = [r if r[c] > 0 else [-x for x in r] for r, c in zip(reduced, pivots)]
+        s = cls(field, ambient_dim, [_fractions(r, r[c]) for r, c in zip(ints, pivots)], pivots)
+        object.__setattr__(s, "_int_rows", ints)
+        return s
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -696,21 +808,41 @@ class Subspace:
         return len(self.basis) == self.ambient_dim
 
     def basis_vecs(self):
-        return [Vec._of(self.field, r) for r in self.basis]
+        # over GF(p) the pivot entry is 1, and the form is never read
+        return [Vec._of(self.field, r, (ints, ints[c]))
+                for r, ints, c in zip(self.basis, self._rows(), self.pivots)]
+
+    def _rows(self):
+        """The basis in kernel form (see `_kernel_row`).
+
+        Over QQ row i is the primitive integer multiple of basis[i], so
+        its pivot entry is its denominator; the rows are kept from the
+        elimination that built the subspace, else converted once.
+        """
+        if self.field.p is not None:
+            return self.basis
+        rows = self._int_rows
+        if rows is None:
+            rows = [_int_row(r)[0] for r in self.basis]
+            object.__setattr__(self, "_int_rows", rows)
+        return rows
 
     def _integer_columns(self):
         """(den, [(c, column c of den * basis) for each non-pivot c]), cached."""
         form = self._int_cols
         if form is None:
-            n = self.ambient_dim
-            flat, den = _int_row([x for r in self.basis for x in r])
-            free = sorted(set(range(n)).difference(self.pivots))
-            form = (den, [(c, flat[c::n]) for c in free])
+            rows = self._rows()
+            dens = [r[c] for r, c in zip(rows, self.pivots)]
+            den = math.lcm(*dens)
+            scales = [den // d for d in dens]
+            free = sorted(set(range(self.ambient_dim)).difference(self.pivots))
+            form = (den, [(c, [r[c] * f for r, f in zip(rows, scales)]) for c in free])
             object.__setattr__(self, "_int_cols", form)
         return form
 
     def _reduce(self, v):
-        """Residue of v after elimination against the basis.
+        """Residue of v, a row in kernel form, after elimination against
+        the basis.
 
         Over QQ the residue is taken on the non-pivot columns only (it
         vanishes on the others) and scaled to integers; it is yielded
@@ -719,9 +851,8 @@ class Subspace:
         p = self.field.p
         if p is None:
             den, cols = self._integer_columns()
-            nums, _ = _int_row(v)
-            coeffs = [nums[c] for c in self.pivots]
-            return (den * nums[c] - sum(map(mul, coeffs, col)) for c, col in cols)
+            coeffs = [v[c] for c in self.pivots]
+            return (den * v[c] - sum(map(mul, coeffs, col)) for c, col in cols)
         v = list(v)
         for row, piv in zip(self.basis, self.pivots):
             f = v[piv]
@@ -731,16 +862,17 @@ class Subspace:
         return v
 
     def contains_vec(self, v):
-        entries = v.entries if isinstance(v, Vec) else tuple(v)
-        if len(entries) != self.ambient_dim:
+        if not isinstance(v, Vec):
+            v = tuple(v)
+        if (v.dim if isinstance(v, Vec) else len(v)) != self.ambient_dim:
             raise ShapeError("vector dim differs from ambient dimension")
-        return not any(self._reduce(entries))
+        return not any(self._reduce(_kernel_row(self.field, v)))
 
     def contains(self, other):
         self._match(other)
         if other.dim > self.dim:
             return False
-        return all(self.contains_vec(r) for r in other.basis)
+        return not any(any(self._reduce(r)) for r in other._rows())
 
     def _match(self, other):
         if self.field != other.field:
@@ -750,7 +882,7 @@ class Subspace:
 
     def sum(self, other):
         self._match(other)
-        return Subspace._span(self.field, self.ambient_dim, self.basis + other.basis)
+        return Subspace._of_rows(self.field, self.ambient_dim, [*self._rows(), *other._rows()])
 
     def intersect(self, other):
         """Zassenhaus double-block elimination.
@@ -764,12 +896,11 @@ class Subspace:
         if big.is_full() or big.contains(small):
             return small
         n = self.ambient_dim
-        z = self.field.zero
-        rows = [list(r) + list(r) for r in self.basis]
-        rows += [list(r) + [z] * n for r in other.basis]
-        reduced, pivots = _echelon(self.field, rows)
+        zeros = [0] * n
+        rows = [[*r, *r] for r in self._rows()] + [[*r, *zeros] for r in other._rows()]
+        reduced, pivots = _eliminate(self.field, rows)
         out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
-        return Subspace._span(self.field, n, out)
+        return Subspace._of_rows(self.field, n, out)
 
     def __add__(self, other):
         return self.sum(other)
@@ -806,17 +937,17 @@ class Subspace:
         for row in rows:
             if span.dim >= dim:
                 break
-            if not span.contains_vec(row):
+            r = _kernel_row(self.field, row)
+            if any(span._reduce(r)):
                 new.append(row)
-                entries = row.entries if isinstance(row, Vec) else tuple(row)
-                span = Subspace._span(self.field, self.ambient_dim, span.basis + (entries,))
+                span = Subspace._of_rows(self.field, self.ambient_dim, [*span._rows(), r])
         return new, span
 
     def apply(self, m):
         """Image of this subspace under the row action of m."""
         if m.nrows != self.ambient_dim:
             raise ShapeError("matrix height differs from ambient dimension")
-        return Subspace._span(self.field, m.ncols, _images(self.field, self.basis, m))
+        return Subspace._of_rows(self.field, m.ncols, _images(self.field, self._rows(), m))
 
     def __repr__(self):
         fmt = self.field.format
@@ -826,7 +957,7 @@ class Subspace:
 
 def echelonize(m):
     """Canonical subspace spanned by the rows of m."""
-    return Subspace._span(m.field, m.ncols, m.rows)
+    return Subspace._of_rows(m.field, m.ncols, [nums for nums, _ in m._forms()])
 
 
 def image(m):
@@ -840,24 +971,21 @@ def kernel(m):
         raise ShapeError("kernel of a non-square matrix")
     n = m.nrows
     field = m.field
-    one, z = field.one, field.zero
-    rows = [list(r) + [one if i == j else z for j in range(n)]
-            for i, r in enumerate(m.rows)]
-    reduced, pivots = _echelon(field, rows)
+    rows = [list(nums) + [d if i == j else 0 for j in range(n)]
+            for i, (nums, d) in enumerate(m._forms())]
+    reduced, pivots = _eliminate(field, rows)
     out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
-    return Subspace._span(field, n, out)
+    return Subspace._of_rows(field, n, out)
 
 
 def left_kernel_rows(field, rows, ncols):
     """Coefficient rows c with c @ M = 0 for the stack M; may be rectangular."""
-    rows = [list(r.entries if isinstance(r, Vec) else r) for r in rows]
     m = len(rows)
     if m == 0:
         return []
-    one, z = field.one, field.zero
-    aug = [list(r) + [one if i == j else z for j in range(m)]
-           for i, r in enumerate(rows)]
-    reduced, pivots = _echelon(field, aug)
+    aug = [list(nums) + [d if i == j else 0 for j in range(m)]
+           for i, (nums, d) in enumerate(_row_forms(field, rows))]
+    reduced, pivots = _eliminate(field, aug)
     return [tuple(_canonical(field, r, c, ncols)) for r, c in zip(reduced, pivots) if c >= ncols]
 
 
@@ -870,14 +998,14 @@ def complement_basis(u, w):
     u._match(w)
     if not w.contains(u):
         raise ContainmentError("first subspace is not contained in the second")
-    chosen, _ = u._extend(w.basis, w.dim)
-    return [Vec._of(u.field, row) for row in chosen]
+    chosen, _ = u._extend(w.basis_vecs(), w.dim)
+    return chosen
 
 
 def complement_in(u, w):
     """Deterministic complement c with u + c = w and u & c = 0."""
     vecs = complement_basis(u, w)
-    return Subspace._span(u.field, u.ambient_dim, [v.entries for v in vecs])
+    return Subspace._span(u.field, u.ambient_dim, vecs)
 
 
 class QuotientMap:
@@ -902,8 +1030,7 @@ class QuotientMap:
         self.reps = tuple(reps)
         self.field = u.field
         self.dim = len(self.reps)
-        rows = [r.entries for r in self.reps] + [r for r in u.basis]
-        self._solver = LinearSolver(self.field, rows, u.ambient_dim)
+        self._solver = LinearSolver(self.field, [*self.reps, *u.basis_vecs()], u.ambient_dim)
 
     def project(self, v):
         """Coordinates of v + u in the representative basis."""
@@ -925,13 +1052,13 @@ class QuotientMap:
 
     def project_subspace(self, x):
         """Image of the subspace x (contained in w) in quotient coordinates."""
-        rows = [self.project(r).entries for r in x.basis]
+        rows = [self.project(v) for v in x.basis_vecs()]
         return Subspace._span(self.field, self.dim, rows)
 
     def lift_subspace(self, q):
         """Preimage in w of a subspace of the quotient."""
-        rows = [self.lift(r).entries for r in q.basis]
-        return Subspace._span(self.field, self.u.ambient_dim, rows + list(self.u.basis))
+        rows = [self.lift(r) for r in q.basis] + self.u.basis_vecs()
+        return Subspace._span(self.field, self.u.ambient_dim, rows)
 
     def induced_matrix(self, g):
         """Matrix of the action induced by g on w/u (g must normalize both)."""
@@ -957,19 +1084,20 @@ class LinearSolver:
     """
 
     def __init__(self, field, rows, ncols):
-        rows = [list(r.entries if isinstance(r, Vec) else r) for r in rows]
-        for r in rows:
-            if len(r) != ncols:
-                raise ShapeError("row width differs")
+        rows = _coerced(field, rows, ncols, "row width differs")
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        one, z = field.one, field.zero
-        m = self.nrows
-        aug = [[field.coerce(rows[i][j]) for i in range(m)]
-               + [one if j == k else z for k in range(ncols)]
+        # The columns of den * M, for a common denominator den of the rows,
+        # with a den * identity tag block: over QQ a positive multiple of
+        # each row to eliminate, which elimination divides out.
+        forms = _row_forms(field, rows)
+        den = math.lcm(*[d for _, d in forms])
+        scaled = [nums if d == den else [x * (den // d) for x in nums] for nums, d in forms]
+        aug = [[r[j] for r in scaled] + [den if j == k else 0 for k in range(ncols)]
                for j in range(ncols)]
-        reduced, pivots = _echelon(field, aug) if aug else ([], [])
+        reduced, pivots = _eliminate(field, aug) if aug else ([], [])
+        m = self.nrows
         # Tag blocks of the reduced rows; over QQ each is an integer row
         # that still has to be divided by its row's pivot entry.
         self._tags = [r[m:] for r in reduced]
@@ -984,7 +1112,7 @@ class LinearSolver:
         field = self.field
         m = self.nrows
         if field.p is None:
-            nums, den = _int_row(entries)
+            nums, den = _int_form(target if isinstance(target, Vec) else entries)
             sums = [sum(map(mul, tag, nums)) for tag in self._tags]
             if any(s for s, piv in zip(sums, self._pivots) if piv >= m):
                 return None

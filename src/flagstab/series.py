@@ -6,7 +6,7 @@ consecutive pairs, which is length + 1.
 """
 
 from .errors import SeriesError, ShapeError, SingularMatrixError
-from .linalg import Mat, QuotientMap, Subspace, Vec, _images
+from .linalg import Mat, QuotientMap, Subspace, Vec, _images, _kernel_row
 
 __all__ = [
     "Series",
@@ -131,18 +131,19 @@ def validate(field, ambient_dim, subspaces):
     return Series(field, ambient_dim, seen)
 
 
-def _deepest(members, v, lo, hi):
-    """Largest index below hi of a member holding v, given members[lo] does.
+def _deepest(members, row, lo, hi):
+    """Largest index below hi of a member holding the row, given members[lo]
+    does; the row is in the kernels' form (see `linalg._kernel_row`).
 
-    The members holding v form a prefix of the nested chain, so binary
-    search finds its end.
+    The members holding the row form a prefix of the nested chain, so
+    binary search finds its end.
     """
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if members[mid].contains_vec(v):
-            lo = mid
-        else:
+        if any(members[mid]._reduce(row)):
             hi = mid
+        else:
+            lo = mid
     return lo
 
 
@@ -154,7 +155,8 @@ def jump_of(v, s):
     if len(entries) != s.ambient_dim:
         raise ShapeError("vector dim differs from ambient dimension")
     members = s.members
-    level = _deepest(members, entries, 0, len(members))
+    row = _kernel_row(s.field, v if isinstance(v, Vec) else entries)
+    level = _deepest(members, row, 0, len(members))
     if level == len(members) - 1:
         raise SeriesError("vector lies in the zero member")
     return Jump(members[level + 1], members[level], level + 1)
@@ -172,7 +174,7 @@ def is_adapted_basis(basis, s):
     n = s.ambient_dim
     if len(basis) != n:
         raise ShapeError("wrong number of basis vectors")
-    stacked = Subspace.span(field, n, [v.entries for v in basis])
+    stacked = Subspace.span(field, n, basis)
     if stacked.dim != n:
         raise ShapeError("vectors do not form a basis")
     by_level = {}
@@ -182,8 +184,7 @@ def is_adapted_basis(basis, s):
         group = by_level.get(jump.index, [])
         if len(group) != jump.top.dim - jump.bottom.dim:
             return False
-        rows = [v.entries for v in group] + [list(r) for r in jump.bottom.basis]
-        got = Subspace.span(field, n, rows)
+        got = Subspace.span(field, n, group + jump.bottom.basis_vecs())
         if got.dim != jump.bottom.dim + len(group):
             return False
     return True
@@ -205,13 +206,14 @@ def section_series(s, w, u):
 
 
 def _complement_rows(lower, upper):
-    """Rows of upper's basis completing lower to upper.
+    """Rows of upper's basis completing lower to upper, in the kernels'
+    row form (integer rows over QQ).
 
     For canonical lower <= upper, the pivots of lower are pivots of
     upper, so the rows of upper whose pivot lower lacks will do.
     """
     pivots = set(lower.pivots)
-    return [r for r, c in zip(upper.basis, upper.pivots) if c not in pivots]
+    return [r for r, c in zip(upper._rows(), upper.pivots) if c not in pivots]
 
 
 def _jump_images(g, s):
@@ -232,7 +234,7 @@ def _jump_images(g, s):
     for i in range(1, len(members)):
         rows = _complement_rows(members[i], members[i - 1])
         imgs = _images(s.field, rows, gm1)
-        if not all(members[i].contains_vec(v) for v in imgs):
+        if any(any(members[i]._reduce(v)) for v in imgs):
             if not g.is_invertible():
                 raise SingularMatrixError("stabilizer membership needs an invertible matrix")
             return None

@@ -136,10 +136,10 @@ def jordan_chains(g, candidate_order=None):
     for height in range(e, 0, -1):
         base_rows = []
         if height >= 2:
-            base_rows += [list(r) for r in kc.chain[height - 2].basis]
+            base_rows += kc.chain[height - 2].basis_vecs()
         for chain in chains:
             # element of this chain with the current height
-            base_rows.append(list(chain[len(chain) - height].entries))
+            base_rows.append(chain[len(chain) - height])
         span = Subspace._span(field, n, base_rows)
         target = kc.chain[height - 1]
         if candidate_order is not None:

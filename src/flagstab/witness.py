@@ -202,7 +202,7 @@ def _level_dependency(chains, s):
     for lvl in sorted(items_by_level):
         items = items_by_level[lvl]
         below = s.members[lvl]
-        rows = [v.entries for (_, _, v) in items] + [list(r) for r in below.basis]
+        rows = [v for (_, _, v) in items] + below.basis_vecs()
         got = Subspace._span(s.field, s.ambient_dim, rows)
         if got.dim == below.dim + len(items):
             continue
@@ -273,10 +273,13 @@ def adapted_jordan_chains(g, s):
         seen = set()
         for member in reversed(s.members):
             inter = target.intersect(member)
-            for row in inter.basis:
-                if row not in seen:
-                    seen.add(row)
-                    cands.append(Vec._of(s.field, row))
+            # a basis row is known by its kernel row, which over QQ is
+            # integers and cheaper to hash than the Fractions
+            for row, v in zip(inter._rows(), inter.basis_vecs()):
+                key = tuple(row)
+                if key not in seen:
+                    seen.add(key)
+                    cands.append(v)
         return cands
 
     chains = [list(c) for c in jordan_chains(g, candidate_order=deep_first)]

@@ -1,13 +1,22 @@
+import contextlib
+import functools
+import io
 import random
+import signal
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from flagstab.cli import ProblemFile, format_problem, parse_problem
+from flagstab.builder import McLainElement
+from flagstab.cli import ProblemFile, format_problem, main, parse_problem
 from flagstab.errors import ParseError
 from flagstab.instances import random_series, random_stabilizer_element, witness_instance
-from flagstab.linalg import GF, QQ, Mat
+from flagstab.linalg import GF, QQ, Mat, Vec
+from flagstab.witness import WitnessCertificate, construct_witness
 
 
 def cli(*args, text_input=None):
@@ -291,3 +300,177 @@ def test_integer_options_take_ascii_integers_only(tok, capsys):
         out, err = capsys.readouterr()
         assert f"argument {argv[-2]}: invalid" in err, (argv, err)
         assert "Traceback" not in err and out == "", (argv, err)
+
+
+# -- fuzzing ------------------------------------------------------------------
+#
+# Whatever the text, every subcommand must end with exit code 0, 1 or 2,
+# without a traceback and within FUZZ_SECONDS.  The inputs are arbitrary
+# text, problem files built from the grammar's own tokens, and valid files
+# (some with a certificate) under random edits.  Numbers stay small, so
+# that no input asks for a huge dimension.
+
+FUZZ_SECONDS = 10
+FUZZ_COMMANDS = {
+    "check-stab": [],
+    "exponent": [],
+    "jordan": [],
+    "coarsen": [],
+    "comm-check": ["--k", "2"],
+    "witness": [],
+    "extend-witness": [],
+    "verify": [],
+    "split": [],
+    "patch": ["--section", "0:1:m"],
+    "lcs": ["--gens", "g,t"],
+    "refine": ["--gens", "g"],
+    "mclain": ["--elems", "e"],
+}
+TOKENS = [
+    "field", "gf", "q", "dim", "matrix", "map", "series", "subspace", "mclain",
+    "certificate", "r", "h", "probe", "g", "t", "m", "e", "L", "#", "0", "1",
+    "-1", "2", "3", "5", "7", "1/2", "-3/4", "1/0", "0/0", "99", "1_0", "١", "²",
+    "1.5", "+2", "--1", "x",
+]
+fuzz_settings = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class FuzzTimeout(Exception):
+    pass
+
+
+def _on_alarm(signum, frame):
+    raise FuzzTimeout(f"a call ran past {FUZZ_SECONDS} s")
+
+
+def run_every_command(text):
+    """Run each subcommand on text as stdin; returns {command: exit code}."""
+    codes = {}
+    old = signal.signal(signal.SIGALRM, _on_alarm)
+    stdin = sys.stdin
+    try:
+        for command, extra in FUZZ_COMMANDS.items():
+            sys.stdin = io.StringIO(text)
+            out, err = io.StringIO(), io.StringIO()
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, "-", *extra])
+            except SystemExit as exc:
+                code = exc.code
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert code in (0, 1, 2), (command, code, text)
+            assert "Traceback" not in err.getvalue(), (command, text)
+            codes[command] = code
+    finally:
+        sys.stdin = stdin
+        signal.signal(signal.SIGALRM, old)
+    return codes
+
+
+fuzz_fields = st.sampled_from([GF(2), GF(5), QQ])
+
+
+def fuzz_scalars(field):
+    if field.is_prime_field:
+        return st.integers(0, field.p - 1)
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+def fuzz_mat(field, nrows, ncols):
+    row = st.lists(fuzz_scalars(field), min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows).map(
+        lambda rows: Mat(field, rows, ncols=ncols)
+    )
+
+
+@st.composite
+def problem_files(draw):
+    """Any ProblemFile that format_problem can write."""
+    field = draw(fuzz_fields)
+    n = draw(st.integers(1, 4))
+    pf = ProblemFile(field, n)
+    for name in draw(st.lists(st.sampled_from(["g", "t", "u"]), unique=True)):
+        pf.matrices[name] = draw(fuzz_mat(field, n, n))
+    for name in draw(st.lists(st.sampled_from(["m", "k"]), unique=True)):
+        r, c = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        pf.maps[name] = draw(fuzz_mat(field, r, c))
+    for name in draw(st.lists(st.sampled_from(["L", "M"]), unique=True)):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        pf.series[name] = random_series(rng, field, n, draw(st.integers(0, n - 1)))
+    for name in draw(st.lists(st.sampled_from(["e", "f"]), unique=True)):
+        pairs = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)), unique=True))
+        terms = [((a, a + b), draw(fuzz_scalars(field))) for a, b in pairs]
+        pf.mclain[name] = [McLainElement(field, terms)]
+    if draw(st.booleans()):
+        h = draw(fuzz_mat(field, n, n))
+        probe = Vec(field, draw(st.lists(fuzz_scalars(field), min_size=n, max_size=n)))
+        pf.certificate = WitnessCertificate(h, draw(st.integers(0, 5)), probe, None, False)
+    return pf
+
+
+@functools.lru_cache(maxsize=None)
+def certified_file(field_p, seed):
+    """A small witness problem with its certificate, as text."""
+    field = QQ if field_p is None else GF(field_p)
+    g, s = witness_instance(random.Random(seed), field, 5, 2)
+    pf = ProblemFile(field, s.ambient_dim)
+    pf.matrices["g"] = g
+    pf.series["L"] = s
+    pf.certificate = construct_witness(g, s)
+    return format_problem(pf)
+
+
+@st.composite
+def edited(draw, text):
+    """text under a few random line and token edits."""
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "token", "cut"]))
+        if kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            toks = lines[i].split() or [""]
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[i] = " ".join(toks)
+        else:
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines)
+
+
+@fuzz_settings
+@given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=200))
+def test_cli_fuzz_arbitrary_text(text):
+    run_every_command(text)
+
+
+@fuzz_settings
+@given(st.lists(st.lists(st.sampled_from(TOKENS), max_size=5).map(" ".join), max_size=12))
+def test_cli_fuzz_grammar_tokens(lines):
+    run_every_command("\n".join(lines) + "\n")
+
+
+@fuzz_settings
+@given(st.data(), problem_files())
+def test_cli_fuzz_edited_problem_files(data, pf):
+    text = format_problem(pf)
+    assert parse_problem(text) == pf
+    assert format_problem(parse_problem(text)) == text
+    run_every_command(data.draw(edited(text)))
+
+
+@fuzz_settings
+@given(st.data(), st.sampled_from([2, 5, None]), st.integers(0, 3))
+def test_cli_fuzz_edited_certificates(data, field_p, seed):
+    text = certified_file(field_p, seed)
+    assert run_every_command(text)["verify"] == 0
+    run_every_command(data.draw(edited(text)))

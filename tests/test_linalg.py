@@ -644,3 +644,88 @@ def test_kernel_results_are_canonical(data, field, n, k):
     results += s.basis_vecs() + a.vec_rows()
     for r in results:
         assert_canonical(r)
+
+
+# -- integer forms kept on QQ objects ----------------------------------------
+#
+# Over QQ a `Subspace` keeps the primitive integer rows its elimination
+# returned, and a `Vec` or `Mat` the (numerators, denominator) pairs a
+# product computed.  A kept form must describe exactly the canonical
+# entries beside it: a subspace's rows are what `_int_row` makes of its
+# basis, and a pair's numerators over its denominator are the entries.
+
+
+def assert_subspace_rows(s):
+    rows = s._rows()
+    assert [list(r) for r in rows] == [linalg._int_row(r)[0] for r in s.basis]
+    assert Subspace._span(QQ, s.ambient_dim, rows) == s
+
+
+def assert_forms(x):
+    if isinstance(x, Vec):
+        pairs, rows = [x._int], [x.entries]
+    else:
+        pairs, rows = x._int_forms or [], x.rows
+    for pair, row in zip(pairs, rows):
+        if pair is not None:
+            nums, den = pair
+            assert tuple(Fraction(x, den) for x in nums) == row
+
+
+@differential
+@given(st.data(), st.integers(1, 6), st.integers(1, 6))
+def test_kept_integer_forms_match_canonical_entries(data, m, n):
+    rows = data.draw(qq_rows(m, n))
+    a = data.draw(qq_matrix(n, n))
+    b = data.draw(qq_matrix(n, n))
+    s = Subspace.span(QQ, n, rows)
+    t = Subspace.span(QQ, n, data.draw(qq_rows(m, n)))
+    built = [
+        Subspace(QQ, n, s.basis, s.pivots), s, t,
+        Subspace._span(QQ, n, rows), Subspace._span(QQ, n, [list(r) for r in s._rows()]),
+        s.sum(t), s.intersect(t), kernel(a), s.apply(a), echelonize(a @ b),
+        s._extend(t.basis_vecs())[1], s._extend(data.draw(qq_rows(3, n)))[1],
+    ]
+    u = s.intersect(t)
+    qm = QuotientMap(u, s)
+    built += [qm.project_subspace(s), qm.project_subspace(u), qm.lift_subspace(Subspace.full(QQ, qm.dim))]
+    for x in built:
+        assert_subspace_rows(x)
+    v = Vec(QQ, data.draw(st.lists(qq_scalars, min_size=n, max_size=n)))
+    vecs = [v @ a, v @ a @ b, (v + v) @ b] + s.basis_vecs() + (a @ b).vec_rows()
+    vecs += linalg.complement_basis(u, s) + [qm.project(w) for w in s.basis_vecs()]
+    for x in vecs + [a @ b, a @ b @ a, a.inverse() @ b if a.is_invertible() else b]:
+        assert_forms(x)
+
+
+@differential
+@given(st.data(), st.integers(1, 6), st.integers(1, 6))
+def test_kernels_on_kept_forms_match_fraction_reference(data, m, n):
+    a = data.draw(qq_matrix(n, n))
+    # operands built by kernels, so that they carry kept forms
+    s = Subspace.span(QQ, n, data.draw(qq_rows(m, n))).apply(a)
+    t = kernel(data.draw(qq_matrix(n, n))).sum(Subspace.span(QQ, n, data.draw(qq_rows(m, n))))
+    vecs = [v @ a for v in Subspace.span(QQ, n, data.draw(qq_rows(m, n))).basis_vecs()]
+    vecs.append(Vec(QQ, data.draw(st.lists(qq_scalars, min_size=n, max_size=n))) @ a)
+
+    def ref_contains(x, y):
+        return all(not any(ref_reduce(x.basis, x.pivots, r)) for r in y.basis)
+
+    for x, y in [(s, t), (t, s), (s, s.intersect(t)), (t, s.intersect(t))]:
+        assert x.contains(y) == ref_contains(x, y)
+    assert (s.sum(t).basis, s.sum(t).pivots) == ref_span(list(s.basis) + list(t.basis))
+    c = s.intersect(t)
+    assert (c.basis, c.pivots) == ref_intersect(s.basis, t.basis, n)
+    for v in vecs:
+        assert s.contains_vec(v) == (not any(ref_reduce(s.basis, s.pivots, v.entries)))
+    new, grown = s._extend(vecs + t.basis_vecs())
+    expected, span = [], s
+    for v in vecs + t.basis_vecs():
+        if any(ref_reduce(span.basis, span.pivots, v.entries)):
+            expected.append(v)
+            span = Subspace(QQ, n, *ref_span(list(span.basis) + [v.entries]))
+    assert new == expected and grown == span
+    rows = vecs + s.basis_vecs()
+    solver = LinearSolver(QQ, rows, n)
+    for target in vecs + t.basis_vecs():
+        assert solver.solve(target) == ref_solve([r.entries for r in rows], n, target.entries)
