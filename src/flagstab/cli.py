@@ -14,8 +14,10 @@ Grammar (UTF-8, `#` starts a comment):
 Scalars are integers 0..p-1 over GF(p) and `a` or `a/b` over the
 rationals, written with ASCII digits and an optional sign; a name may
 appear once per kind of section, and a file holds at most one
-certificate.  Reports on stdout are stable `key=value` lines; exit code 0
-means verified/success, 1 a verified negative, 2 an input error.
+certificate.  `dim` is at most MAX_DIM (256): each series builds d x d
+matrices, so a short file with a large d would run for minutes.  Reports
+on stdout are stable `key=value` lines; exit code 0 means
+verified/success, 1 a verified negative, 2 an input error.
 """
 
 import argparse
@@ -33,6 +35,8 @@ from .unipotent import jordan_blocks, unipotent_exponent
 from .witness import WitnessCertificate, construct_witness, extend_witness, verify_witness
 
 __all__ = ["ProblemFile", "parse_problem", "format_problem", "run", "main"]
+
+MAX_DIM = 256
 
 
 class ProblemFile:
@@ -144,7 +148,10 @@ def parse_problem(text):
     toks = line.split()
     if len(toks) != 2 or toks[0] != "dim" or not _is_count(toks[1]):
         raise ParseError(lineno, "expected 'dim <d>'")
-    dim = int(toks[1])
+    digits = toks[1].lstrip("0") or "0"
+    if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
+        raise ParseError(lineno, f"dim must be at most {MAX_DIM}")
+    dim = int(digits)
     pf = ProblemFile(field, dim)
     tables = {"matrix": pf.matrices, "map": pf.maps, "series": pf.series, "mclain": pf.mclain}
     while True:
@@ -289,19 +296,12 @@ def _hypothesis_phi(pf, s, u_index, t):
     full = Subspace.full(field, pf.dim)
     qm = QuotientMap(u, full)
     bad = qm.project_subspace(image(t - Mat.identity(field, pf.dim)).sum(u))
-    qfull = Subspace.full(field, qm.dim) if qm.dim else Subspace.zero(field, 0)
-    if qm.dim:
-        inner = QuotientMap(bad, qfull)
-        pi = inner.projection_matrix()
-        ub = u.basis_vecs()
-        targets = []
-        for i in range(inner.dim):
-            targets.append(ub[i % len(ub)].entries if ub else [field.zero] * pf.dim)
-        phi = pi @ Mat(field, targets, ncols=pf.dim) if inner.dim else Mat.zero(
-            field, qm.dim, pf.dim
-        )
-    else:
-        phi = Mat.zero(field, 0, pf.dim)
+    inner = QuotientMap(bad, Subspace.full(field, qm.dim))
+    if not inner.dim:
+        return TransvectionSpec(u, Mat.zero(field, qm.dim, pf.dim))
+    ub = u.basis_vecs()
+    targets = [ub[i % len(ub)].entries if ub else [field.zero] * pf.dim for i in range(inner.dim)]
+    phi = inner.projection_matrix() @ Mat(field, targets, ncols=pf.dim)
     return TransvectionSpec(u, phi)
 
 
@@ -481,9 +481,13 @@ def _cmd_gen(options):
     n, k = options.length, options.exponent
     if not (n >= 3 and 2 <= k < n - 2):
         raise FlagstabError("need length >= 3 and 2 <= exponent < length - 2")
+    if n > MAX_DIM:  # the length bounds the dimension; check it before the layout
+        raise FlagstabError(f"dim must be at most {MAX_DIM}")
     min_dim = sum(length for _, length in _chain_layout(n, k))
     if options.dim is not None and options.dim < min_dim:
         raise FlagstabError(f"dim must be at least {min_dim}")
+    if max(min_dim, options.dim or 0) > MAX_DIM:
+        raise FlagstabError(f"dim must be at most {MAX_DIM}")
     pad = (options.dim - min_dim) if options.dim is not None else 0
     rng = random.Random(options.seed)
     g, s = witness_instance(rng, field, n, k, pad=pad, scramble=options.scramble)

@@ -39,9 +39,10 @@ private `Vec._of`, `Mat._of` and `Subspace._span`, which trust it.
 
 Spans grow through one private primitive, `Subspace._extend`: given rows
 in order, it keeps each row that lies outside the span so far and
-returns the kept rows with the span they complete.  Complements, chain
-splittings, new Jordan-chain heads and series-splitting complements are
-all built with it.
+returns the kept rows with the span they complete; it reduces each row
+against an incremental echelon of the rows so far and runs one
+elimination at the end.  Complements, chain splittings, new Jordan-chain
+heads and series-splitting complements are all built with it.
 """
 
 import math
@@ -933,15 +934,37 @@ class Subspace:
         Stops once the span reaches dimension dim (default: the ambient one).
         """
         dim = self.ambient_dim if dim is None else dim
-        span, new = self, []
+        field, p = self.field, self.field.p
+        # (pivot, row), monic over GF(p), primitive over QQ, and zero left of
+        # its pivot and at earlier pivots: one pass clears a new row's pivots
+        echelon = list(zip(self.pivots, self._rows()))
+        new, residues = [], []
         for row in rows:
-            if span.dim >= dim:
+            if len(echelon) >= dim:
                 break
-            r = _kernel_row(self.field, row)
-            if any(span._reduce(r)):
-                new.append(row)
-                span = Subspace._of_rows(self.field, self.ambient_dim, [*span._rows(), r])
-        return new, span
+            v = _kernel_row(field, row)
+            for c, e in echelon:
+                f = v[c]
+                if f and p is not None:
+                    v = [(x - f * y) % p for x, y in zip(v, e)]
+                elif f:
+                    g = math.gcd(e[c], f)
+                    a, b = e[c] // g, f // g
+                    v = [a * x - b * y for x, y in zip(v, e)]
+            c = next((j for j, x in enumerate(v) if x), None)
+            if c is None:
+                continue
+            if p is not None:
+                v = _scale(p, field.inv(v[c]), v)
+            else:
+                g = math.gcd(*v)
+                v = [x // g for x in v]
+            echelon.append((c, v))
+            new.append(row)
+            residues.append(v)
+        if not new:
+            return new, self
+        return new, Subspace._of_rows(field, self.ambient_dim, [*self._rows(), *residues])
 
     def apply(self, m):
         """Image of this subspace under the row action of m."""

@@ -216,24 +216,28 @@ def _complement_rows(lower, upper):
     return [r for r, c in zip(upper._rows(), upper.pivots) if c not in pivots]
 
 
-def _jump_images(g, s):
-    """For each level i, the complement rows of V_{i-1} over V_i times g - 1.
+def _minus_one(g):
+    """g - 1; SingularMatrixError for a non-square g, as in the stabilizer test."""
+    if not g.is_square():
+        raise SingularMatrixError("stabilizer membership needs an invertible matrix")
+    return g - Mat.identity(g.field, g.nrows)
+
+
+def _jump_images(g, s, nil):
+    """For each level i, the complement rows of V_{i-1} over V_i times nil = g - 1.
 
     Returns None when some image leaves V_i, i.e. when g is not in the
     stabilizer; with the rows of V_i these rows span V_{i-1}, so that
-    test covers every jump.  A singular or non-square g raises
-    SingularMatrixError, one of the wrong size ShapeError.
+    test covers every jump.  A singular g raises SingularMatrixError,
+    one of the wrong size ShapeError.
     """
-    if not g.is_square():
-        raise SingularMatrixError("stabilizer membership needs an invertible matrix")
     members = s.members
     if len(members) > 1 and g.nrows != s.ambient_dim:
         raise ShapeError("matrix height differs from ambient dimension")
-    gm1 = g - Mat.identity(g.field, g.nrows)
     images = []
     for i in range(1, len(members)):
         rows = _complement_rows(members[i], members[i - 1])
-        imgs = _images(s.field, rows, gm1)
+        imgs = _images(s.field, rows, nil)
         if any(any(members[i]._reduce(v)) for v in imgs):
             if not g.is_invertible():
                 raise SingularMatrixError("stabilizer membership needs an invertible matrix")
@@ -249,7 +253,7 @@ def in_stabilizer(g, s):
     only a g that fails is checked for invertibility, and a singular one
     raises SingularMatrixError as a non-square one does.
     """
-    return _jump_images(g, s) is not None
+    return _jump_images(g, s, _minus_one(g)) is not None
 
 
 def canonical_coarsening(g, s):
@@ -261,9 +265,14 @@ def canonical_coarsening(g, s):
     sum of the images of the complement rows below V_j, so the deepest
     member holding it is a suffix minimum over those rows' depths.
     """
-    images = _jump_images(g, s)
+    images = _jump_images(g, s, _minus_one(g))
     if images is None:
         raise SeriesError("element does not stabilize the series")
+    return _coarsening(s, images)
+
+
+def _coarsening(s, images):
+    """`canonical_coarsening` from the `_jump_images` of a stabilizing g."""
     members = s.members
     last = len(members) - 1
     deepest = [last] * len(members)

@@ -21,14 +21,13 @@ def unipotent_exponent(g):
     """Minimal n with (g-1)^n = 0, or None when g is not unipotent."""
     if not g.is_square():
         raise ShapeError("exponent of a non-square matrix")
-    n = g.nrows
-    nil = g - Mat.identity(g.field, n)
-    power = Mat.identity(g.field, n)
-    for e in range(n + 1):
+    nil = g - Mat.identity(g.field, g.nrows)
+    power = nil
+    for e in range(1, g.nrows + 1):
         if power.is_zero():
             return e
         power = power @ nil
-    return None
+    return 0 if g.nrows == 0 else None
 
 
 class KernelChain:
@@ -52,18 +51,18 @@ class KernelChain:
 
 
 def kernel_chain(g):
-    """Full chain of kernels of powers of g-1 for unipotent g.
-
-    The powers stop at the first zero one, which for unipotent g comes
-    by the n-th.
-    """
+    """Full chain of kernels of powers of g-1 for unipotent g."""
     if not g.is_square():
         raise ShapeError("exponent of a non-square matrix")
-    n = g.nrows
-    nil = g - Mat.identity(g.field, n)
+    return KernelChain(g, _kernel_chain(g - Mat.identity(g.field, g.nrows)))
+
+
+def _kernel_chain(nil):
+    """Kernels of nil, nil^2, ... up to the first that is everything (by
+    the n-th for nilpotent nil); its length is the exponent of 1 + nil."""
     chain = []
     power = nil
-    for _ in range(n):
+    for _ in range(nil.nrows):
         chain.append(kernel(power))
         if chain[-1].is_full():
             break
@@ -72,7 +71,7 @@ def kernel_chain(g):
         raise NotUnipotentError("matrix is not unipotent")
     if any(not (b.contains(a) and a.dim < b.dim) for a, b in zip(chain, chain[1:])):
         raise NotUnipotentError("kernel chain does not strictly ascend")
-    return KernelChain(g, chain)
+    return chain
 
 
 class JordanData:
@@ -125,29 +124,30 @@ def jordan_chains(g, candidate_order=None):
     New chain heads at each height complete the span of the lower kernel
     and the already-mapped vectors; `candidate_order(height, kernel)` may
     supply the candidate vectors to prefer, falling back to the canonical
-    kernel basis.
+    kernel basis.  Candidates outside the kernel are skipped.
     """
     kc = kernel_chain(g)
-    e = kc.exponent
-    field = g.field
-    n = g.nrows
-    nil = g - Mat.identity(field, n)
+    order = candidate_order or (lambda height, target: target.basis_vecs())
+    nil = g - Mat.identity(g.field, g.nrows)
+    return _jordan_chains(nil, kc.chain, lambda h, t: (c for c in order(h, t) if t.contains_vec(c)))
+
+
+def _jordan_chains(nil, kc, candidates):
+    """`jordan_chains` of g = 1 + nil from its `_kernel_chain` kc, taking
+    each height's candidates(height, kernel), all inside that kernel."""
+    field = nil.field
+    n = nil.nrows
     chains = []
-    for height in range(e, 0, -1):
+    for height in range(len(kc), 0, -1):
         base_rows = []
         if height >= 2:
-            base_rows += kc.chain[height - 2].basis_vecs()
+            base_rows += kc[height - 2].basis_vecs()
         for chain in chains:
             # element of this chain with the current height
             base_rows.append(chain[len(chain) - height])
         span = Subspace._span(field, n, base_rows)
-        target = kc.chain[height - 1]
-        if candidate_order is not None:
-            candidates = candidate_order(height, target)
-        else:
-            candidates = target.basis_vecs()
-        in_target = (c for c in candidates if target.contains_vec(c))
-        new_heads, span = span._extend(in_target, target.dim)
+        target = kc[height - 1]
+        new_heads, span = span._extend(candidates(height, target), target.dim)
         if span.dim != target.dim:
             raise ContainmentError(f"candidates do not complete the kernel at height {height}")
         for head in new_heads:
@@ -164,10 +164,6 @@ def jordan_chains(g, candidate_order=None):
 def jordan_blocks(g):
     """JordanData of a unipotent g; raises NotUnipotentError otherwise."""
     chains = jordan_chains(g)
-    return _finish_jordan(g, chains)
-
-
-def _finish_jordan(g, chains):
     field = g.field
     n = g.nrows
     rows = [v.entries for chain in chains for v in chain]

@@ -17,6 +17,11 @@ candidates are rows of p, i.e. unit rows there, so the probe and the
 matrix J (2 - C) J C - 1 (C^-1 = 2 - C, as (C - 1)^2 = 0).
 `verify_witness` re-checks the result in the original coordinates.
 
+Each fact about (g, s) is computed once and passed down: nil = g - 1, its
+jump images (the stabilizer test and the coarsening), its kernel chain
+(the exponent, and the Jordan chains' pullback) and the chain vectors'
+levels (the last straightening pass).  `build_h` reuses its h - 1.
+
 `extend_witness` builds the witness for the induced series on a
 g-invariant core W and extends it by the identity on a complement that
 splits every member.  In the basis made of W's chain vectors, lifted to
@@ -32,15 +37,17 @@ from .errors import (
     ContainmentError,
     FieldMismatchError,
     FlagstabError,
+    NotUnipotentError,
     PreorderError,
     SelectionError,
     ShapeError,
     WitnessError,
 )
 from .linalg import Mat, QuotientMap, Subspace, Vec, left_kernel_rows
-from .series import Series, canonical_coarsening, in_stabilizer, is_adapted_basis
+from .series import Series, _coarsening, _jump_images, _minus_one, canonical_coarsening
+from .series import in_stabilizer, is_adapted_basis
 from .series import level_of as level
-from .unipotent import jordan_chains, unipotent_exponent
+from .unipotent import _jordan_chains, _kernel_chain, jordan_chains, unipotent_exponent
 
 __all__ = [
     "PreorderedBasis",
@@ -193,12 +200,13 @@ def select_pairs(pb):
 
 
 def _level_dependency(chains, s):
-    """First level whose chain vectors are dependent modulo the member
-    below; returns (support items, coefficients) or None."""
+    """(levels, support): the chain vectors' levels, chain by chain, and the
+    first level's dependency modulo the member below, or None if none."""
+    levels = [[level(v, s) for v in chain] for chain in chains]
     items_by_level = {}
-    for ci, chain in enumerate(chains):
-        for j, v in enumerate(chain):
-            items_by_level.setdefault(level(v, s), []).append((ci, j, v))
+    for ci, (chain, lvls) in enumerate(zip(chains, levels)):
+        for j, (v, lvl) in enumerate(zip(chain, lvls)):
+            items_by_level.setdefault(lvl, []).append((ci, j, v))
     for lvl in sorted(items_by_level):
         items = items_by_level[lvl]
         below = s.members[lvl]
@@ -216,9 +224,9 @@ def _level_dependency(chains, s):
                 if c != 0
             ]
             if support:
-                return support
+                return levels, support
         raise AdaptationError("rank drop without an explicit dependency")
-    return None
+    return levels, None
 
 
 def _apply_chain_move(chains, support, field):
@@ -260,15 +268,10 @@ def _apply_chain_move(chains, support, field):
     chains[ci] = target
 
 
-def adapted_jordan_chains(g, s):
-    """Jordan chains of g whose vectors form an s-adapted basis.
+def _deep_first(s):
+    """`jordan_chains` candidates: each kernel's meets with s, deepest first."""
 
-    Chain heads are preferred deep in the series; remaining level
-    dependencies are absorbed by coherent chain moves.  Raises
-    AdaptationError if no adapted system is reached.
-    """
-
-    def deep_first(height, target):
+    def order(height, target):
         cands = []
         seen = set()
         for member in reversed(s.members):
@@ -282,17 +285,30 @@ def adapted_jordan_chains(g, s):
                     cands.append(v)
         return cands
 
-    chains = [list(c) for c in jordan_chains(g, candidate_order=deep_first)]
-    chains = straighten_chains(chains, g, s)
-    return chains
+    return order
+
+
+def adapted_jordan_chains(g, s):
+    """Jordan chains of g whose vectors form an s-adapted basis.
+
+    Chain heads are preferred deep in the series; remaining level
+    dependencies are absorbed by coherent chain moves.  Raises
+    AdaptationError if no adapted system is reached.
+    """
+    return straighten_chains(jordan_chains(g, _deep_first(s)), g, s)
 
 
 def straighten_chains(chains, g, s):
     """Absorb level dependencies until the chain vectors are s-adapted."""
+    return _straighten(chains, s, g - Mat.identity(g.field, g.nrows))[0]
+
+
+def _straighten(chains, s, nil):
+    """`straighten_chains` for g = 1 + nil, with the chain vectors' levels."""
     chains = [list(c) for c in chains]
     max_moves = 4 * s.ambient_dim * max(1, s.num_jumps)
     for _ in range(max_moves):
-        dep = _level_dependency(chains, s)
+        levels, dep = _level_dependency(chains, s)
         if dep is None:
             break
         _apply_chain_move(chains, dep, s.field)
@@ -301,28 +317,22 @@ def straighten_chains(chains, g, s):
     vecs = [v for chain in chains for v in chain]
     if not is_adapted_basis(vecs, s):
         raise AdaptationError("chains failed the adapted-basis check")
-    nil = g - Mat.identity(g.field, g.nrows)
     for chain in chains:
         for a, b in zip(chain, chain[1:]):
             if a @ nil != b:
                 raise AdaptationError("straightened chain breaks v_(j+1) = v_j (g-1)")
         if not (chain[-1] @ nil).is_zero():
             raise AdaptationError("straightened chain does not end in the kernel")
-    return chains
+    return chains, levels
 
 
-def _preordered_basis_from_chains(chains, s):
-    n = s.num_jumps
+def _preordered_basis_from_chains(levels, n):
+    """Preordered basis of adapted chains from their levels in n jumps."""
     fvals = []
     blocks = []
-    eid = 0
-    for chain in chains:
-        block = []
-        for v in chain:
-            fvals.append(n + 1 - level(v, s))
-            block.append(eid)
-            eid += 1
-        blocks.append(block)
+    for lvls in levels:
+        blocks.append(range(len(fvals), len(fvals) + len(lvls)))
+        fvals += [n + 1 - lvl for lvl in lvls]
     try:
         return PreorderedBasis(blocks, fvals, n)
     except PreorderError as exc:
@@ -372,9 +382,9 @@ def build_h(sel, basis, s):
     p_inv_cols = p._inverse_columns(ys)
     if set(ys) & set(xs):
         raise WitnessError("h-square", "(h-1)^2 != 0; selection inconsistent")
-    x_rows = Mat._of(field, [p.rows[x] for x in xs], n)
-    h = Mat.identity(field, n) + p_inv_cols @ x_rows
-    if not in_stabilizer(h, s):
+    h1 = p_inv_cols @ Mat._of(field, [p.rows[x] for x in xs], n)
+    h = Mat.identity(field, n) + h1
+    if _jump_images(h, s, h1) is None:
         raise WitnessError(
             "h-not-in-stabilizer", "constructed h escapes the stabilizer"
         )
@@ -430,24 +440,26 @@ def construct_witness(g, s):
 
 def _witness_with_basis(g, s):
     """`construct_witness`, plus the chain basis that its selection indexes."""
-    if not in_stabilizer(g, s):
+    nil = _minus_one(g)
+    images = _jump_images(g, s, nil)
+    if images is None:
         raise WitnessError("not-in-stabilizer", "g does not stabilize the series")
     n = s.num_jumps
-    k = unipotent_exponent(g)
-    if k is None:
-        raise WitnessError("not-unipotent", "a stabilizer element is not unipotent")
-    coarse = canonical_coarsening(g, s)
+    try:
+        kc = _kernel_chain(nil)
+    except NotUnipotentError:
+        raise WitnessError("not-unipotent", "a stabilizer element is not unipotent") from None
+    k = len(kc)
+    coarse = _coarsening(s, images)
     if len(coarse.members) < len(s.members):
         raise WitnessError("coarsenable", "g stabilizes a proper subseries")
     if not k < n - 2:
         raise WitnessError(
             "exponent-too-large", f"exponent {k} is not below n-2 = {n - 2}"
         )
-    chains = adapted_jordan_chains(g, s)
-    pb = _preordered_basis_from_chains(chains, s)
-    sel = select_pairs(pb)
+    chains, levels = _straighten(_jordan_chains(nil, kc, _deep_first(s)), s, nil)
+    sel = select_pairs(_preordered_basis_from_chains(levels, n))
     basis = [v for chain in chains for v in chain]
-    nil = g - Mat.identity(g.field, g.nrows)
     for x, y, _ in sel.pairs:
         if basis[x] @ nil != basis[y]:
             raise WitnessError("pair-not-chain-step", "a selected pair is not a chain step")
@@ -519,13 +531,17 @@ def invariant_core(g, s, n):
     orbits under g - 1.
     """
     coarse = canonical_coarsening(g, s)
+    return _invariant_core(s, n, coarse, g - Mat.identity(s.field, s.ambient_dim))
+
+
+def _invariant_core(s, n, coarse, nil):
+    """`invariant_core` from the canonical coarsening of g = 1 + nil."""
     if coarse.num_jumps < n:
         raise WitnessError(
             "coarsenable", f"g stabilizes a subseries of length {coarse.num_jumps} < {n}"
         )
     field = s.field
     dim = s.ambient_dim
-    nil = g - Mat.identity(field, dim)
     zero = Subspace.zero(field, dim)
     core = Series(field, dim, list(coarse.members[:n]) + [zero])
     vs = []
@@ -559,7 +575,9 @@ def extend_witness(g, s, n):
     and extends it by the identity on a complement of W that splits
     every member of s.  The certificate is verified on all of V.
     """
-    if not in_stabilizer(g, s):
+    nil = _minus_one(g)
+    images = _jump_images(g, s, nil)
+    if images is None:
         raise WitnessError("not-in-stabilizer", "g does not stabilize the series")
     k = unipotent_exponent(g)
     if k is None:
@@ -570,7 +588,7 @@ def extend_witness(g, s, n):
         )
     field = s.field
     dim = s.ambient_dim
-    core, w = invariant_core(g, s, n)
+    core, w = _invariant_core(s, n, _coarsening(s, images), nil)
     # coordinates in w's basis
     qm = QuotientMap(Subspace.zero(field, dim), w)
     try:

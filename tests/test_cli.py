@@ -261,6 +261,29 @@ def test_non_ascii_or_underscored_numbers_exit_2():
         assert message in r.stderr and "Traceback" not in r.stderr and r.stdout == ""
 
 
+def test_dim_above_the_ceiling_exits_2_at_once(monkeypatch, capsys):
+    import time
+
+    from flagstab.cli import MAX_DIM
+
+    # 30 bytes that used to build a 100000 x 100000 identity
+    text = "field q\ndim 100000\nseries L 0\n"
+    assert len(text.encode()) == 30
+    for dim in ("100000", str(MAX_DIM + 1), "1" * 5000):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text.replace("100000", dim)))
+        start = time.perf_counter()
+        assert main(["split", "-"]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert f"line 2: dim must be at most {MAX_DIM}" in err and out == ""
+    assert parse_problem(f"field gf 2\ndim 000{MAX_DIM}\n").dim == MAX_DIM
+    assert parse_problem("field gf 2\ndim " + "0" * 5000 + "3\n").dim == 3
+    for opts in (["--length", "200"], ["--length", "130"], ["--dim", str(MAX_DIM + 1)]):
+        assert main(["gen", *opts]) == 2, opts
+        out, err = capsys.readouterr()
+        assert f"dim must be at most {MAX_DIM}" in err and out == ""
+
+
 @pytest.mark.parametrize("tok", ["1_1", "١١", "1.0"])
 def test_header_counts_and_indices_take_ascii_integers_only(tok, monkeypatch, capsys):
     import io

@@ -4,7 +4,8 @@
 complement of `extend_witness` and `patch_sections` grow spans through
 `Subspace._extend` and read section coordinates through `QuotientMap`.
 The references below are the hand-rolled loops and solvers they replace:
-each tests membership and then re-echelons the whole span, and
+each tests membership and then re-echelons the whole span (as the first
+`_extend` did, before it kept an incremental echelon), and
 `patch_sections` solves against "representatives + u.basis" directly.
 The new code must return equal vectors in the same order and raise the
 same errors.  Closing checks that were `assert`s in the old loops raise
@@ -32,7 +33,16 @@ from flagstab.instances import (
     random_stabilizer_element,
     witness_instance,
 )
-from flagstab.linalg import GF, QQ, LinearSolver, Mat, Subspace, Vec, complement_basis
+from flagstab.linalg import (
+    GF,
+    QQ,
+    LinearSolver,
+    Mat,
+    Subspace,
+    Vec,
+    _kernel_row,
+    complement_basis,
+)
 from flagstab.series import in_stabilizer, is_adapted_basis, section_series
 from flagstab.unipotent import jordan_chains, kernel_chain
 from flagstab.witness import _series_split_complement, invariant_core
@@ -54,6 +64,19 @@ def ref_complement_basis(u, w):
             state = Subspace._span(field, u.ambient_dim, state.basis + (row,))
     assert len(chosen) == w.dim - u.dim
     return chosen
+
+
+def ref_extend(sub, rows, dim=None):
+    field, n = sub.field, sub.ambient_dim
+    dim = n if dim is None else dim
+    span, new = sub, []
+    for row in rows:
+        if span.dim >= dim:
+            break
+        if not span.contains_vec(row):
+            new.append(row)
+            span = Subspace._of_rows(field, n, [*span._rows(), _kernel_row(field, row)])
+    return new, span
 
 
 def ref_split_chain(chain):
@@ -395,3 +418,42 @@ def test_patch_sections_matches_solver_reference(data):
         sections = SectionAssignment(random_sections(rng, s))
         got = outcome(patch_sections, adapted, s, sections)
         assert got == outcome(ref_patch_sections, adapted, s, sections)
+
+
+def extend_rows(rng, field, n, base):
+    """Rows to extend by: random vectors, zero rows, repeats and rows
+    already in the span so far, each a `Vec` or a canonical tuple."""
+    rows, spanned = [], [list(r) for r in base.basis]
+    for _ in range(rng.randint(0, 2 * n + 2)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            v = random_vec(rng, field, n)
+        elif kind == 1:
+            v = Vec.zero(field, n)
+        elif kind == 2 and rows:
+            rows.append(rng.choice(rows))
+            continue
+        else:
+            v = combination(rng, field, spanned, n)
+        spanned.append(list(v.entries))
+        rows.append(v if rng.random() < 0.5 else v.entries)
+    return rows
+
+
+@differential
+@given(st.data())
+def test_extend_matches_membership_and_full_span_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, 7))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for _ in range(4):
+        base = random_subspace(rng, field, n)
+        rows = extend_rows(rng, field, n, base)
+        for dim in (None, rng.randint(0, n), base.dim + 1):
+            new, got = base._extend(iter(rows), dim)
+            want_new, want = ref_extend(base, rows, dim)
+            assert new == want_new
+            assert [type(r) for r in new] == [type(r) for r in want_new]
+            assert got == want and got.pivots == want.pivots
+            assert got._int_rows == want._int_rows
+            assert got._rows() == want._rows()

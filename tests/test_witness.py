@@ -211,6 +211,27 @@ def test_construct_witness_precondition_errors():
     assert e.value.reason == "exponent-too-large"
 
 
+def test_construct_witness_reason_precedence():
+    from flagstab.unipotent import jordan_matrix
+
+    # e0 -> e1 -> e2 -> 0 stabilizes the full flag of F^5 (n = 5 jumps)
+    # and its coarsening V > <e1..e4> > <e2, e3, e4> > 0, with exponent
+    # 3 >= n - 2: both preconditions fail, and coarsenable is reported
+    flag = full_flag(F5, 5)
+    g = jordan_matrix(F5, [3, 1, 1])
+    assert len(canonical_coarsening(g, flag).members) < len(flag.members)
+    with pytest.raises(WitnessError) as e:
+        construct_witness(g, flag)
+    assert e.value.reason == "coarsenable"
+    # the transposes send e1 to e0 and leave the flag; that is reported
+    # first, whatever else fails
+    for bad in (g.transpose(), jordan_matrix(F5, [5]).transpose()):
+        assert not in_stabilizer(bad, flag)
+        with pytest.raises(WitnessError) as e:
+            construct_witness(bad, flag)
+        assert e.value.reason == "not-in-stabilizer"
+
+
 def test_construct_witness_randomized():
     rng = random.Random(4)
     for _ in range(20):
@@ -360,12 +381,16 @@ def test_verify_witness_propagates_foreign_errors(monkeypatch):
 
 def test_construct_witness_raises_on_broken_internal_steps(monkeypatch):
     import flagstab.witness as witness
+    from flagstab.errors import NotUnipotentError
+
+    def not_unipotent(nil):
+        raise NotUnipotentError("matrix is not unipotent")
 
     rng = random.Random(12)
     g, s = witness_instance(rng, F5, 8, 2)
     assert construct_witness(g, s).r == 3
     with monkeypatch.context() as m:
-        m.setattr(witness, "unipotent_exponent", lambda g: None)
+        m.setattr(witness, "_kernel_chain", not_unipotent)
         with pytest.raises(WitnessError) as e:
             construct_witness(g, s)
         assert e.value.reason == "not-unipotent"
@@ -562,7 +587,8 @@ def test_jordan_coordinates_match_dense_reference(field, shape, scramble, seed):
     g, s = witness_instance(rng, field, *shape, scramble=scramble)
     chains = adapted_jordan_chains(g, s)
     basis = [v for c in chains for v in c]
-    sel = select_pairs(_preordered_basis_from_chains(chains, s))
+    levels = [[level(v, s) for v in c] for c in chains]
+    sel = select_pairs(_preordered_basis_from_chains(levels, s.num_jumps))
     for trial in selections_to_try(rng, sel, len(basis)):
         got = outcome(build_h, trial, basis, s)
         assert got == outcome(ref_build_h, trial, basis, s)
