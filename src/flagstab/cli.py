@@ -21,6 +21,7 @@ verified/success, 1 a verified negative, 2 an input error.
 """
 
 import argparse
+import contextlib
 import re
 import sys
 
@@ -93,6 +94,15 @@ class _Lines:
 
 def _is_count(tok):
     return tok.isascii() and tok.isdigit()
+
+
+def _count(tok):
+    """The value of a count token, or None when tok is not one or has more
+    digits than `int` converts (4,300 by default)."""
+    if _is_count(tok):
+        with contextlib.suppress(ValueError):
+            return int(tok)
+    return None
 
 
 # `int` alone would also take underscores, whitespace and non-ASCII digits.
@@ -188,9 +198,10 @@ def parse_problem(text):
             for _ in range(m):
                 l2, header = lines.next("subspace header")
                 htoks = header.split()
-                if len(htoks) != 2 or htoks[0] != "subspace" or not _is_count(htoks[1]):
+                nrows = _count(htoks[1]) if len(htoks) == 2 and htoks[0] == "subspace" else None
+                if nrows is None:
                     raise ParseError(l2, "expected 'subspace <rows>'")
-                rows = _parse_matrix_rows(lines, field, int(htoks[1]), dim, "subspace")
+                rows = _parse_matrix_rows(lines, field, nrows, dim, "subspace")
                 subs.append(Subspace.span(field, dim, rows))
             try:
                 full = Subspace.full(field, dim)
@@ -225,9 +236,9 @@ def parse_problem(text):
         elif kind == "certificate" and len(toks) == 1:
             l2, rline = lines.next("certificate r")
             rtoks = rline.split()
-            if len(rtoks) != 2 or rtoks[0] != "r" or not _is_count(rtoks[1]):
+            r = _count(rtoks[1]) if len(rtoks) == 2 and rtoks[0] == "r" else None
+            if r is None:
                 raise ParseError(l2, "expected 'r <int>'")
-            r = int(rtoks[1])
             l3, hline = lines.next("certificate h")
             if hline != "h":
                 raise ParseError(l3, "expected 'h'")

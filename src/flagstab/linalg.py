@@ -5,13 +5,14 @@ Scalars are plain ints reduced mod p for prime fields and
 Vectors are rows and act on the right of matrices (v @ g), so kernels
 are left null spaces and images are row spaces.
 
-Over the rationals the kernels (elimination, products, membership and
-solving) work fraction-free on integer rows: a rational row is its
-integer numerators over one common denominator, and elimination
-cross-multiplies and divides each row by its content (Bareiss 1968).
-Canonical `Fraction`s are built only where a `Vec`, `Mat`, `Subspace`
-or solution row is handed out, so every result is the same as with
-`Fraction` arithmetic throughout.
+Kernels read a row as `_form` gives it, (numerators, denominator): over
+GF(p) the canonical entries over 1, over QQ integer numerators over one
+common denominator.  All elimination runs in `_eliminate`, fraction-free
+over QQ: it cross-multiplies and divides each row by its content
+(Bareiss 1968).  Kernels, inverses and solvers eliminate one [A | d*I]
+block built by `_tagged`.  Canonical `Fraction`s are built only where a
+`Vec`, `Mat`, `Subspace` or solution row is handed out, so every result
+is the same as with `Fraction` arithmetic throughout.
 
 Over QQ each object keeps the integer form of its rows, so no kernel
 converts the same row twice:
@@ -28,7 +29,7 @@ An object built otherwise (user input, `Fraction` sums and scalings, the
 public `Subspace(...)`) gets its form on first use through `_int_row`: a
 `Mat` in one conversion of all its entries over a common denominator.
 Rows of plain ints, such as images and elimination output, are read as
-they are.  Over GF(p) the kernels read the canonical rows themselves.
+they are.
 
 Canonical in, canonical out: every entry held by a `Vec`, `Mat` or
 `Subspace` is canonical (an int in [0, p) over GF(p), a `Fraction` over
@@ -280,7 +281,7 @@ class Vec:
         if self.dim != m.nrows:
             raise ShapeError("vector/matrix shapes differ")
         if self.field.p is None:
-            (form,) = _int_times([_int_form(self)], m)
+            (form,) = _int_times([_form(self.field, self)], m)
             return Vec._of(self.field, _fractions(*form), form)
         return Vec._of(self.field, _row_times(self.field, self.entries, m.rows, m.ncols))
 
@@ -326,29 +327,23 @@ def _int_row(row):
     return [n * (den // d) for n, d in pairs], den
 
 
-def _int_form(row):
-    """(numerators, denominator) of a rational `Vec` or row.
+def _form(field, row):
+    """(numerators, denominator) of a `Vec` or canonical row: the kernels'
+    form, whose numerators alone do for spans and membership.
 
-    A `Vec` keeps its form, filled through `_int_row` on first use; a
-    row of ints is its own numerators over 1.
+    Over GF(p) it is the entries over 1.  Over QQ a row of ints is its
+    own numerators over 1, and other rows go through `_int_row`.  A `Vec`
+    keeps the form of its own field, filled on first use.
     """
     if isinstance(row, Vec):
         form = row._int
         if form is None:
-            form = _int_row(row.entries)
+            form = _form(row.field, row.entries)
             object.__setattr__(row, "_int", form)
         return form
-    if all(type(x) is int for x in row):
+    if field.p is not None or all(type(x) is int for x in row):
         return row, 1
     return _int_row(row)
-
-
-def _row_forms(field, rows):
-    """Each `Vec` or row as (numerators, denominator); over GF(p) its
-    canonical entries over 1."""
-    if field.p is None:
-        return [_int_form(r) for r in rows]
-    return [(r.entries if isinstance(r, Vec) else r, 1) for r in rows]
 
 
 def _coerced(field, rows, width, message):
@@ -364,14 +359,6 @@ def _coerced(field, rows, width, message):
         if len(r.entries if isinstance(r, Vec) else r) != width:
             raise ShapeError(message)
     return out
-
-
-def _kernel_row(field, row):
-    """A `Vec` or canonical row in the form the kernels read: its entries
-    over GF(p), integer numerators over QQ (a span ignores scaling)."""
-    if field.p is None:
-        return _int_form(row)[0]
-    return row.entries if isinstance(row, Vec) else row
 
 
 def _fractions(nums, den):
@@ -416,9 +403,8 @@ def _row_times(field, row, rows, ncols):
 
 
 def _images(field, rows, m):
-    """Rows r @ m for rows in kernel form (see `_kernel_row`), in kernel
-    form: over QQ the integer numerators, which do for spans and
-    membership."""
+    """Rows r @ m for rows in kernel form (the numerators of `_form`), in
+    kernel form."""
     if field.p is None:
         return [nums for nums, _ in _int_times([(r, 1) for r in rows], m)]
     return [_row_times(field, r, m.rows, m.ncols) for r in rows]
@@ -592,20 +578,16 @@ class Mat:
         return self._inverse_columns(range(self.nrows))
 
     def _inverse_columns(self, cols):
-        """Columns `cols` of the inverse, as an n x len(cols) matrix: one
-        elimination of [self | those columns of the identity]."""
+        """Columns `cols` (a sequence) of the inverse, as an n x len(cols)
+        matrix: one elimination of [self | those columns of the identity]."""
         if not self.is_square():
             raise SingularMatrixError("non-square matrix")
         n = self.nrows
-        field = self.field
-        cols = list(cols)
-        aug = [list(nums) + [d if i == j else 0 for j in cols]
-               for i, (nums, d) in enumerate(self._forms())]
-        reduced, pivots = _eliminate(field, aug)
+        reduced, pivots = _tagged(self.field, self._forms(), cols)
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        rows = [_canonical(field, r, c, n) for r, c in zip(reduced, pivots)]
-        return Mat._of(field, rows, len(cols))
+        rows = [_canonical(self.field, r, c, n) for r, c in zip(reduced, pivots)]
+        return Mat._of(self.field, rows, len(cols))
 
     def is_invertible(self):
         try:
@@ -631,21 +613,14 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def _echelon(field, rows):
-    """Gauss-Jordan elimination; returns (nonzero rows, pivot cols).
-
-    Over GF(p) the rows are the reduced row echelon form, computed in
-    place.  Over QQ they are primitive integer rows, each its reduced
-    echelon row times the pivot entry; `_canonical` divides that out.
-    Over QQ the rows may also be integer rows or `Vec`s.
-    """
-    if field.p is None:
-        rows = [_int_form(r)[0] for r in rows]
-    return _eliminate(field, rows)
-
-
 def _eliminate(field, rows):
-    """`_echelon` of rows in kernel form (see `_kernel_row`), in place."""
+    """Gauss-Jordan elimination of rows in kernel form (the numerators of
+    `_form`), in place; returns (nonzero rows, pivot cols).
+
+    Over GF(p) the rows are the reduced row echelon form.  Over QQ they
+    are primitive integer rows, each its reduced echelon row times the
+    pivot entry (Bareiss 1968); `_canonical` divides that out.
+    """
     p = field.p
     if p is None:
         return _echelon_int(rows)
@@ -729,17 +704,11 @@ def _echelon_int(rows):
 
 
 def _canonical(field, row, c, start=0):
-    """Reduced echelon form, from column start on, of a row of `_echelon`
+    """Reduced echelon form, from column start on, of a row of `_eliminate`
     whose pivot is in column c."""
     if field.p is None:
         return _fractions(row[start:], row[c])
     return row[start:]
-
-
-def _rref(field, rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot cols)."""
-    reduced, pivots = _echelon(field, rows)
-    return [_canonical(field, r, c) for r, c in zip(reduced, pivots)], pivots
 
 
 class Subspace:
@@ -770,19 +739,18 @@ class Subspace:
 
         Over QQ the rows may also be integer rows: a span ignores scaling.
         """
-        return cls._of_rows(field, ambient_dim, [_kernel_row(field, r) for r in rows])
+        return cls._of_rows(field, ambient_dim, [_form(field, r)[0] for r in rows])
 
     @classmethod
     def _of_rows(cls, field, ambient_dim, rows):
-        """Span of a fresh list of rows in kernel form (see `_kernel_row`).
+        """Span of a fresh list of rows in kernel form (see `_eliminate`).
 
         Over QQ the subspace keeps the primitive integer rows that the
         elimination returns, each with a positive pivot entry.
         """
-        if field.p is not None or not rows:
-            reduced, pivots = _rref(field, rows) if rows else ([], [])
+        reduced, pivots = _eliminate(field, rows)
+        if field.p is not None:
             return cls(field, ambient_dim, reduced, pivots)
-        reduced, pivots = _echelon_int(rows)
         ints = [r if r[c] > 0 else [-x for x in r] for r, c in zip(reduced, pivots)]
         s = cls(field, ambient_dim, [_fractions(r, r[c]) for r, c in zip(ints, pivots)], pivots)
         object.__setattr__(s, "_int_rows", ints)
@@ -814,7 +782,7 @@ class Subspace:
                 for r, ints, c in zip(self.basis, self._rows(), self.pivots)]
 
     def _rows(self):
-        """The basis in kernel form (see `_kernel_row`).
+        """The basis in kernel form (see `_eliminate`).
 
         Over QQ row i is the primitive integer multiple of basis[i], so
         its pivot entry is its denominator; the rows are kept from the
@@ -867,7 +835,7 @@ class Subspace:
             v = tuple(v)
         if (v.dim if isinstance(v, Vec) else len(v)) != self.ambient_dim:
             raise ShapeError("vector dim differs from ambient dimension")
-        return not any(self._reduce(_kernel_row(self.field, v)))
+        return not any(self._reduce(_form(self.field, v)[0]))
 
     def contains(self, other):
         self._match(other)
@@ -942,7 +910,7 @@ class Subspace:
         for row in rows:
             if len(echelon) >= dim:
                 break
-            v = _kernel_row(field, row)
+            v = _form(field, row)[0]
             for c, e in echelon:
                 f = v[c]
                 if f and p is not None:
@@ -988,27 +956,27 @@ def image(m):
     return echelonize(m)
 
 
+def _tagged(field, forms, cols):
+    """`_eliminate` of [A | d*I]: row i is the numerators of forms[i],
+    then for each j in cols its denominator d if j == i, else 0; over QQ
+    that is a positive multiple of the rational row it stands for."""
+    return _eliminate(field, [list(nums) + [d if i == j else 0 for j in cols]
+                              for i, (nums, d) in enumerate(forms)])
+
+
 def kernel(m):
     """Left null space {v : v @ m = 0} of a square matrix."""
     if not m.is_square():
         raise ShapeError("kernel of a non-square matrix")
     n = m.nrows
-    field = m.field
-    rows = [list(nums) + [d if i == j else 0 for j in range(n)]
-            for i, (nums, d) in enumerate(m._forms())]
-    reduced, pivots = _eliminate(field, rows)
+    reduced, pivots = _tagged(m.field, m._forms(), range(n))
     out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
-    return Subspace._of_rows(field, n, out)
+    return Subspace._of_rows(m.field, n, out)
 
 
 def left_kernel_rows(field, rows, ncols):
     """Coefficient rows c with c @ M = 0 for the stack M; may be rectangular."""
-    m = len(rows)
-    if m == 0:
-        return []
-    aug = [list(nums) + [d if i == j else 0 for j in range(m)]
-           for i, (nums, d) in enumerate(_row_forms(field, rows))]
-    reduced, pivots = _eliminate(field, aug)
+    reduced, pivots = _tagged(field, [_form(field, r) for r in rows], range(len(rows)))
     return [tuple(_canonical(field, r, c, ncols)) for r, c in zip(reduced, pivots) if c >= ncols]
 
 
@@ -1114,12 +1082,11 @@ class LinearSolver:
         # The columns of den * M, for a common denominator den of the rows,
         # with a den * identity tag block: over QQ a positive multiple of
         # each row to eliminate, which elimination divides out.
-        forms = _row_forms(field, rows)
+        forms = [_form(field, r) for r in rows]
         den = math.lcm(*[d for _, d in forms])
         scaled = [nums if d == den else [x * (den // d) for x in nums] for nums, d in forms]
-        aug = [[r[j] for r in scaled] + [den if j == k else 0 for k in range(ncols)]
-               for j in range(ncols)]
-        reduced, pivots = _eliminate(field, aug) if aug else ([], [])
+        columns = [([r[j] for r in scaled], den) for j in range(ncols)]
+        reduced, pivots = _tagged(field, columns, range(ncols))
         m = self.nrows
         # Tag blocks of the reduced rows; over QQ each is an integer row
         # that still has to be divided by its row's pivot entry.
@@ -1135,7 +1102,7 @@ class LinearSolver:
         field = self.field
         m = self.nrows
         if field.p is None:
-            nums, den = _int_form(target if isinstance(target, Vec) else entries)
+            nums, den = _form(field, target if isinstance(target, Vec) else entries)
             sums = [sum(map(mul, tag, nums)) for tag in self._tags]
             if any(s for s, piv in zip(sums, self._pivots) if piv >= m):
                 return None

@@ -6,7 +6,7 @@ consecutive pairs, which is length + 1.
 """
 
 from .errors import SeriesError, ShapeError, SingularMatrixError
-from .linalg import Mat, QuotientMap, Subspace, Vec, _images, _kernel_row
+from .linalg import Mat, QuotientMap, Subspace, Vec, _form, _images
 
 __all__ = [
     "Series",
@@ -133,7 +133,7 @@ def validate(field, ambient_dim, subspaces):
 
 def _deepest(members, row, lo, hi):
     """Largest index below hi of a member holding the row, given members[lo]
-    does; the row is in the kernels' form (see `linalg._kernel_row`).
+    does; the row is in the kernels' form (the numerators of `linalg._form`).
 
     The members holding the row form a prefix of the nested chain, so
     binary search finds its end.
@@ -155,7 +155,7 @@ def jump_of(v, s):
     if len(entries) != s.ambient_dim:
         raise ShapeError("vector dim differs from ambient dimension")
     members = s.members
-    row = _kernel_row(s.field, v if isinstance(v, Vec) else entries)
+    row = _form(s.field, v if isinstance(v, Vec) else entries)[0]
     level = _deepest(members, row, 0, len(members))
     if level == len(members) - 1:
         raise SeriesError("vector lies in the zero member")

@@ -574,6 +574,17 @@ def extend_witness(g, s, n):
     g-orbit W, constructs the witness for the induced series inside W,
     and extends it by the identity on a complement of W that splits
     every member of s.  The certificate is verified on all of V.
+
+    The inner series is the canonical coarsening E of g on the members
+    D_i = W & C_i of the coarsening C_0 > ... > C_J = 0 of s; g
+    stabilizes the D_i, as W is g-invariant.  E has at least n jumps:
+    the core vector v_i lies in D_{i-1} and v_i (g - 1) escapes C_{i+1}
+    for i < n - 1, so by induction E_i contains D_i for i <= n - 2, and
+    E_{n-1} holds v_{n-1} (g - 1) != 0.  For n = J it has exactly n, as
+    E_i <= D_i and D_J = 0.  Below J it may have more: D_{n-1} (g - 1)
+    need not vanish, so no subseries of n jumps is stabilized.  Then the
+    inner witness has r at least (n - 2) // k, which the certificate
+    claims.
     """
     nil = _minus_one(g)
     images = _jump_images(g, s, nil)
@@ -588,20 +599,21 @@ def extend_witness(g, s, n):
         )
     field = s.field
     dim = s.ambient_dim
-    core, w = _invariant_core(s, n, _coarsening(s, images), nil)
+    coarse = _coarsening(s, images)
+    _, w = _invariant_core(s, n, coarse, nil)
     # coordinates in w's basis
     qm = QuotientMap(Subspace.zero(field, dim), w)
     try:
         g_w = qm.induced_matrix(g)
         members_w = []
-        for x in core.members:
+        for x in coarse.members:
             sub = qm.project_subspace(x.intersect(w))
             if sub not in members_w:
                 members_w.append(sub)
     except ContainmentError:
         raise WitnessError("core-not-invariant", "core subspace is not invariant") from None
-    series_w = Series(field, w.dim, members_w)
-    if series_w.num_jumps != n:
+    series_w = canonical_coarsening(g_w, Series(field, w.dim, members_w))
+    if series_w.num_jumps < n:
         raise WitnessError("core-lost-jump", "induced series lost a jump")
     inner, chain_basis = _witness_with_basis(g_w, series_w)
     # h is the inner h on W and the identity on a splitting complement

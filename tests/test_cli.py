@@ -254,6 +254,10 @@ def test_non_ascii_or_underscored_numbers_exit_2():
         ("exponent", "field gf 5\ndim ١\nmatrix g\n1\n", "expected 'dim <d>'"),
         ("check-stab", "field gf 5\ndim 1\nseries L 1\nsubspace ²\n", "expected 'subspace <rows>'"),
         ("verify", "field gf 5\ndim 1\ncertificate\nr ²\n", "expected 'r <int>'"),
+        # past Python's 4,300-digit integer string limit
+        ("check-stab", "field gf 5\ndim 1\nseries L 1\nsubspace " + "1" * 5000 + "\n",
+         "expected 'subspace <rows>'"),
+        ("verify", "field gf 5\ndim 1\ncertificate\nr " + "1" * 5000 + "\n", "expected 'r <int>'"),
     ]
     for command, text, message in cases:
         r = cli(command, "-", "--elems", "x", text_input=text)
@@ -331,7 +335,8 @@ def test_integer_options_take_ascii_integers_only(tok, capsys):
 # without a traceback and within FUZZ_SECONDS.  The inputs are arbitrary
 # text, problem files built from the grammar's own tokens, and valid files
 # (some with a certificate) under random edits.  Numbers stay small, so
-# that no input asks for a huge dimension.
+# that no input asks for a huge dimension, except two 5,000-digit tokens
+# past Python's integer string limit, a count and a scalar.
 
 FUZZ_SECONDS = 10
 FUZZ_COMMANDS = {
@@ -353,7 +358,7 @@ TOKENS = [
     "field", "gf", "q", "dim", "matrix", "map", "series", "subspace", "mclain",
     "certificate", "r", "h", "probe", "g", "t", "m", "e", "L", "#", "0", "1",
     "-1", "2", "3", "5", "7", "1/2", "-3/4", "1/0", "0/0", "99", "1_0", "١", "²",
-    "1.5", "+2", "--1", "x",
+    "1.5", "+2", "--1", "x", "9" * 5000, "1/" + "9" * 5000,
 ]
 fuzz_settings = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -302,7 +302,7 @@ def ref_intersect(a, b):
     rows += [list(r) + [z] * n for r in b.basis]
     if not rows:
         return Subspace.zero(a.field, n)
-    reduced, pivots = linalg._echelon(a.field, rows)
+    reduced, pivots = linalg._eliminate(a.field, [linalg._form(a.field, r)[0] for r in rows])
     out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
     return Subspace._span(a.field, n, out)
 

@@ -40,7 +40,7 @@ from flagstab.linalg import (
     Mat,
     Subspace,
     Vec,
-    _kernel_row,
+    _form,
     complement_basis,
 )
 from flagstab.series import in_stabilizer, is_adapted_basis, section_series
@@ -75,7 +75,7 @@ def ref_extend(sub, rows, dim=None):
             break
         if not span.contains_vec(row):
             new.append(row)
-            span = Subspace._of_rows(field, n, [*span._rows(), _kernel_row(field, row)])
+            span = Subspace._of_rows(field, n, [*span._rows(), _form(field, row)[0]])
     return new, span
 
 

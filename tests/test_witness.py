@@ -291,6 +291,43 @@ def test_extend_witness_padded():
         assert verify_witness(g, s, cert)
 
 
+def test_extend_witness_certifies_every_n_up_to_the_jump_count(monkeypatch):
+    """`gen` instances at exponent 2 with n equal to the coarsening's jump
+    count J and one below it, then exponent 3 with every n from k + 3 to
+    J; below J the inner series may have more than n jumps."""
+    import flagstab.witness as witness
+
+    inner_jumps = []
+    real = witness._witness_with_basis
+
+    def spy(g, s):
+        inner_jumps.append(s.num_jumps)
+        return real(g, s)
+
+    monkeypatch.setattr(witness, "_witness_with_basis", spy)
+    cases = [(field, length, 2, pad, seed)
+             for field in (F2, F5, QQ) for length in range(6, 11)
+             for pad in (0, 3) for seed in (0, 1)]
+    cases += [(field, length, 3, pad, seed)
+              for field in (F2, F5, QQ) for length in (7, 8)
+              for pad in (0, 3) for seed in (0, 1)]
+    calls = longer = 0
+    for field, length, k, pad, seed in cases:
+        g, s = witness_instance(random.Random(seed), field, length, k, pad=pad)
+        jumps = canonical_coarsening(g, s).num_jumps
+        for n in (jumps, jumps - 1) if k == 2 else range(k + 3, jumps + 1):
+            inner_jumps.clear()
+            cert = extend_witness(g, s, n)
+            assert verify_witness(g, s, cert)
+            assert cert.r == (n - 2) // k
+            assert inner_jumps[-1] >= n
+            if n == jumps:
+                assert inner_jumps[-1] == n
+            calls += 1
+            longer += inner_jumps[-1] > n
+    assert calls == 180 and longer > 0
+
+
 def test_extend_witness_precondition():
     rng = random.Random(8)
     g, s = witness_instance(rng, F5, 6, 2)
