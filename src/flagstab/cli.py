@@ -15,9 +15,18 @@ Scalars are integers 0..p-1 over GF(p) and `a` or `a/b` over the
 rationals, written with ASCII digits and an optional sign; a name may
 appear once per kind of section, and a file holds at most one
 certificate.  `dim` is at most MAX_DIM (256): each series builds d x d
-matrices, so a short file with a large d would run for minutes.  Reports
-on stdout are stable `key=value` lines; exit code 0 means
-verified/success, 1 a verified negative, 2 an input error.
+matrices, so a short file with a large d would run for minutes.
+
+`parse_problem` does each piece of work once: it parses each distinct
+scalar token of a file once and shares the canonical value, builds the
+parsed objects through the trusted constructors of `linalg` (each row
+already has its width and canonical entries), and checks each series
+once, in `validate`.  An early end of file is reported on the line after
+the last one.
+
+Reports on stdout are stable `key=value` lines; exit code 0 means
+verified/success, 1 a verified negative, 2 an input error (a file that
+is not valid UTF-8 included).
 """
 
 import argparse
@@ -27,7 +36,7 @@ import sys
 
 from .builder import GeneratorSet, McLainElement, mclain_truncate, module_lcs, refine_series
 from .decomposition import SectionAssignment, patch_sections, split_chain
-from .errors import FlagstabError, ParseError, RefinementObstruction, WitnessError
+from .errors import FlagstabError, ParseError, RefinementObstruction, ShapeError, WitnessError
 from .instances import adapted_basis_of, witness_instance, _chain_layout
 from .linalg import GF, QQ, Mat, QuotientMap, Subspace, Vec, image
 from .series import canonical_coarsening, in_stabilizer, validate
@@ -75,18 +84,20 @@ class ProblemFile:
 class _Lines:
     def __init__(self, text):
         self.items = []
-        for i, raw in enumerate(text.splitlines(), start=1):
+        raws = text.splitlines()
+        for i, raw in enumerate(raws, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
                 self.items.append((i, line))
         self.pos = 0
+        self.end = len(raws) + 1  # where an early end of file is reported
 
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else None
 
     def next(self, context):
         if self.pos >= len(self.items):
-            raise ParseError(0, f"unexpected end of file while reading {context}")
+            raise ParseError(self.end, f"unexpected end of file while reading {context}")
         item = self.items[self.pos]
         self.pos += 1
         return item
@@ -116,26 +127,52 @@ def _int(tok):
     return int(tok)
 
 
-def _parse_scalar(field, tok, lineno):
-    try:
-        return field.parse(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(lineno, f"bad scalar {tok!r}") from None
+class _Scalars(dict):
+    """The canonical value of each scalar token of one file.
+
+    `Field.parse` runs once per distinct token; rows share the values,
+    which are immutable.
+    """
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, tok):
+        value = self[tok] = self.field.parse(tok)
+        return value
+
+    def scalar(self, tok, lineno):
+        try:
+            return self[tok]
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(lineno, f"bad scalar {tok!r}") from None
+
+    def row(self, line, lineno, width):
+        """The canonical entries of a row of exactly width scalars."""
+        toks = line.split()
+        if len(toks) != width:
+            raise ParseError(lineno, f"expected {width} entries, got {len(toks)}")
+        try:
+            return [self[t] for t in toks]
+        except (ValueError, ZeroDivisionError):
+            return [self.scalar(t, lineno) for t in toks]
 
 
-def _parse_row(field, line, lineno, width):
-    toks = line.split()
-    if len(toks) != width:
-        raise ParseError(lineno, f"expected {width} entries, got {len(toks)}")
-    return [_parse_scalar(field, t, lineno) for t in toks]
-
-
-def _parse_matrix_rows(lines, field, nrows, ncols, context):
+def _parse_matrix_rows(lines, scalars, nrows, ncols, context):
     rows = []
     for _ in range(nrows):
         lineno, line = lines.next(context)
-        rows.append(_parse_row(field, line, lineno, ncols))
+        rows.append(scalars.row(line, lineno, ncols))
     return rows
+
+
+def _square(field, rows, dim):
+    """The dim x dim matrix of parsed rows; like `Mat(field, rows)`, it
+    needs at least one row to know its width."""
+    if not dim:
+        raise ShapeError("empty matrix needs explicit ncols")
+    return Mat._of(field, rows, dim)
 
 
 def parse_problem(text):
@@ -163,6 +200,7 @@ def parse_problem(text):
         raise ParseError(lineno, f"dim must be at most {MAX_DIM}")
     dim = int(digits)
     pf = ProblemFile(field, dim)
+    scalars = _Scalars(field)
     tables = {"matrix": pf.matrices, "map": pf.maps, "series": pf.series, "mclain": pf.mclain}
     while True:
         item = lines.peek()
@@ -176,8 +214,8 @@ def parse_problem(text):
         if kind == "certificate" and pf.certificate is not None:
             raise ParseError(lineno, "duplicate certificate")
         if kind == "matrix" and len(toks) == 2:
-            rows = _parse_matrix_rows(lines, field, dim, dim, f"matrix {toks[1]}")
-            pf.matrices[toks[1]] = Mat(field, rows)
+            rows = _parse_matrix_rows(lines, scalars, dim, dim, f"matrix {toks[1]}")
+            pf.matrices[toks[1]] = _square(field, rows, dim)
         elif kind == "map" and len(toks) == 4:
             try:
                 r, c = _int(toks[2]), _int(toks[3])
@@ -185,8 +223,8 @@ def parse_problem(text):
                 raise ParseError(lineno, "map needs integer row/col counts") from None
             if r < 0 or c < 0:
                 raise ParseError(lineno, "map row/col counts must not be negative")
-            rows = _parse_matrix_rows(lines, field, r, c, f"map {toks[1]}")
-            pf.maps[toks[1]] = Mat(field, rows, ncols=c)
+            rows = _parse_matrix_rows(lines, scalars, r, c, f"map {toks[1]}")
+            pf.maps[toks[1]] = Mat._of(field, rows, c)
         elif kind == "series" and len(toks) == 3:
             try:
                 m = _int(toks[2])
@@ -201,8 +239,8 @@ def parse_problem(text):
                 nrows = _count(htoks[1]) if len(htoks) == 2 and htoks[0] == "subspace" else None
                 if nrows is None:
                     raise ParseError(l2, "expected 'subspace <rows>'")
-                rows = _parse_matrix_rows(lines, field, nrows, dim, "subspace")
-                subs.append(Subspace.span(field, dim, rows))
+                rows = _parse_matrix_rows(lines, scalars, nrows, dim, "subspace")
+                subs.append(Subspace._span(field, dim, rows))
             try:
                 full = Subspace.full(field, dim)
                 zero = Subspace.zero(field, dim)
@@ -227,7 +265,7 @@ def parse_problem(text):
                     s_idx = QQ.parse(parts[1])
                 except (ValueError, ZeroDivisionError):
                     raise ParseError(l2, "bad rational index") from None
-                coeff = _parse_scalar(field, parts[2], l2)
+                coeff = scalars.scalar(parts[2], l2)
                 terms.append(((r_idx, s_idx), coeff))
             try:
                 pf.mclain[toks[1]] = [McLainElement(field, terms)]
@@ -242,22 +280,23 @@ def parse_problem(text):
             l3, hline = lines.next("certificate h")
             if hline != "h":
                 raise ParseError(l3, "expected 'h'")
-            hrows = _parse_matrix_rows(lines, field, dim, dim, "certificate h")
+            hrows = _parse_matrix_rows(lines, scalars, dim, dim, "certificate h")
             l4, pline = lines.next("certificate probe")
             if pline != "probe":
                 raise ParseError(l4, "expected 'probe'")
             l5, prow = lines.next("probe row")
-            probe = Vec(field, _parse_row(field, prow, l5, dim))
+            probe = Vec._of(field, scalars.row(prow, l5, dim))
             pf.certificate = WitnessCertificate(
-                Mat(field, hrows), r, probe, None, False
+                _square(field, hrows, dim), r, probe, None, False
             )
         else:
             raise ParseError(lineno, f"unknown section {line!r}")
     return pf
 
 
-def _format_matrix_rows(field, rows):
-    return [" ".join(field.format(x) for x in row) for row in rows]
+def _format_matrix_rows(rows):
+    # for a canonical scalar x, str(x) is field.format(x): Fraction prints n or n/d
+    return [" ".join(map(str, row)) for row in rows]
 
 
 def format_problem(pf):
@@ -268,16 +307,16 @@ def format_problem(pf):
     out.append(f"dim {pf.dim}")
     for name, m in pf.matrices.items():
         out.append(f"matrix {name}")
-        out.extend(_format_matrix_rows(field, m.rows))
+        out.extend(_format_matrix_rows(m.rows))
     for name, m in pf.maps.items():
         out.append(f"map {name} {m.nrows} {m.ncols}")
-        out.extend(_format_matrix_rows(field, m.rows))
+        out.extend(_format_matrix_rows(m.rows))
     for name, s in pf.series.items():
         inner = s.members[1:-1]
         out.append(f"series {name} {len(inner)}")
         for member in inner:
             out.append(f"subspace {member.dim}")
-            out.extend(_format_matrix_rows(field, member.basis))
+            out.extend(_format_matrix_rows(member.basis))
     for name, elems in pf.mclain.items():
         for el in elems:
             out.append(f"mclain {name} {len(el.terms)}")
@@ -288,9 +327,9 @@ def format_problem(pf):
         out.append("certificate")
         out.append(f"r {cert.r}")
         out.append("h")
-        out.extend(_format_matrix_rows(field, cert.h.rows))
+        out.extend(_format_matrix_rows(cert.h.rows))
         out.append("probe")
-        out.append(" ".join(field.format(x) for x in cert.probe.entries))
+        out.extend(_format_matrix_rows([cert.probe.entries]))
     return "\n".join(out) + "\n"
 
 
@@ -441,7 +480,7 @@ def run(command, pf, options):
         h = patch_sections(basis, s, SectionAssignment(sections))
         out.append("result=ok")
         out.append("matrix h")
-        out.extend(_format_matrix_rows(field, h.rows))
+        out.extend(_format_matrix_rows(h.rows))
         return out, 0
     if command in ("lcs", "refine"):
         names = (options.gens or "").split(",") if options.gens else []
@@ -563,7 +602,7 @@ def main(argv=None):
         else:
             with open(options.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -3,6 +3,12 @@
 A series here is a strictly descending chain V = V_1 > ... > V_{m+1} = 0.
 Its `length` counts the members other than V and 0; `num_jumps` counts
 consecutive pairs, which is length + 1.
+
+The public `Series(...)` checks that its members descend strictly from V
+to 0, one containment test per consecutive pair.  Members that are
+already known to do so (those `validate` has checked, subsequences of
+a series' members) go through the private `Series._of`, which trusts
+them and keeps only the field and ambient-dimension check.
 """
 
 from .errors import SeriesError, ShapeError, SingularMatrixError
@@ -43,6 +49,12 @@ class Jump:
         return f"Jump(level={self.index}, {self.top.dim}/{self.bottom.dim})"
 
 
+def _check_space(field, ambient_dim, members):
+    for x in members:
+        if x.field != field or x.ambient_dim != ambient_dim:
+            raise SeriesError("member field or ambient dimension differs")
+
+
 class Series:
     """Strictly descending chain of subspaces from V to 0."""
 
@@ -52,9 +64,7 @@ class Series:
         members = tuple(members)
         if not members:
             raise SeriesError("empty series")
-        for x in members:
-            if x.field != field or x.ambient_dim != ambient_dim:
-                raise SeriesError("member field or ambient dimension differs")
+        _check_space(field, ambient_dim, members)
         if not members[0].is_full():
             raise SeriesError("first member must be the full space")
         if not members[-1].is_zero():
@@ -65,6 +75,18 @@ class Series:
         self.field = field
         self.ambient_dim = ambient_dim
         self.members = members
+
+    @classmethod
+    def _of(cls, field, ambient_dim, members):
+        """Trusted constructor for members that descend strictly from V to
+        0; only their field and ambient dimension are checked."""
+        members = tuple(members)
+        _check_space(field, ambient_dim, members)
+        s = object.__new__(cls)
+        s.field = field
+        s.ambient_dim = ambient_dim
+        s.members = members
+        return s
 
     @property
     def length(self):
@@ -110,7 +132,9 @@ def validate(field, ambient_dim, subspaces):
     """Normalize a collection of subspaces into a Series.
 
     Duplicates are removed and members are sorted by dimension; any
-    incomparable pair or a missing endpoint raises SeriesError.
+    incomparable pair or a missing endpoint raises SeriesError.  Each
+    consecutive pair is tested once, here, so the result is built
+    through `Series._of`.
     """
     seen = []
     for x in subspaces:
@@ -128,7 +152,7 @@ def validate(field, ambient_dim, subspaces):
             raise SeriesError(
                 f"incomparable members of dimensions {a.dim} and {b.dim}"
             )
-    return Series(field, ambient_dim, seen)
+    return Series._of(field, ambient_dim, seen)
 
 
 def _deepest(members, row, lo, hi):
@@ -286,7 +310,7 @@ def _coarsening(s, images):
     while j < last:
         j = deepest[j]
         chain.append(members[j])
-    return Series(s.field, s.ambient_dim, chain)
+    return Series._of(s.field, s.ambient_dim, chain)
 
 
 def extend_to_full_flag(s):

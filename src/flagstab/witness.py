@@ -40,6 +40,7 @@ from .errors import (
     NotUnipotentError,
     PreorderError,
     SelectionError,
+    SeriesError,
     ShapeError,
     WitnessError,
 )
@@ -543,7 +544,9 @@ def _invariant_core(s, n, coarse, nil):
     field = s.field
     dim = s.ambient_dim
     zero = Subspace.zero(field, dim)
-    core = Series(field, dim, list(coarse.members[:n]) + [zero])
+    core = Series._of(field, dim, coarse.members[:n] + (zero,))
+    if not core.members[0].is_full():  # n <= 0 can cut V off
+        raise SeriesError("first member must be the full space")
     vs = []
     for i in range(1, n):
         target = core.members[i + 1]

@@ -46,6 +46,46 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_problem("field gf 2\ndim 3\nseries L 2\nsubspace 1\n1 0 0\nsubspace 1\n0 1 0\n")
     assert "series" in str(e.value)
+    # an early end of file is reported on the line after the last one
+    for text, line in [
+        ("field q\ndim 2\nmatrix g\n1 0\n", 5),
+        ("field q\ndim 2\nmatrix g\n1 0", 5),
+        ("field q\ndim 2\nmatrix g\n1 0\n\n# end\n", 7),
+        ("", 1),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_problem(text)
+        assert e.value.line == line and "unexpected end of file" in str(e.value), text
+    r = cli("exponent", "-", text_input="field q\ndim 2\nmatrix g\n1 0\n")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: line 5: unexpected end of file while reading matrix g\n"
+    # a bad token is reported where it first appears, though it repeats
+    with pytest.raises(ParseError) as e:
+        parse_problem("field gf 5\ndim 2\nmatrix g\n1 1_0\n1_0 0\n")
+    assert e.value.line == 4 and "bad scalar '1_0'" in str(e.value)
+
+
+def test_empty_matrix_at_dim_0_exits_2():
+    r = cli("exponent", "-", text_input="field q\ndim 0\nmatrix g\n")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: empty matrix needs explicit ncols\n"
+    # a dim-0 certificate never reaches its empty h: the probe row would be
+    # an empty line, and empty lines are skipped
+    for probe, message in [("\n", "line 8: unexpected end of file while reading probe row"),
+                           ("0\n", "line 7: expected 0 entries, got 1")]:
+        text = "field gf 2\ndim 0\ncertificate\nr 1\nh\nprobe\n" + probe
+        r = cli("verify", "-", text_input=text)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == f"error: {message}\n"
+
+
+def test_undecodable_file_exits_2(tmp_path):
+    f = tmp_path / "p.txt"
+    f.write_bytes(b"\xff\xfe")
+    r = cli("exponent", str(f))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert "can't decode" in r.stderr
 
 
 def test_round_trip_random_files():
@@ -502,3 +542,232 @@ def test_cli_fuzz_edited_certificates(data, field_p, seed):
     text = certified_file(field_p, seed)
     assert run_every_command(text)["verify"] == 0
     run_every_command(data.draw(edited(text)))
+
+
+# -- the parser against a slow reference ----------------------------------------
+#
+# `parse_problem` parses each distinct scalar token of a file once, builds
+# its objects through the trusted constructors and checks each series once.
+# `ref_parse_problem` is the slow reference: one `Field.parse` per token,
+# the coercing public constructors, and every series checked by
+# `validate` and again by `Series(...)`.
+
+
+def ref_parse_problem(text):
+    from flagstab.cli import MAX_DIM, _count, _int, _is_count, _Lines
+    from flagstab.errors import FlagstabError
+    from flagstab.linalg import Subspace
+    from flagstab.series import Series, validate
+
+    def scalar(field, tok, lineno):
+        try:
+            return field.parse(tok)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(lineno, f"bad scalar {tok!r}") from None
+
+    def row(field, line, lineno, width):
+        toks = line.split()
+        if len(toks) != width:
+            raise ParseError(lineno, f"expected {width} entries, got {len(toks)}")
+        return [scalar(field, t, lineno) for t in toks]
+
+    def matrix_rows(lines, field, nrows, ncols, context):
+        out = []
+        for _ in range(nrows):
+            lineno, line = lines.next(context)
+            out.append(row(field, line, lineno, ncols))
+        return out
+
+    lines = _Lines(text)
+    lineno, line = lines.next("field header")
+    toks = line.split()
+    if toks[0] != "field":
+        raise ParseError(lineno, "file must start with a field line")
+    if toks[1:] == ["q"]:
+        field = QQ
+    elif len(toks) == 3 and toks[1] == "gf":
+        try:
+            field = GF(_int(toks[2]))
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    else:
+        raise ParseError(lineno, "field line must be 'field gf <p>' or 'field q'")
+    lineno, line = lines.next("dimension")
+    toks = line.split()
+    if len(toks) != 2 or toks[0] != "dim" or not _is_count(toks[1]):
+        raise ParseError(lineno, "expected 'dim <d>'")
+    digits = toks[1].lstrip("0") or "0"
+    if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
+        raise ParseError(lineno, f"dim must be at most {MAX_DIM}")
+    dim = int(digits)
+    pf = ProblemFile(field, dim)
+    tables = {"matrix": pf.matrices, "map": pf.maps, "series": pf.series, "mclain": pf.mclain}
+    while lines.peek() is not None:
+        lineno, line = lines.next("section")
+        toks = line.split()
+        kind = toks[0]
+        if kind in tables and len(toks) > 1 and toks[1] in tables[kind]:
+            raise ParseError(lineno, f"duplicate {kind} {toks[1]!r}")
+        if kind == "certificate" and pf.certificate is not None:
+            raise ParseError(lineno, "duplicate certificate")
+        if kind == "matrix" and len(toks) == 2:
+            rows = matrix_rows(lines, field, dim, dim, f"matrix {toks[1]}")
+            pf.matrices[toks[1]] = Mat(field, rows)
+        elif kind == "map" and len(toks) == 4:
+            try:
+                r, c = _int(toks[2]), _int(toks[3])
+            except ValueError:
+                raise ParseError(lineno, "map needs integer row/col counts") from None
+            if r < 0 or c < 0:
+                raise ParseError(lineno, "map row/col counts must not be negative")
+            rows = matrix_rows(lines, field, r, c, f"map {toks[1]}")
+            pf.maps[toks[1]] = Mat(field, rows, ncols=c)
+        elif kind == "series" and len(toks) == 3:
+            try:
+                m = _int(toks[2])
+            except ValueError:
+                raise ParseError(lineno, "series needs a block count") from None
+            if m < 0:
+                raise ParseError(lineno, "series block count must not be negative")
+            subs = []
+            for _ in range(m):
+                l2, header = lines.next("subspace header")
+                htoks = header.split()
+                nrows = _count(htoks[1]) if len(htoks) == 2 and htoks[0] == "subspace" else None
+                if nrows is None:
+                    raise ParseError(l2, "expected 'subspace <rows>'")
+                rows = matrix_rows(lines, field, nrows, dim, "subspace")
+                subs.append(Subspace.span(field, dim, rows))
+            try:
+                full = Subspace.full(field, dim)
+                zero = Subspace.zero(field, dim)
+                members = validate(field, dim, subs + [full, zero]).members
+                pf.series[toks[1]] = Series(field, dim, members)
+            except FlagstabError as exc:
+                raise ParseError(lineno, f"invalid series: {exc}") from None
+        elif kind == "mclain" and len(toks) == 3:
+            try:
+                t = _int(toks[2])
+            except ValueError:
+                raise ParseError(lineno, "mclain needs a term count") from None
+            if t < 0:
+                raise ParseError(lineno, "mclain term count must not be negative")
+            terms = []
+            for _ in range(t):
+                l2, line2 = lines.next("mclain term")
+                parts = line2.split()
+                if len(parts) != 3:
+                    raise ParseError(l2, "mclain term is 'r s coeff'")
+                try:
+                    r_idx = QQ.parse(parts[0])
+                    s_idx = QQ.parse(parts[1])
+                except (ValueError, ZeroDivisionError):
+                    raise ParseError(l2, "bad rational index") from None
+                terms.append(((r_idx, s_idx), scalar(field, parts[2], l2)))
+            try:
+                pf.mclain[toks[1]] = [McLainElement(field, terms)]
+            except FlagstabError as exc:
+                raise ParseError(lineno, str(exc)) from None
+        elif kind == "certificate" and len(toks) == 1:
+            l2, rline = lines.next("certificate r")
+            rtoks = rline.split()
+            r = _count(rtoks[1]) if len(rtoks) == 2 and rtoks[0] == "r" else None
+            if r is None:
+                raise ParseError(l2, "expected 'r <int>'")
+            l3, hline = lines.next("certificate h")
+            if hline != "h":
+                raise ParseError(l3, "expected 'h'")
+            hrows = matrix_rows(lines, field, dim, dim, "certificate h")
+            l4, pline = lines.next("certificate probe")
+            if pline != "probe":
+                raise ParseError(l4, "expected 'probe'")
+            l5, prow = lines.next("probe row")
+            probe = Vec(field, row(field, prow, l5, dim))
+            pf.certificate = WitnessCertificate(Mat(field, hrows), r, probe, None, False)
+        else:
+            raise ParseError(lineno, f"unknown section {line!r}")
+    return pf
+
+
+# Valid tokens repeat within a file and include aliases (7, -3, +2 are 2
+# in GF(5)); each bad token may appear on several lines.
+DIFF_TOKENS = {
+    2: ["0", "1", "1", "0", "3", "-1", "+2", "01"],
+    5: ["0", "1", "2", "4", "7", "-3", "2", "+2", "12", "-0"],
+    None: ["0", "1", "-1", "1/2", "2/4", "-3/6", "+2", "7", "0/5", "3/-4", "1"],
+}
+BAD_TOKENS = ["1_0", "1/0", "١", "1.5", "x"]
+
+
+@st.composite
+def parser_files(draw):
+    """Problem-file text over GF(2), GF(5) or QQ, mostly well formed."""
+    field_p = draw(st.sampled_from([2, 5, None]))
+    n = draw(st.sampled_from([0, 1, 2, 2, 3, 3]))
+    bad = draw(st.sampled_from(BAD_TOKENS))
+    pool = DIFF_TOKENS[field_p] + ([bad] if draw(st.integers(0, 3)) == 0 else [])
+    tok = st.sampled_from(pool)
+
+    def rows(nrows, width):
+        out = []
+        for _ in range(nrows):
+            w = width + (1 if draw(st.integers(0, 30)) == 0 else 0)
+            out.append(" ".join(draw(tok) for _ in range(w)))
+        return out
+
+    lines = ["field q" if field_p is None else f"field gf {field_p}", f"dim {n}"]
+    for kind in draw(st.lists(st.sampled_from(["matrix", "map", "series", "mclain", "cert"]),
+                              max_size=4)):
+        name = draw(st.sampled_from(["g", "t"]))
+        if kind == "matrix":
+            lines += [f"matrix {name}"] + rows(n, n)
+        elif kind == "map":
+            r, c = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+            lines += [f"map {name} {r} {c}"] + rows(r, c)
+        elif kind == "series":
+            dims = draw(st.lists(st.integers(0, n), max_size=3))
+            lines.append(f"series {name} {len(dims)}")
+            for d in dims:
+                lines += [f"subspace {d}"] + rows(d, n)
+        elif kind == "mclain":
+            t = draw(st.integers(0, 2))
+            lines.append(f"mclain {name} {t}")
+            for i in range(t):
+                upper = draw(st.sampled_from([f"{i + 1}", f"{2 * i + 1}/2", f"{i + 2}"]))
+                lines.append(f"{i} {upper} {draw(tok)}")
+        else:
+            lines += ["certificate", f"r {draw(st.integers(0, 3))}", "h"] + rows(n, n)
+            lines += ["probe"] + rows(1, n)
+    if draw(st.integers(0, 4)) == 0:
+        lines = lines[: draw(st.integers(1, len(lines)))]
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text):
+    from flagstab.errors import FlagstabError
+
+    try:
+        pf = parse(text)
+    except FlagstabError as exc:
+        return type(exc), str(exc)
+    return pf, format_problem(pf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parser_files())
+def test_parser_matches_reference(text):
+    got, want = parse_outcome(parse_problem, text), parse_outcome(ref_parse_problem, text)
+    assert got == want, text
+    if isinstance(got[0], ProblemFile):
+        pf = got[0]
+        for m in [*pf.matrices.values(), *pf.maps.values()]:
+            assert all(pf.field.coerce(x) == x and type(x) is type(pf.field.zero)
+                       for r in m.rows for x in r)
+
+
+@given(st.sampled_from([2, 5, None]), st.integers(-10**6, 10**6), st.integers(1, 10**4))
+def test_field_format_is_str_of_canonical_scalars(field_p, a, b):
+    field = QQ if field_p is None else GF(field_p)
+    x = field.coerce(a) if field_p is not None else Fraction(a, b)
+    assert field.format(x) == str(x)
+    assert field.parse(str(x)) == x

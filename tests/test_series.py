@@ -62,6 +62,38 @@ def test_validate_examples():
         validate(F5, 3, [v2, z])  # missing full space
 
 
+def test_validate_contract():
+    """Each SeriesError of validate with its message; a result equal to the
+    public constructor's, which checks every pair again."""
+    v, z = Subspace.full(F5, 3), Subspace.zero(F5, 3)
+    a = Subspace.span(F5, 3, [[1, 0, 0]])
+    b = Subspace.span(F5, 3, [[0, 1, 0]])
+    ab = Subspace.span(F5, 3, [[1, 0, 0], [0, 1, 0]])
+    bc = Subspace.span(F5, 3, [[0, 1, 0], [0, 0, 1]])
+    cases = [
+        ([], "the full space is missing"),
+        ([a, z], "the full space is missing"),
+        ([v, a], "the zero subspace is missing"),
+        ([v, a, b, z], "incomparable members of equal dimension"),
+        ([v, bc, a, z], "incomparable members of dimensions 2 and 1"),
+    ]
+    for members, message in cases:
+        with pytest.raises(SeriesError, match=f"^{message}$"):
+            validate(F5, 3, members)
+    # well-formed chains of another ambient dimension or field pass the
+    # chain checks; the check `Series._of` keeps catches them
+    differs = "^member field or ambient dimension differs$"
+    with pytest.raises(SeriesError, match=differs):
+        validate(F5, 3, [Subspace.full(F5, 4), Subspace.zero(F5, 4)])
+    with pytest.raises(SeriesError, match=differs):
+        validate(F2, 3, [v, z])
+    with pytest.raises(SeriesError, match=differs):
+        Series._of(F5, 4, [v, ab, z])
+    s = validate(F5, 3, [z, a, v, ab, a])
+    assert s == Series(F5, 3, [v, ab, a, z])
+    assert s.members == (v, ab, a, z)
+
+
 def test_jump_of_examples():
     s = full_flag(F5, 3)
     j = jump_of(Vec(F5, [0, 0, 1]), s)

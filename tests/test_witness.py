@@ -336,6 +336,22 @@ def test_extend_witness_precondition():
     assert e.value.reason == "coarsenable"
 
 
+def test_invariant_core_series_passes_the_public_checks():
+    """The core series is built without re-checking its members; each one
+    must still pass `Series(...)`, and n = 0, which leaves V out, raises."""
+    from flagstab.errors import SeriesError
+    from flagstab.witness import invariant_core
+
+    rng = random.Random(9)
+    for field in (F2, F5, QQ):
+        g, s = witness_instance(rng, field, 6, 2, pad=2)
+        for n in range(1, canonical_coarsening(g, s).num_jumps + 1):
+            core, _ = invariant_core(g, s, n)
+            assert core == Series(field, s.ambient_dim, core.members) and core.num_jumps == n
+        with pytest.raises(SeriesError, match="first member must be the full space"):
+            invariant_core(g, s, 0)
+
+
 def test_unverified_witness_raises(monkeypatch):
     import flagstab.witness as witness
 
