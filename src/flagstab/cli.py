@@ -300,7 +300,12 @@ def _format_matrix_rows(rows):
 
 
 def format_problem(pf):
-    """Canonical text of a problem file; parse(format(x)) == x."""
+    """Canonical text of a problem file; parse(format(x)) == x, so what
+    the reader rejects raises ShapeError: a matrix or certificate at dim 0,
+    and rows without entries (empty lines, which it skips)."""
+    if not pf.dim and (pf.matrices or pf.certificate) or any(
+            m.nrows and not m.ncols for m in pf.maps.values()):
+        raise ShapeError("a matrix at dim 0 or a row without entries has no text form")
     field = pf.field
     out = []
     out.append(f"field gf {field.p}" if field.is_prime_field else "field q")

@@ -390,7 +390,8 @@ def _int_times(forms, m):
 
 
 def _row_times(field, row, rows, ncols):
-    """The row times the matrix with these rows, over GF(p)."""
+    """The row times the matrix with these rows, all of ints: over GF(p)
+    reduced mod p, over QQ an integer row."""
     p = field.p
     out = [0] * ncols
     for x, mrow in zip(row, rows):
@@ -399,15 +400,15 @@ def _row_times(field, row, rows, ncols):
         for j, y in enumerate(mrow):
             if y != 0:
                 out[j] += x * y
-    return [x % p for x in out]
+    return out if p is None else [x % p for x in out]
 
 
-def _images(field, rows, m):
-    """Rows r @ m for rows in kernel form (the numerators of `_form`), in
-    kernel form."""
+def _images(field, forms, m):
+    """r @ m for rows r given as (numerators, denominator), in the same
+    form: in lowest terms over QQ, over 1 over GF(p)."""
     if field.p is None:
-        return [nums for nums, _ in _int_times([(r, 1) for r in rows], m)]
-    return [_row_times(field, r, m.rows, m.ncols) for r in rows]
+        return _int_times(forms, m)
+    return [(_row_times(field, r, m.rows, m.ncols), 1) for r, _ in forms]
 
 
 class Mat:
@@ -898,8 +899,9 @@ class Subspace:
         """(new, span): the rows, in order, that lie outside the span of
         this subspace and the rows before them, and the span they complete.
 
-        Rows are `Vec`s or canonical tuples; `new` holds them as given.
-        Stops once the span reaches dimension dim (default: the ambient one).
+        Rows are `Vec`s or canonical tuples, in any iterable; `new` holds
+        them as given.  Once the span reaches dimension dim (default: the
+        ambient one) it stops, without drawing another row.
         """
         dim = self.ambient_dim if dim is None else dim
         field, p = self.field, self.field.p
@@ -907,9 +909,7 @@ class Subspace:
         # its pivot and at earlier pivots: one pass clears a new row's pivots
         echelon = list(zip(self.pivots, self._rows()))
         new, residues = [], []
-        for row in rows:
-            if len(echelon) >= dim:
-                break
+        for row in rows if len(echelon) < dim else ():
             v = _form(field, row)[0]
             for c, e in echelon:
                 f = v[c]
@@ -930,6 +930,8 @@ class Subspace:
             echelon.append((c, v))
             new.append(row)
             residues.append(v)
+            if len(echelon) >= dim:
+                break
         if not new:
             return new, self
         return new, Subspace._of_rows(field, self.ambient_dim, [*self._rows(), *residues])
@@ -938,7 +940,8 @@ class Subspace:
         """Image of this subspace under the row action of m."""
         if m.nrows != self.ambient_dim:
             raise ShapeError("matrix height differs from ambient dimension")
-        return Subspace._of_rows(self.field, m.ncols, _images(self.field, self._rows(), m))
+        images = _images(self.field, [(r, 1) for r in self._rows()], m)
+        return Subspace._of_rows(self.field, m.ncols, [nums for nums, _ in images])
 
     def __repr__(self):
         fmt = self.field.format

@@ -247,8 +247,16 @@ def _minus_one(g):
     return g - Mat.identity(g.field, g.nrows)
 
 
+def _adapted_rows(s):
+    """The `_complement_rows` of every jump, top jump first: a basis of V in
+    which member V_i is spanned by the rows from dim V - dim V_i on."""
+    m = s.members
+    return [r for i in range(1, len(m)) for r in _complement_rows(m[i], m[i - 1])]
+
+
 def _jump_images(g, s, nil):
-    """For each level i, the complement rows of V_{i-1} over V_i times nil = g - 1.
+    """For each level i, the complement rows of V_{i-1} over V_i times nil = g - 1,
+    as (numerators, denominator).
 
     Returns None when some image leaves V_i, i.e. when g is not in the
     stabilizer; with the rows of V_i these rows span V_{i-1}, so that
@@ -261,8 +269,8 @@ def _jump_images(g, s, nil):
     images = []
     for i in range(1, len(members)):
         rows = _complement_rows(members[i], members[i - 1])
-        imgs = _images(s.field, rows, nil)
-        if any(any(members[i]._reduce(v)) for v in imgs):
+        imgs = _images(s.field, [(r, 1) for r in rows], nil)
+        if any(any(members[i]._reduce(v)) for v, _ in imgs):
             if not g.is_invertible():
                 raise SingularMatrixError("stabilizer membership needs an invertible matrix")
             return None
@@ -302,7 +310,7 @@ def _coarsening(s, images):
     deepest = [last] * len(members)
     for i in range(last, 0, -1):
         depth = deepest[i]
-        for v in images[i - 1]:
+        for v, _ in images[i - 1]:
             depth = _deepest(members, v, i, depth + 1)
         deepest[i - 1] = depth
     chain = [members[0]]

@@ -2,10 +2,17 @@
 
 All computations run the kernel-chain pullback, so they are exact over
 any supported field and deterministic through pivot-order choices.
+
+Kernel chains are taken in a basis, the rows of an invertible A: one
+elimination of [A nil^h | I] gives the coefficient rows x, in reduced
+echelon form, of the kernel {x A} of nil^h.  Its elements x A with x zero
+before index t are then spanned by the rows x with pivot t or later: in a
+basis adapted to a series (members spanned by tails of A, as the identity
+is to V > 0), its meets with the members.
 """
 
 from .errors import ContainmentError, NotUnipotentError, ShapeError
-from .linalg import Mat, Subspace, kernel
+from .linalg import Mat, Subspace, _images, _row_times, _tagged
 
 __all__ = [
     "unipotent_exponent",
@@ -54,24 +61,38 @@ def kernel_chain(g):
     """Full chain of kernels of powers of g-1 for unipotent g."""
     if not g.is_square():
         raise ShapeError("exponent of a non-square matrix")
-    return KernelChain(g, _kernel_chain(g - Mat.identity(g.field, g.nrows)))
+    nil, n = g - Mat.identity(g.field, g.nrows), g.nrows
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    return KernelChain(g, _kernel_chain(nil, ident, nil._forms())[0])
 
 
-def _kernel_chain(nil):
+def _kernel_chain(nil, basis, forms):
     """Kernels of nil, nil^2, ... up to the first that is everything (by
-    the n-th for nilpotent nil); its length is the exponent of 1 + nil."""
-    chain = []
-    power = nil
-    for _ in range(nil.nrows):
-        chain.append(kernel(power))
-        if chain[-1].is_full():
+    the n-th for nilpotent nil); its length is the exponent of 1 + nil.
+
+    Taken in the basis of rows `basis` in kernel form (module docstring),
+    given forms = the basis rows times nil as (numerators, denominator).
+    Returns (kernels, rows): rows[h - 1] lists (pivot of x, x A) for the
+    echelon coefficient rows x of the h-th kernel, or is None when that
+    kernel is everything.
+    """
+    field, n = nil.field, nil.nrows
+    kernels, rows = [], []
+    for _ in range(n):
+        if not any(any(nums) for nums, _ in forms):
+            kernels.append(Subspace.full(field, n))
+            rows.append(None)
             break
-        power = power @ nil
-    if chain and not chain[-1].is_full():
+        reduced, pivots = _tagged(field, forms, range(n))
+        rows.append([(c - n, _row_times(field, r[n:], basis, n))
+                     for r, c in zip(reduced, pivots) if c >= n])
+        kernels.append(Subspace._of_rows(field, n, [y for _, y in rows[-1]]))
+        forms = _images(field, forms, nil)
+    if kernels and not kernels[-1].is_full():
         raise NotUnipotentError("matrix is not unipotent")
-    if any(not (b.contains(a) and a.dim < b.dim) for a, b in zip(chain, chain[1:])):
+    if any(not (b.contains(a) and a.dim < b.dim) for a, b in zip(kernels, kernels[1:])):
         raise NotUnipotentError("kernel chain does not strictly ascend")
-    return chain
+    return kernels, rows
 
 
 class JordanData:
@@ -133,7 +154,7 @@ def jordan_chains(g, candidate_order=None):
 
 
 def _jordan_chains(nil, kc, candidates):
-    """`jordan_chains` of g = 1 + nil from its `_kernel_chain` kc, taking
+    """`jordan_chains` of g = 1 + nil from the kernels kc of its chain, taking
     each height's candidates(height, kernel), all inside that kernel."""
     field = nil.field
     n = nil.nrows

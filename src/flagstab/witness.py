@@ -18,9 +18,12 @@ matrix J (2 - C) J C - 1 (C^-1 = 2 - C, as (C - 1)^2 = 0).
 `verify_witness` re-checks the result in the original coordinates.
 
 Each fact about (g, s) is computed once and passed down: nil = g - 1, its
-jump images (the stabilizer test and the coarsening), its kernel chain
-(the exponent, and the Jordan chains' pullback) and the chain vectors'
-levels (the last straightening pass).  `build_h` reuses its h - 1.
+jump images (the stabilizer test, the coarsening, and A nil for the basis
+A of the jumps' complement rows, adapted to s), its kernel chain in the
+basis A (the exponent, the Jordan chains' pullback, and each kernel's
+meets with the members, read off its echelon form as in `unipotent`) and
+the chain vectors' levels (the last straightening pass and its check).
+`build_h` reuses its h - 1.
 
 `extend_witness` builds the witness for the induced series on a
 g-invariant core W and extends it by the identity on a complement that
@@ -44,11 +47,11 @@ from .errors import (
     ShapeError,
     WitnessError,
 )
-from .linalg import Mat, QuotientMap, Subspace, Vec, left_kernel_rows
-from .series import Series, _coarsening, _jump_images, _minus_one, canonical_coarsening
-from .series import in_stabilizer, is_adapted_basis
+from .linalg import Mat, QuotientMap, Subspace, Vec, _images, echelonize, left_kernel_rows
+from .series import Series, _adapted_rows, _coarsening, _jump_images, _minus_one
+from .series import canonical_coarsening
 from .series import level_of as level
-from .unipotent import _jordan_chains, _kernel_chain, jordan_chains, unipotent_exponent
+from .unipotent import _jordan_chains, _kernel_chain, kernel_chain, unipotent_exponent
 
 __all__ = [
     "PreorderedBasis",
@@ -269,24 +272,37 @@ def _apply_chain_move(chains, support, field):
     chains[ci] = target
 
 
-def _deep_first(s):
-    """`jordan_chains` candidates: each kernel's meets with s, deepest first."""
+def _member_meets(s, rows):
+    """`_jordan_chains` candidates from the rows of a `_kernel_chain` in the
+    basis `_adapted_rows(s)`: the canonical bases of each kernel's meets
+    with the members, deepest first, each vector once.  The meet with V_i
+    is spanned by the rows whose pivot is dim V - dim V_i or later; it is
+    built when that count grows, and only as far as candidates are drawn."""
+    field, dim = s.field, s.ambient_dim
 
-    def order(height, target):
-        cands = []
+    def candidates(height, kernel):
+        kernel_rows = rows[height - 1]
         seen = set()
+        taken = 0
         for member in reversed(s.members):
-            inter = target.intersect(member)
+            if kernel_rows is None:
+                meet = member
+            else:
+                count = sum(c >= dim - member.dim for c, _ in kernel_rows)
+                if count == taken:
+                    continue
+                taken = count
+                meet = kernel if count == len(kernel_rows) else Subspace._of_rows(
+                    field, dim, [y for _, y in kernel_rows[-count:]])
             # a basis row is known by its kernel row, which over QQ is
             # integers and cheaper to hash than the Fractions
-            for row, v in zip(inter._rows(), inter.basis_vecs()):
+            for row, v in zip(meet._rows(), meet.basis_vecs()):
                 key = tuple(row)
                 if key not in seen:
                     seen.add(key)
-                    cands.append(v)
-        return cands
+                    yield v
 
-    return order
+    return candidates
 
 
 def adapted_jordan_chains(g, s):
@@ -296,7 +312,15 @@ def adapted_jordan_chains(g, s):
     dependencies are absorbed by coherent chain moves.  Raises
     AdaptationError if no adapted system is reached.
     """
-    return straighten_chains(jordan_chains(g, _deep_first(s)), g, s)
+    if not g.is_square():
+        raise ShapeError("exponent of a non-square matrix")
+    if g.field != s.field or g.nrows != s.ambient_dim:
+        kernel_chain(g)  # a g that is not unipotent is reported first
+        Subspace.zero(g.field, g.nrows)._match(s.members[0])
+    nil = g - Mat.identity(g.field, g.nrows)
+    basis = _adapted_rows(s)
+    kernels, rows = _kernel_chain(nil, basis, _images(s.field, [(r, 1) for r in basis], nil))
+    return _straighten(_jordan_chains(nil, kernels, _member_meets(s, rows)), s, nil)[0]
 
 
 def straighten_chains(chains, g, s):
@@ -315,8 +339,7 @@ def _straighten(chains, s, nil):
         _apply_chain_move(chains, dep, s.field)
     else:
         raise AdaptationError("level straightening did not converge")
-    vecs = [v for chain in chains for v in chain]
-    if not is_adapted_basis(vecs, s):
+    if not _fills_jumps(levels, s):
         raise AdaptationError("chains failed the adapted-basis check")
     for chain in chains:
         for a, b in zip(chain, chain[1:]):
@@ -325,6 +348,15 @@ def _straighten(chains, s, nil):
         if not (chain[-1] @ nil).is_zero():
             raise AdaptationError("straightened chain does not end in the kernel")
     return chains, levels
+
+
+def _fills_jumps(levels, s):
+    """Whether each jump of s holds as many levels as its dimension: with no
+    level dependency, each level's vectors are then a basis of their jump,
+    which is `is_adapted_basis`."""
+    m = s.members
+    jumps = [i for i in range(1, len(m)) for _ in range(m[i - 1].dim - m[i].dim)]
+    return sorted(lvl for lvls in levels for lvl in lvls) == jumps
 
 
 def _preordered_basis_from_chains(levels, n):
@@ -447,10 +479,10 @@ def _witness_with_basis(g, s):
         raise WitnessError("not-in-stabilizer", "g does not stabilize the series")
     n = s.num_jumps
     try:
-        kc = _kernel_chain(nil)
+        kernels, rows = _kernel_chain(nil, _adapted_rows(s), [f for imgs in images for f in imgs])
     except NotUnipotentError:
         raise WitnessError("not-unipotent", "a stabilizer element is not unipotent") from None
-    k = len(kc)
+    k = len(kernels)
     coarse = _coarsening(s, images)
     if len(coarse.members) < len(s.members):
         raise WitnessError("coarsenable", "g stabilizes a proper subseries")
@@ -458,7 +490,7 @@ def _witness_with_basis(g, s):
         raise WitnessError(
             "exponent-too-large", f"exponent {k} is not below n-2 = {n - 2}"
         )
-    chains, levels = _straighten(_jordan_chains(nil, kc, _deep_first(s)), s, nil)
+    chains, levels = _straighten(_jordan_chains(nil, kernels, _member_meets(s, rows)), s, nil)
     sel = select_pairs(_preordered_basis_from_chains(levels, n))
     basis = [v for chain in chains for v in chain]
     for x, y, _ in sel.pairs:
@@ -480,19 +512,20 @@ def _witness_with_basis(g, s):
 def verify_witness(g, s, cert):
     """Re-check a certificate by direct exact arithmetic.
 
-    Once (h - 1)^2 = 0 is checked, h^-1 = 2 - h, and the probe is pushed
-    through m = g g^h - 1 one vector product at a time.  The left kernels
-    of the powers of an n x n matrix stop growing by the n-th power, so
-    v m^(r-1) != 0 exactly when v m^min(r-1, n) != 0.
+    (h - 1)^2 = 0 holds when h - 1 kills its own row space, so it is
+    checked on an echelon basis of the rows of h - 1.  Then h^-1 = 2 - h,
+    and the probe is pushed through m = g g^h - 1 one vector product at a
+    time.  The left kernels of the powers of an n x n matrix stop growing
+    by the n-th power, so v m^(r-1) != 0 exactly when v m^min(r-1, n) != 0.
     """
     ident = Mat.identity(g.field, g.nrows)
     try:
-        if not in_stabilizer(cert.h, s):
+        nil = _minus_one(cert.h)
+        if _jump_images(cert.h, s, nil) is None:
             return False
     except FlagstabError:
         return False
-    nil = cert.h - ident
-    if not (nil @ nil).is_zero():
+    if not _square_zero(nil):
         return False
     if cert.r < 1 or cert.probe.is_zero():
         return False
@@ -507,6 +540,11 @@ def verify_witness(g, s, cert):
         if v.is_zero():
             return False
     return True
+
+
+def _square_zero(m):
+    """Whether m @ m = 0: m kills its row space, or an echelon basis of it."""
+    return echelonize(m).apply(m).is_zero()
 
 
 def _series_split_complement(w, s):

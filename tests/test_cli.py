@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from flagstab.builder import McLainElement
 from flagstab.cli import ProblemFile, format_problem, main, parse_problem
-from flagstab.errors import ParseError
+from flagstab.errors import ParseError, ShapeError
 from flagstab.instances import random_series, random_stabilizer_element, witness_instance
 from flagstab.linalg import GF, QQ, Mat, Vec
 from flagstab.witness import WitnessCertificate, construct_witness
@@ -77,6 +77,32 @@ def test_empty_matrix_at_dim_0_exits_2():
         r = cli("verify", "-", text_input=text)
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr == f"error: {message}\n"
+
+
+def test_format_rejects_what_the_reader_rejects():
+    # the reader rejects a matrix or certificate at dim 0 and skips the
+    # empty lines of rows without entries, so the writer raises for them
+    for field in (GF(2), QQ):
+        pf = ProblemFile(field, 0)
+        assert parse_problem(format_problem(pf)) == pf
+        pf.maps["f"] = Mat.zero(field, 0, 3)
+        assert parse_problem(format_problem(pf)) == pf
+        bad = []
+        for fill in ("matrix", "certificate", "map"):
+            pf = ProblemFile(field, 0)
+            if fill == "matrix":
+                pf.matrices["g"] = Mat.identity(field, 0)
+            elif fill == "certificate":
+                h = Mat.identity(field, 0)
+                pf.certificate = WitnessCertificate(h, 1, Vec(field, []), None, False)
+            else:
+                pf.maps["f"] = Mat.zero(field, 3, 0)
+            bad.append(pf)
+        for pf in bad:
+            with pytest.raises(ShapeError):
+                format_problem(pf)
+    with pytest.raises(ShapeError, match="empty matrix needs explicit ncols"):
+        parse_problem("field gf 2\ndim 0\nmatrix g\n")
 
 
 def test_undecodable_file_exits_2(tmp_path):

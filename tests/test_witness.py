@@ -15,10 +15,11 @@ from flagstab.instances import (
     random_invertible,
     random_preordered_basis,
     random_scalar,
+    random_series,
     random_stabilizer_element,
     witness_instance,
 )
-from flagstab.linalg import GF, QQ, Mat, Subspace, Vec
+from flagstab.linalg import GF, QQ, Mat, Subspace, Vec, kernel
 from flagstab.series import Series, canonical_coarsening, in_stabilizer, is_adapted_basis
 from flagstab.witness import (
     PairSelection,
@@ -424,10 +425,10 @@ def test_verify_witness_propagates_foreign_errors(monkeypatch):
     g, s = witness_instance(rng, F5, 7, 2)
     cert = construct_witness(g, s)
 
-    def broken(h, s):
+    def broken(h, s, nil):
         raise RuntimeError("not a library error")
 
-    monkeypatch.setattr(witness, "in_stabilizer", broken)
+    monkeypatch.setattr(witness, "_jump_images", broken)
     with pytest.raises(RuntimeError):
         verify_witness(g, s, cert)
 
@@ -436,7 +437,7 @@ def test_construct_witness_raises_on_broken_internal_steps(monkeypatch):
     import flagstab.witness as witness
     from flagstab.errors import NotUnipotentError
 
-    def not_unipotent(nil):
+    def not_unipotent(nil, basis, images):
         raise NotUnipotentError("matrix is not unipotent")
 
     rng = random.Random(12)
@@ -666,3 +667,161 @@ def test_build_h_square_zero_index_test():
             assert e.value.reason == "h-square"
         with pytest.raises(SelectionError):
             build_h(PairSelection([(0, 1, 0), (len(basis), 2, 1)]), basis, s)
+
+
+# The candidate order and kernel chain before kernels were taken in the
+# series' adapted basis: each kernel of a power of g - 1 through `kernel`,
+# intersected with every member by the Zassenhaus `intersect`, deepest
+# member first.
+
+
+def ref_kernel_chain(g):
+    nil = g - Mat.identity(g.field, g.nrows)
+    chain, power = [], nil
+    for _ in range(g.nrows):
+        chain.append(kernel(power))
+        if chain[-1].is_full():
+            break
+        power = power @ nil
+    return chain
+
+
+def ref_deep_first(s):
+    def order(height, target):
+        cands, seen = [], set()
+        for member in reversed(s.members):
+            inter = target.intersect(member)
+            for row, v in zip(inter._rows(), inter.basis_vecs()):
+                if tuple(row) not in seen:
+                    seen.add(tuple(row))
+                    cands.append(v)
+        return cands
+
+    return order
+
+
+def adapted_kernel_chain(g, s):
+    from flagstab.linalg import _images
+    from flagstab.series import _adapted_rows
+    from flagstab.unipotent import _kernel_chain
+
+    nil = g - Mat.identity(g.field, g.nrows)
+    basis = _adapted_rows(s)
+    return _kernel_chain(nil, basis, _images(s.field, [(r, 1) for r in basis], nil))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([F2, F5, QQ]),
+    st.integers(2, 4),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_adapted_kernel_chain_and_candidates_match_reference(field, k, scrambled, seed):
+    from flagstab.unipotent import jordan_chains
+    from flagstab.witness import _member_meets, straighten_chains
+
+    rng = random.Random(seed)
+    if scrambled:
+        n = rng.randint(k + 3, k + 5)
+        g, s = witness_instance(rng, field, n, k, pad=rng.randint(0, 2), scramble=True)
+    else:
+        # at most k jumps, so the exponent is at most k <= 4
+        dim = rng.randint(2, 9)
+        s = random_series(rng, field, dim, rng.randint(0, min(k - 1, dim - 1)))
+        g = random_stabilizer_element(rng, s, sparsity=rng.choice([None, 1, 3]))
+    kernels, rows = adapted_kernel_chain(g, s)
+    ref = ref_kernel_chain(g)
+    assert kernels == ref and [x._rows() for x in kernels] == [x._rows() for x in ref]
+    candidates, order = _member_meets(s, rows), ref_deep_first(s)
+    for height, target in enumerate(kernels, 1):
+        assert list(candidates(height, target)) == order(height, target)
+    want = outcome(lambda: straighten_chains(jordan_chains(g, order), g, s))
+    assert outcome(adapted_jordan_chains, g, s) == want
+
+
+def test_adapted_kernel_chain_rejects_non_unipotent():
+    from flagstab.errors import FieldMismatchError, NotUnipotentError
+    from flagstab.unipotent import kernel_chain
+
+    rng = random.Random(14)
+    for field in (F2, F5, QQ):
+        s = random_series(rng, field, 5, 2)
+        for g in (random_invertible(rng, field, 5), Mat.identity(field, 5).scale(2)):
+            if field is F2 and g.is_identity():
+                continue
+            for fn in (adapted_kernel_chain, adapted_jordan_chains):
+                with pytest.raises(NotUnipotentError):
+                    fn(g, s)
+            with pytest.raises(NotUnipotentError):
+                kernel_chain(g)
+        # the errors adapted_jordan_chains raised when it intersected each
+        # kernel with the members, in the same order
+        with pytest.raises(NotUnipotentError):
+            adapted_jordan_chains(random_invertible(rng, field, 6), s)
+        with pytest.raises(ShapeError, match="ambient dimensions differ"):
+            adapted_jordan_chains(Mat.identity(field, 6), s)
+        with pytest.raises(ShapeError, match="non-square"):
+            adapted_jordan_chains(Mat.zero(field, 5, 6), s)
+        other = QQ if field is not QQ else F5
+        with pytest.raises(FieldMismatchError):
+            adapted_jordan_chains(Mat.identity(other, 5), s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F5, QQ]), st.integers(1, 8), st.integers(0, 2**32))
+def test_square_zero_test_matches_dense_product(field, n, seed):
+    from flagstab.unipotent import jordan_matrix
+    from flagstab.witness import _square_zero
+
+    rng = random.Random(seed)
+    p = random_invertible(rng, field, n)
+    ident = Mat.identity(field, n)
+    nilpotents = []
+    for index in (2, 3):
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(rng.randint(1, index), n - sum(sizes)))
+        nilpotents.append(p.inverse() @ (jordan_matrix(field, sizes) - ident) @ p)
+    rand = Mat(field, [[random_scalar(rng, field) for _ in range(n)] for _ in range(n)])
+    for m in nilpotents + [rand, Mat.zero(field, n, n), ident]:
+        assert _square_zero(m) == (m @ m).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F5, QQ]), st.booleans(), st.integers(0, 2**32))
+def test_level_counts_match_is_adapted_basis(field, scramble, seed):
+    from flagstab.witness import _fills_jumps, _level_dependency
+
+    rng = random.Random(seed)
+    g, s = witness_instance(rng, field, rng.randint(5, 8), 2, pad=rng.randint(0, 2),
+                            scramble=scramble)
+    chains = adapted_jordan_chains(g, s)
+    vecs = [v for c in chains for v in c]
+    variants = [chains]
+    for _ in range(6):
+        ci = rng.randrange(len(chains))
+        j = rng.randrange(len(chains[ci]))
+        member = rng.choice(s.members)
+        w = Vec.zero(field, s.ambient_dim)
+        for b in member.basis_vecs():
+            w = w + b.scale(random_scalar(rng, field))
+        for new in (chains[ci][j] + w, rng.choice(vecs), w, None):
+            changed = [list(c) for c in chains]
+            if new is None:
+                del changed[ci][j]
+            else:
+                changed[ci][j] = new
+            variants.append(changed)
+    for changed in variants:
+        got = [v for c in changed for v in c]
+        if any(v.is_zero() for v in got):
+            continue
+        levels, dep = _level_dependency(changed, s)
+        if dep is not None:
+            assert outcome(is_adapted_basis, got, s) != ("ok", True)
+            continue
+        fills = _fills_jumps(levels, s)
+        ref = outcome(is_adapted_basis, got, s)
+        assert ref == ("ok", fills) or (not fills and ref[0] is ShapeError)
+    assert _fills_jumps(_level_dependency(chains, s)[0], s)
