@@ -411,6 +411,12 @@ def _images(field, forms, m):
     return [(_row_times(field, r, m.rows, m.ncols), 1) for r, _ in forms]
 
 
+def _plus(p, a, b, sign):
+    """a + sign * b for rows as (numerators, denominator), over the lcm of the denominators."""
+    (x, d), (y, e), m = a, b, math.lcm(a[1], b[1])
+    return _add(p, _scale(p, m // d, x), _scale(p, sign * (m // e), y)), m
+
+
 class Mat:
     """Immutable dense matrix, row major."""
 

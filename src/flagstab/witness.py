@@ -15,7 +15,11 @@ rows x_{l+1} of p), and (h - 1)^2 = 0 becomes an index test.  The probe
 candidates are rows of p, i.e. unit rows there, so the probe and the
 `stronger_power_nonzero` flag are read off powers of the small integer
 matrix J (2 - C) J C - 1 (C^-1 = 2 - C, as (C - 1)^2 = 0).
-`verify_witness` re-checks the result in the original coordinates.
+`verify_witness` re-checks the result in the original coordinates, on
+the rank factorisation h - 1 = C E, where now C holds the pivot columns
+of h - 1 and E is the echelon basis of its rows: (h - 1)^2 = 0 exactly
+when E C = 0, a complement row a has a (h - 1) = (a C) E, and w h^(+-1)
+= w +- (w C) E.  `build_h` runs the first two tests on its own factors.
 
 Each fact about (g, s) is computed once and passed down: nil = g - 1, its
 jump images (the stabilizer test, the coarsening, and A nil for the basis
@@ -23,7 +27,6 @@ A of the jumps' complement rows, adapted to s), its kernel chain in the
 basis A (the exponent, the Jordan chains' pullback, and each kernel's
 meets with the members, read off its echelon form as in `unipotent`) and
 the chain vectors' levels (the last straightening pass and its check).
-`build_h` reuses its h - 1.
 
 `extend_witness` builds the witness for the induced series on a
 g-invariant core W and extends it by the identity on a complement that
@@ -47,8 +50,9 @@ from .errors import (
     ShapeError,
     WitnessError,
 )
-from .linalg import Mat, QuotientMap, Subspace, Vec, _images, echelonize, left_kernel_rows
-from .series import Series, _adapted_rows, _coarsening, _jump_images, _minus_one
+from .linalg import Mat, QuotientMap, Subspace, Vec, _form, _images, _plus, _row_times
+from .linalg import echelonize, left_kernel_rows
+from .series import Series, _adapted_rows, _coarsening, _complement_rows, _jump_images, _minus_one
 from .series import canonical_coarsening
 from .series import level_of as level
 from .unipotent import _jordan_chains, _kernel_chain, kernel_chain, unipotent_exponent
@@ -412,16 +416,14 @@ def build_h(sel, basis, s):
     if not all(0 <= i < n for i in ys + xs):
         raise SelectionError("a pair indexes outside the basis")
     p = Mat.from_vecs(field, basis, ncols=n)
-    p_inv_cols = p._inverse_columns(ys)
-    if set(ys) & set(xs):
+    factors = _RankFactors(p._inverse_columns(ys), Mat._of(field, [p.rows[x] for x in xs], n))
+    if not factors.square_zero():
         raise WitnessError("h-square", "(h-1)^2 != 0; selection inconsistent")
-    h1 = p_inv_cols @ Mat._of(field, [p.rows[x] for x in xs], n)
-    h = Mat.identity(field, n) + h1
-    if _jump_images(h, s, h1) is None:
+    if not factors.stabilizes(s):
         raise WitnessError(
             "h-not-in-stabilizer", "constructed h escapes the stabilizer"
         )
-    return h
+    return Mat.identity(field, n) + factors.cols @ factors.rows
 
 
 def _jordan_probe(chains, sel, p):
@@ -510,22 +512,23 @@ def _witness_with_basis(g, s):
 
 
 def verify_witness(g, s, cert):
-    """Re-check a certificate by direct exact arithmetic.
-
-    (h - 1)^2 = 0 holds when h - 1 kills its own row space, so it is
-    checked on an echelon basis of the rows of h - 1.  Then h^-1 = 2 - h,
-    and the probe is pushed through m = g g^h - 1 one vector product at a
-    time.  The left kernels of the powers of an n x n matrix stop growing
-    by the n-th power, so v m^(r-1) != 0 exactly when v m^min(r-1, n) != 0.
+    """Re-check a certificate by direct exact arithmetic, on the rank
+    factorisation h - 1 = C E of `_RankFactors.of`, of rank r - 1 for a
+    built h.  (h - 1)^2 = 0 exactly when E C = 0.  A complement row a of
+    V_{i-1} over V_i has a (h - 1) = (a C) E, so the stabilizer test needs
+    a C and the residues of E's rows modulo V_i.  With h^-1 = 2 - h,
+    w h^(+-1) = w +- (w C) E, so a probe step through m = g g^h - 1 keeps
+    only its two products with g.  The left kernels of the powers of an
+    n x n matrix stop growing by the n-th power, so v m^(r-1) != 0
+    exactly when v m^min(r-1, n) != 0.
     """
-    ident = Mat.identity(g.field, g.nrows)
     try:
-        nil = _minus_one(cert.h)
-        if _jump_images(cert.h, s, nil) is None:
+        factors = _RankFactors.of(_minus_one(cert.h))
+        if not factors.stabilizes(s):
             return False
     except FlagstabError:
         return False
-    if not _square_zero(nil):
+    if not factors.square_zero():
         return False
     if cert.r < 1 or cert.probe.is_zero():
         return False
@@ -534,17 +537,58 @@ def verify_witness(g, s, cert):
         raise FieldMismatchError(f"{v.field} vs {g.field}")
     if v.dim != g.nrows:
         raise ShapeError("vector/matrix shapes differ")
-    h_inv = ident - nil
+    g._match(cert.h)  # h^-1 = 2 - h and g act on one space
+    field, v = g.field, _form(g.field, v)
     for _ in range(min(cert.r - 1, g.nrows)):
-        v = v @ g @ h_inv @ g @ cert.h - v
-        if v.is_zero():
+        # v m = v g h^-1 g h - v
+        (w,) = _images(field, [factors.times(*_images(field, [v], g), -1)], g)
+        v = _plus(field.p, factors.times(w, 1), v, -1)
+        if not any(v[0]):
             return False
     return True
 
 
-def _square_zero(m):
-    """Whether m @ m = 0: m kills its row space, or an echelon basis of it."""
-    return echelonize(m).apply(m).is_zero()
+class _RankFactors:
+    """h - 1 = C E for `cols` C (n x rho) and `rows` E (rho x n), both of
+    rank rho; the identities behind the tests are in `verify_witness`."""
+
+    __slots__ = ("cols", "rows")
+
+    def __init__(self, cols, rows):
+        self.cols, self.rows = cols, rows
+
+    @classmethod
+    def of(cls, m):
+        """E the echelon basis of m's rows, C its pivot columns: m[i] = sum_j m[i][pivot_j] E_j."""
+        e = echelonize(m)
+        return cls(Mat._of(m.field, [[r[c] for c in e.pivots] for r in m.rows], e.dim),
+                   Mat._of(m.field, e.basis, m.ncols))
+
+    def square_zero(self):
+        """Whether (h - 1)^2 = C (E C) E is 0, i.e. E C = 0."""
+        return not any(any(x) for x, _ in _images(self.cols.field, self.rows._forms(), self.cols))
+
+    def stabilizes(self, s):
+        """`in_stabilizer(h, s)`, by the residues of E's rows modulo each V_i."""
+        members, field, n = s.members, self.cols.field, self.cols.nrows
+        if len(members) > 1 and n != s.ambient_dim:
+            raise ShapeError("matrix height differs from ambient dimension")
+        _, cols = self.rows._integer_columns()  # E's rows over one denominator
+        for i in range(1, len(members)):
+            residues = [list(members[i]._reduce(e)) for e in zip(*cols)]
+            if not any(map(any, residues)):
+                continue
+            rows = [(a, 1) for a in _complement_rows(members[i], members[i - 1])]
+            if any(any(_row_times(field, x, residues, n))
+                   for x, _ in _images(field, rows, self.cols)):
+                return False
+        return True
+
+    def times(self, form, sign):
+        """w (1 + sign (h - 1)) = w + sign (w C) E, for forms (see `_images`)."""
+        field = self.cols.field
+        (wce,) = _images(field, _images(field, [form], self.cols), self.rows)
+        return _plus(field.p, form, wce, sign)
 
 
 def _series_split_complement(w, s):

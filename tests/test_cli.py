@@ -173,6 +173,28 @@ def test_witness_verify_cycle(tmp_path):
     assert r.returncode == 1 and "result=rejected" in r.stdout
 
 
+@pytest.mark.parametrize("field", [GF(5), QQ])
+def test_verify_rejects_a_changed_entry_of_h(tmp_path, field):
+    g, s = witness_instance(random.Random(8), field, 7, 2, scramble=True)
+    pf = ProblemFile(field, s.ambient_dim)
+    pf.matrices["g"] = g
+    pf.series["L"] = s
+    pf.certificate = construct_witness(g, s)
+    f = tmp_path / "c.txt"
+    f.write_text(format_problem(pf))
+    assert cli("verify", str(f)).returncode == 0
+    # one more on the diagonal: the trace of h is no longer dim V, so h is
+    # not unipotent and leaves the stabilizer
+    text = f.read_text().splitlines()
+    i = text.index("h") + 1
+    row = text[i].split()
+    row[0] = field.format(field.add(field.parse(row[0]), field.one))
+    text[i] = " ".join(row)
+    f.write_text("\n".join(text) + "\n")
+    r = cli("verify", str(f))
+    assert r.returncode == 1 and "result=rejected" in r.stdout
+
+
 def test_witness_identity_is_input_error(tmp_path):
     rng = random.Random(4)
     _, s = witness_instance(rng, GF(5), 6, 2)

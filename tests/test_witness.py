@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -9,9 +10,11 @@ from flagstab.errors import (
     PreorderError,
     SelectionError,
     ShapeError,
+    SingularMatrixError,
     WitnessError,
 )
 from flagstab.instances import (
+    adapted_basis_of,
     random_invertible,
     random_preordered_basis,
     random_scalar,
@@ -425,10 +428,10 @@ def test_verify_witness_propagates_foreign_errors(monkeypatch):
     g, s = witness_instance(rng, F5, 7, 2)
     cert = construct_witness(g, s)
 
-    def broken(h, s, nil):
+    def broken(factors, s):
         raise RuntimeError("not a library error")
 
-    monkeypatch.setattr(witness, "_jump_images", broken)
+    monkeypatch.setattr(witness._RankFactors, "stabilizes", broken)
     with pytest.raises(RuntimeError):
         verify_witness(g, s, cert)
 
@@ -483,24 +486,67 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-H_KINDS = ["valid", "h-times-g", "stabilizing", "square", "identity", "transpose", "zero", "small"]
+H_KINDS = [
+    "valid", "h-times-g", "stabilizing", "square", "identity", "transpose", "zero", "small",
+    "rank-one", "square-zero-rank-one", "lifted",
+]
 R_KINDS = ["valid", "plus-one", "minus-one", "zero", "past-dim", "huge"]
 PROBE_KINDS = ["valid", "zero", "random", "unit", "wide", "foreign"]
 G_KINDS = ["valid", "stabilizing", "invertible"]
 
 
+def outer(field, c, e):
+    """The rank-one matrix c^T e."""
+    return Mat(field, [[field.mul(x, y) for y in e] for x in c])
+
+
+def rank_one_term(rng, field, n, square_zero):
+    """c^T e for random c, e with e . c = 0 exactly when square_zero."""
+    while True:
+        c = [random_scalar(rng, field) for _ in range(n)]
+        e = [random_scalar(rng, field) for _ in range(n)]
+        t = next((i for i, x in enumerate(e) if x != 0), None)
+        if t is None:
+            continue
+        dot = functools.reduce(field.add, map(field.mul, c, e), field.zero)
+        if square_zero:
+            c[t] = field.add(c[t], -field.mul(dot, field.inv(e[t])))
+        elif dot == 0:
+            continue
+        if any(c):
+            return outer(field, c, e)
+
+
+def lifted(rng, cert, s):
+    """h plus A^-1 E_ab A for an adapted basis A and a != b, b at a's
+    level when a jump allows it: a square-zero rank-one term that keeps
+    basis vector a at its level instead of lowering it."""
+    field, n = s.field, s.ambient_dim
+    basis = adapted_basis_of(s)
+    levels = [level(v, s) for v in basis]
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b and levels[a] == levels[b]]
+    a, b = rng.choice(pairs or [(a, b) for a in range(n) for b in range(a)])
+    coords = [[field.one if (i, j) == (a, b) else field.zero for j in range(n)] for i in range(n)]
+    p = Mat.from_vecs(field, basis, ncols=n)
+    return cert.h + p.inverse() @ Mat(field, coords) @ p
+
+
 def corrupt(rng, cert, g, s, h_kind, r_kind, probe_kind, g_kind):
     field, n = s.field, s.ambient_dim
+    ident = Mat.identity(field, n)
     h = {
-        "valid": cert.h,
-        "h-times-g": cert.h @ g,
-        "stabilizing": random_stabilizer_element(rng, s),
-        "square": cert.h @ cert.h,
-        "identity": Mat.identity(field, n),
-        "transpose": cert.h.transpose(),
-        "zero": Mat.zero(field, n, n),
-        "small": Mat.identity(field, n - 1),
-    }[h_kind]
+        "valid": lambda: cert.h,
+        "h-times-g": lambda: cert.h @ g,
+        "stabilizing": lambda: random_stabilizer_element(rng, s),
+        "square": lambda: cert.h @ cert.h,
+        "identity": lambda: ident,
+        "transpose": lambda: cert.h.transpose(),
+        "zero": lambda: Mat.zero(field, n, n),
+        "small": lambda: Mat.identity(field, n - 1),
+        "rank-one": lambda: ident + rank_one_term(rng, field, n, False),
+        "square-zero-rank-one": lambda: ident + rank_one_term(rng, field, n, True),
+        "lifted": lambda: lifted(rng, cert, s),
+    }[h_kind]()
     r = {
         "valid": cert.r,
         "plus-one": cert.r + 1,
@@ -530,7 +576,8 @@ def corrupt(rng, cert, g, s, h_kind, r_kind, probe_kind, g_kind):
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from([F2, F5, QQ]),
-    st.sampled_from([(5, 2), (6, 2), (7, 3), (8, 2)]),
+    # (12, 2) has r = 5: h - 1 of rank 4
+    st.sampled_from([(5, 2), (6, 2), (7, 3), (8, 2), (12, 2)]),
     st.booleans(),
     st.integers(0, 2**32),
     st.tuples(
@@ -768,24 +815,59 @@ def test_adapted_kernel_chain_rejects_non_unipotent():
             adapted_jordan_chains(Mat.identity(other, 5), s)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([F2, F5, QQ]), st.integers(1, 8), st.integers(0, 2**32))
-def test_square_zero_test_matches_dense_product(field, n, seed):
-    from flagstab.unipotent import jordan_matrix
-    from flagstab.witness import _square_zero
+# The rank-factor tests of verify_witness and build_h against the dense
+# answers: the product m @ m, `in_stabilizer` and w (1 +- m).
 
-    rng = random.Random(seed)
-    p = random_invertible(rng, field, n)
+
+def dense_stabilizes(h, s):
+    """`in_stabilizer`, with a singular h, which it rejects by raising, as False."""
+    try:
+        return in_stabilizer(h, s)
+    except SingularMatrixError:
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F5, QQ]), st.integers(1, 8), st.data())
+def test_rank_factors_match_dense_products(field, n, data):
+    from flagstab.linalg import _form, _fractions
+    from flagstab.unipotent import jordan_matrix
+    from flagstab.witness import _RankFactors
+
+    rho = data.draw(st.integers(0, n), label="rank")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    p, q = random_invertible(rng, field, n), random_invertible(rng, field, n)
     ident = Mat.identity(field, n)
-    nilpotents = []
+    s = random_series(rng, field, n, rng.randint(0, n - 1))
+    # rank exactly rho; conjugated nilpotents of index 2 and 3; h - 1 for
+    # h in the stabilizer, alone and plus a rank-one term; 0 and 1
+    ms = [Mat._of(field, [r[:rho] for r in p.rows], rho) @ Mat._of(field, q.rows[:rho], n)]
     for index in (2, 3):
         sizes = []
         while sum(sizes) < n:
             sizes.append(min(rng.randint(1, index), n - sum(sizes)))
-        nilpotents.append(p.inverse() @ (jordan_matrix(field, sizes) - ident) @ p)
-    rand = Mat(field, [[random_scalar(rng, field) for _ in range(n)] for _ in range(n)])
-    for m in nilpotents + [rand, Mat.zero(field, n, n), ident]:
-        assert _square_zero(m) == (m @ m).is_zero()
+        ms.append(p.inverse() @ (jordan_matrix(field, sizes) - ident) @ p)
+    stab = random_stabilizer_element(rng, s) - ident
+    # a square-zero rank-one term needs n >= 2
+    term = rank_one_term(rng, field, n, n > 1 and rng.random() < 0.5)
+    ms += [stab, stab + term, Mat.zero(field, n, n), ident]
+    w = Vec(field, [random_scalar(rng, field) for _ in range(n)])
+    for m in ms:
+        factors = _RankFactors.of(m)
+        assert factors.rows.nrows == Subspace.span(field, n, m.rows).dim
+        assert factors.square_zero() == (m @ m).is_zero()
+        assert factors.stabilizes(s) == dense_stabilizes(ident + m, s)
+        for sign in (1, -1):
+            got = _fractions(*factors.times(_form(field, w), sign))
+            assert tuple(got) == (w @ (ident + m.scale(sign))).entries
+    # build_h's factors: columns of p^-1 and rows of p
+    ys = rng.sample(range(n), rho)
+    xs = [rng.randrange(n) for _ in ys]
+    factors = _RankFactors(p._inverse_columns(ys), Mat._of(field, [p.rows[x] for x in xs], n))
+    m = p.inverse() @ Mat._of(field, [[field.one if (i, j) in zip(ys, xs) else field.zero
+                                        for j in range(n)] for i in range(n)], n) @ p
+    assert factors.square_zero() == (m @ m).is_zero() == (not set(ys) & set(xs))
+    assert factors.stabilizes(s) == dense_stabilizes(ident + m, s)
 
 
 @settings(max_examples=40, deadline=None)
