@@ -241,10 +241,14 @@ def _complement_rows(lower, upper):
 
 
 def _minus_one(g):
-    """g - 1; SingularMatrixError for a non-square g, as in the stabilizer test."""
+    """g - 1, changing only the diagonal of g and of the row forms it keeps over
+    QQ; SingularMatrixError for a non-square g, as in the stabilizer test."""
     if not g.is_square():
         raise SingularMatrixError("stabilizer membership needs an invertible matrix")
-    return g - Mat.identity(g.field, g.nrows)
+    rows = [(*r[:i], g.field.add(r[i], -g.field.one), *r[i + 1:]) for i, r in enumerate(g.rows)]
+    forms = g._int_forms and [([*x[:i], x[i] - d, *x[i + 1:]], d)
+                              for i, (x, d) in enumerate(g._int_forms)]
+    return Mat._of(g.field, rows, g.ncols, forms)
 
 
 def _adapted_rows(s):

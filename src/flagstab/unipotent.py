@@ -13,6 +13,7 @@ is to V > 0), its meets with the members.
 
 from .errors import ContainmentError, NotUnipotentError, ShapeError
 from .linalg import Mat, Subspace, _images, _row_times, _tagged
+from .series import _minus_one
 
 __all__ = [
     "unipotent_exponent",
@@ -28,8 +29,7 @@ def unipotent_exponent(g):
     """Minimal n with (g-1)^n = 0, or None when g is not unipotent."""
     if not g.is_square():
         raise ShapeError("exponent of a non-square matrix")
-    nil = g - Mat.identity(g.field, g.nrows)
-    power = nil
+    power = nil = _minus_one(g)
     for e in range(1, g.nrows + 1):
         if power.is_zero():
             return e
@@ -61,7 +61,7 @@ def kernel_chain(g):
     """Full chain of kernels of powers of g-1 for unipotent g."""
     if not g.is_square():
         raise ShapeError("exponent of a non-square matrix")
-    nil, n = g - Mat.identity(g.field, g.nrows), g.nrows
+    nil, n = _minus_one(g), g.nrows
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     return KernelChain(g, _kernel_chain(nil, ident, nil._forms())[0])
 
@@ -149,7 +149,7 @@ def jordan_chains(g, candidate_order=None):
     """
     kc = kernel_chain(g)
     order = candidate_order or (lambda height, target: target.basis_vecs())
-    nil = g - Mat.identity(g.field, g.nrows)
+    nil = _minus_one(g)
     return _jordan_chains(nil, kc.chain, lambda h, t: (c for c in order(h, t) if t.contains_vec(c)))
 
 

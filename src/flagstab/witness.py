@@ -33,14 +33,13 @@ g-invariant core W and extends it by the identity on a complement that
 splits every member.  In the basis made of W's chain vectors, lifted to
 V, and that complement, the extension is again 1 + the r - 1 ones at
 (y_l, x_{l+1}), so `build_h` forms it, and the lifted inner probe
-survives on V.  Its `stronger_power_nonzero` flag is still m^r != 0 for
-the dense m = g g^h - 1: on V/W, m acts as g^2 - 1, which the chains of
-W do not see.
+survives on V.  W's meets with the members come from one elimination in
+coordinates adapted to s, and m = g g^h - 1 is block triangular there:
+the inner m on W, whose flag decides its block, and the complement's rows.
 """
 
 from .errors import (
     AdaptationError,
-    ContainmentError,
     FieldMismatchError,
     FlagstabError,
     NotUnipotentError,
@@ -50,7 +49,7 @@ from .errors import (
     ShapeError,
     WitnessError,
 )
-from .linalg import Mat, QuotientMap, Subspace, Vec, _form, _images, _plus, _row_times
+from .linalg import Mat, QuotientMap, Subspace, Vec, _form, _images, _plus, _row_times, _tagged
 from .linalg import echelonize, left_kernel_rows
 from .series import Series, _adapted_rows, _coarsening, _complement_rows, _jump_images, _minus_one
 from .series import canonical_coarsening
@@ -321,7 +320,7 @@ def adapted_jordan_chains(g, s):
     if g.field != s.field or g.nrows != s.ambient_dim:
         kernel_chain(g)  # a g that is not unipotent is reported first
         Subspace.zero(g.field, g.nrows)._match(s.members[0])
-    nil = g - Mat.identity(g.field, g.nrows)
+    nil = _minus_one(g)
     basis = _adapted_rows(s)
     kernels, rows = _kernel_chain(nil, basis, _images(s.field, [(r, 1) for r in basis], nil))
     return _straighten(_jordan_chains(nil, kernels, _member_meets(s, rows)), s, nil)[0]
@@ -329,7 +328,9 @@ def adapted_jordan_chains(g, s):
 
 def straighten_chains(chains, g, s):
     """Absorb level dependencies until the chain vectors are s-adapted."""
-    return _straighten(chains, s, g - Mat.identity(g.field, g.nrows))[0]
+    if not g.is_square():
+        raise ShapeError("matrix shapes differ")
+    return _straighten(chains, s, _minus_one(g))[0]
 
 
 def _straighten(chains, s, nil):
@@ -401,14 +402,18 @@ def build_h(sel, basis, s):
     (h - 1)^2 = 0 when no y_l is an x_{m+1}; with distinct y_l, as in
     pairs from distinct chains, that index test is exact.
     """
+    factors = _h_factors(sel, basis, s)
+    return Mat.identity(s.field, s.ambient_dim) + factors.cols @ factors.rows
+
+
+def _h_factors(sel, basis, s):
+    """`build_h` as the `_RankFactors` of h - 1, checked."""
     seen_blocks = set()
     for _, _, bi in sel.pairs:
         if bi in seen_blocks:
             raise SelectionError("selection reuses a block")
         seen_blocks.add(bi)
-    field = s.field
-    n = s.ambient_dim
-    basis = list(basis)
+    field, n, basis = s.field, s.ambient_dim, list(basis)
     if len(basis) != n:
         raise SelectionError("basis size differs from the ambient dimension")
     ys = [sel.pairs[l][1] for l in range(sel.r - 1)]
@@ -420,10 +425,8 @@ def build_h(sel, basis, s):
     if not factors.square_zero():
         raise WitnessError("h-square", "(h-1)^2 != 0; selection inconsistent")
     if not factors.stabilizes(s):
-        raise WitnessError(
-            "h-not-in-stabilizer", "constructed h escapes the stabilizer"
-        )
-    return Mat.identity(field, n) + factors.cols @ factors.rows
+        raise WitnessError("h-not-in-stabilizer", "constructed h escapes the stabilizer")
+    return factors
 
 
 def _jordan_probe(chains, sel, p):
@@ -538,14 +541,7 @@ def verify_witness(g, s, cert):
     if v.dim != g.nrows:
         raise ShapeError("vector/matrix shapes differ")
     g._match(cert.h)  # h^-1 = 2 - h and g act on one space
-    field, v = g.field, _form(g.field, v)
-    for _ in range(min(cert.r - 1, g.nrows)):
-        # v m = v g h^-1 g h - v
-        (w,) = _images(field, [factors.times(*_images(field, [v], g), -1)], g)
-        v = _plus(field.p, factors.times(w, 1), v, -1)
-        if not any(v[0]):
-            return False
-    return True
+    return bool(factors.power(g, [_form(g.field, v)], min(cert.r - 1, g.nrows)))
 
 
 class _RankFactors:
@@ -590,19 +586,41 @@ class _RankFactors:
         (wce,) = _images(field, _images(field, [form], self.cols), self.rows)
         return _plus(field.p, form, wce, sign)
 
+    def power(self, g, forms, e):
+        """The nonzero rows among the forms times m^e, for m = g h^-1 g h - 1."""
+        field = g.field
+        for _ in range(e):
+            ws = _images(field, [self.times(f, -1) for f in _images(field, forms, g)], g)
+            forms = [f for f in (_plus(field.p, self.times(w, 1), v, -1)
+                                 for w, v in zip(ws, forms)) if any(f[0])]
+        return forms
 
-def _series_split_complement(w, s):
-    """Vectors completing w to V so that every member of s splits.
 
-    Processes jumps from the deepest up, extending bottom + (top & w)
-    to the top from the top's canonical basis.
+def _core_meets(w, s):
+    """(pivot, row in V, tag on w's canonical basis) for the echelon rows of
+    [X | I], X that basis on A = `_adapted_rows(s)`: as in `_member_meets`,
+    those with pivot dim V - dim V_i or later span w & V_i."""
+    a, n = _adapted_rows(s), s.ambient_dim
+    a_inv = Mat._of(s.field, a, n, [(r, 1) for r in a]).inverse()  # reads only the forms
+    forms = _images(s.field, [(r, r[c]) for r, c in zip(w._rows(), w.pivots)], a_inv)
+    reduced, pivots = _tagged(s.field, forms, range(w.dim))
+    return [(c, _row_times(s.field, r[:n], a, n), r[n:]) for r, c in zip(reduced, pivots)]
+
+
+def _series_split_complement(s, meets):
+    """Vectors completing a subspace w to V so that every member of s
+    splits, from the `_core_meets` of w.
+
+    Processes jumps from the deepest up, extending bottom + (top & w) to
+    the top from the top's canonical basis.  Modulo the bottom, top & w is
+    spanned by the meet rows with pivot in the jump's block, all independent.
     """
-    comp = []
+    n, comp = s.ambient_dim, []
     for jump in reversed(s.jumps()):
         # the rows chosen at deeper jumps already lie in jump.bottom
-        current = jump.bottom.sum(jump.top.intersect(w))
-        new, _ = current._extend(jump.top.basis, jump.top.dim)
-        comp += [Vec._of(s.field, row) for row in new]
+        meet = [v for c, v, _ in meets if n - jump.top.dim <= c < n - jump.bottom.dim]
+        new, _ = jump.bottom._extend(meet + list(jump.top.basis), jump.top.dim)
+        comp += [Vec._of(s.field, row) for row in new[len(meet):]]
     return comp
 
 
@@ -614,7 +632,7 @@ def invariant_core(g, s, n):
     orbits under g - 1.
     """
     coarse = canonical_coarsening(g, s)
-    return _invariant_core(s, n, coarse, g - Mat.identity(s.field, s.ambient_dim))
+    return _invariant_core(s, n, coarse, _minus_one(g))
 
 
 def _invariant_core(s, n, coarse, nil):
@@ -670,6 +688,9 @@ def extend_witness(g, s, n):
     need not vanish, so no subseries of n jumps is stabilized.  Then the
     inner witness has r at least (n - 2) // k, which the certificate
     claims.
+
+    Coordinates on W are read at its pivots; the D_i and the complement
+    come from `_core_meets`, and m^r != 0 from `_power_nonzero`.
     """
     nil = _minus_one(g)
     images = _jump_images(g, s, nil)
@@ -679,38 +700,42 @@ def extend_witness(g, s, n):
     if k is None:
         raise WitnessError("not-unipotent", "a stabilizer element is not unipotent")
     if not k < n - 2:
-        raise WitnessError(
-            "exponent-too-large", f"exponent {k} is not below n-2 = {n - 2}"
-        )
-    field = s.field
-    dim = s.ambient_dim
+        raise WitnessError("exponent-too-large", f"exponent {k} is not below n-2 = {n - 2}")
+    field, dim = s.field, s.ambient_dim
     coarse = _coarsening(s, images)
     _, w = _invariant_core(s, n, coarse, nil)
-    # coordinates in w's basis
-    qm = QuotientMap(Subspace.zero(field, dim), w)
-    try:
-        g_w = qm.induced_matrix(g)
-        members_w = []
-        for x in coarse.members:
-            sub = qm.project_subspace(x.intersect(w))
-            if sub not in members_w:
-                members_w.append(sub)
-    except ContainmentError:
-        raise WitnessError("core-not-invariant", "core subspace is not invariant") from None
-    series_w = canonical_coarsening(g_w, Series(field, w.dim, members_w))
+    w_g = [v @ g for v in w.basis_vecs()]
+    if any(any(w._reduce(_form(field, v)[0])) for v in w_g):
+        raise WitnessError("core-not-invariant", "core subspace is not invariant")
+    g_w = Mat._of(field, [[v.entries[c] for c in w.pivots] for v in w_g], w.dim)
+    meets, members_w = _core_meets(w, s), []
+    for x in coarse.members:
+        sub = Subspace._of_rows(field, w.dim, [t for c, _, t in meets if c >= dim - x.dim])
+        if sub not in members_w:
+            members_w.append(sub)
+    series_w = canonical_coarsening(g_w, Series._of(field, w.dim, members_w))
     if series_w.num_jumps < n:
         raise WitnessError("core-lost-jump", "induced series lost a jump")
     inner, chain_basis = _witness_with_basis(g_w, series_w)
     # h is the inner h on W and the identity on a splitting complement
-    basis = [qm.lift(v) for v in chain_basis] + _series_split_complement(w, s)
-    h = build_h(inner.selection, basis, s)
+    lift, comp = Mat._of(field, w.basis, dim), _series_split_complement(s, meets)
+    lifted = [v @ lift for v in chain_basis]
+    factors = _h_factors(inner.selection, lifted + comp, s)
     r = (n - 2) // k
-    # W is invariant under g and h, and r <= inner.r, so the lifted probe
-    # survives m^(r-1); m^r is decided on all of V, with h^-1 = 2 - h.
-    ident = Mat.identity(field, dim)
-    m = g @ ((ident - (h - ident)) @ g @ h) - ident
-    stronger = not m.pow(r).is_zero()
-    cert = WitnessCertificate(h, r, qm.lift(inner.probe), inner.selection, stronger)
+    h = Mat.identity(field, dim) + factors.cols @ factors.rows
+    cert = WitnessCertificate(h, r, inner.probe @ lift, inner.selection,
+                              _power_nonzero(g, factors, r, inner, lifted, comp))
     if not verify_witness(g, s, cert):
         raise WitnessError("not-verified", "the extended certificate failed re-verification")
     return cert
+
+
+def _power_nonzero(g, factors, e, inner, lifted, comp):
+    """m^e != 0 for m = g g^h - 1, h - 1 = `factors`: in the basis `lifted` +
+    `comp` it is block triangular, the `inner` m on W, whose e-th power is
+    nonzero below the inner r and at it by the inner flag (without which it
+    then vanishes), and g^2 - 1 on V/W and a block into W in comp's rows."""
+    if e < inner.r or e == inner.r and inner.stronger_power_nonzero:
+        return True
+    rows = lifted + comp if inner.stronger_power_nonzero else comp
+    return bool(factors.power(g, [_form(g.field, v) for v in rows], e))

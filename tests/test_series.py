@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -445,3 +446,45 @@ def test_intersect_matches_span_reference(data):
             got = a.intersect(b)
             want = ref_intersect(a, b)
             assert (got.basis, got.pivots) == (want.basis, want.pivots)
+
+
+def test_minus_one_matches_the_subtraction():
+    """`_minus_one` changes only the diagonal and keeps row forms over QQ:
+    the same matrix and the same rational rows as g - 1, and the very same
+    forms when g has none or took them over one denominator."""
+    rng = random.Random(23)
+    for field in (F2, F5, QQ):
+        for n in (1, 2, 5):
+            a = random_invertible(rng, field, n)
+            b = random_invertible(rng, field, n)
+            one = Mat.identity(field, n)
+            fresh = Mat(field, a.rows, ncols=n)
+            joint = Mat(field, a.rows, ncols=n)
+            joint._forms()
+            product = a @ b
+            for g in (fresh, joint, product):
+                got, want = series._minus_one(g), g - one
+                assert got == want and got.ncols == want.ncols
+                assert rational_rows(got._forms()) == rational_rows(want._forms())
+                if g is not product:
+                    assert got._forms() == want._forms()
+        with pytest.raises(SingularMatrixError):
+            series._minus_one(Mat.zero(field, 2, 3))
+
+
+def rational_rows(forms):
+    return [[Fraction(x, d) for x in nums] for nums, d in forms]
+
+
+def test_minus_one_callers_keep_their_non_square_errors():
+    from flagstab.errors import ShapeError
+    from flagstab.unipotent import jordan_chains, kernel_chain
+    from flagstab.witness import adapted_jordan_chains, straighten_chains
+
+    g = Mat.zero(F5, 2, 3)
+    s = full_flag(F5, 2)
+    for call in (lambda: unipotent_exponent(g), lambda: kernel_chain(g),
+                 lambda: jordan_chains(g), lambda: adapted_jordan_chains(g, s),
+                 lambda: straighten_chains([], g, s)):
+        with pytest.raises(ShapeError):
+            call()

@@ -45,7 +45,7 @@ from flagstab.linalg import (
 )
 from flagstab.series import in_stabilizer, is_adapted_basis, section_series
 from flagstab.unipotent import jordan_chains, kernel_chain
-from flagstab.witness import _series_split_complement, invariant_core
+from flagstab.witness import _core_meets, _series_split_complement, invariant_core
 
 FIELDS = [GF(2), GF(5), QQ]
 differential = settings(max_examples=40, deadline=None)
@@ -380,7 +380,7 @@ def test_series_split_complement_matches_loop_reference(data):
     )
     for cut in range(2, length + 1):
         _, w = invariant_core(g, s, cut)
-        got = _series_split_complement(w, s)
+        got = _series_split_complement(s, _core_meets(w, s))
         assert got == ref_series_split_complement(w, s)
         assert Subspace.span(field, s.ambient_dim, list(w.basis) + got).is_full()
 

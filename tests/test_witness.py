@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from flagstab.instances import (
 )
 from flagstab.linalg import GF, QQ, Mat, Subspace, Vec, kernel
 from flagstab.series import Series, canonical_coarsening, in_stabilizer, is_adapted_basis
+from flagstab.unipotent import unipotent_exponent
 from flagstab.witness import (
     PairSelection,
     PreorderedBasis,
@@ -907,3 +909,134 @@ def test_level_counts_match_is_adapted_basis(field, scramble, seed):
         ref = outcome(is_adapted_basis, got, s)
         assert ref == ("ok", fills) or (not fills and ref[0] is ShapeError)
     assert _fills_jumps(_level_dependency(chains, s)[0], s)
+
+
+def ref_series_split_complement(w, s):
+    comp = []
+    for jump in reversed(s.jumps()):
+        current = jump.bottom.sum(jump.top.intersect(w))
+        new, _ = current._extend(jump.top.basis, jump.top.dim)
+        comp += [Vec._of(s.field, row) for row in new]
+    return comp
+
+
+def ref_extend_witness(g, s, n):
+    """`extend_witness` through a quotient map on W, one intersection per
+    member and the dense m^r."""
+    from flagstab.errors import ContainmentError
+    from flagstab.linalg import QuotientMap
+    from flagstab.series import _coarsening, _jump_images, _minus_one
+    from flagstab.unipotent import unipotent_exponent
+    from flagstab.witness import _invariant_core, _witness_with_basis
+
+    nil = _minus_one(g)
+    images = _jump_images(g, s, nil)
+    if images is None:
+        raise WitnessError("not-in-stabilizer", "g does not stabilize the series")
+    k = unipotent_exponent(g)
+    if k is None:
+        raise WitnessError("not-unipotent", "a stabilizer element is not unipotent")
+    if not k < n - 2:
+        raise WitnessError("exponent-too-large", f"exponent {k} is not below n-2 = {n - 2}")
+    field = s.field
+    dim = s.ambient_dim
+    coarse = _coarsening(s, images)
+    _, w = _invariant_core(s, n, coarse, nil)
+    qm = QuotientMap(Subspace.zero(field, dim), w)
+    try:
+        g_w = qm.induced_matrix(g)
+        members_w = []
+        for x in coarse.members:
+            sub = qm.project_subspace(x.intersect(w))
+            if sub not in members_w:
+                members_w.append(sub)
+    except ContainmentError:
+        raise WitnessError("core-not-invariant", "core subspace is not invariant") from None
+    series_w = canonical_coarsening(g_w, Series(field, w.dim, members_w))
+    if series_w.num_jumps < n:
+        raise WitnessError("core-lost-jump", "induced series lost a jump")
+    inner, chain_basis = _witness_with_basis(g_w, series_w)
+    basis = [qm.lift(v) for v in chain_basis] + ref_series_split_complement(w, s)
+    h = build_h(inner.selection, basis, s)
+    r = (n - 2) // k
+    ident = Mat.identity(field, dim)
+    m = g @ ((ident - (h - ident)) @ g @ h) - ident
+    stronger = not m.pow(r).is_zero()
+    cert = WitnessCertificate(h, r, qm.lift(inner.probe), inner.selection, stronger)
+    if not verify_witness(g, s, cert):
+        raise WitnessError("not-verified", "the extended certificate failed re-verification")
+    return cert
+
+
+def extend_outcome(g, s, n):
+    """An `extend_witness`-like call's certificate as plain data, or the
+    type and reason (message for other errors) of what it raised."""
+    def run(fn):
+        try:
+            cert = fn(g, s, n)
+        except WitnessError as exc:
+            return WitnessError, exc.reason
+        except FlagstabError as exc:
+            return type(exc), str(exc)
+        return (cert.h, cert.r, cert.probe, cert.selection.pairs,
+                cert.stronger_power_nonzero)
+    return run
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([F2, GF(3), F5, QQ]),
+    st.sampled_from([(6, 2), (7, 2), (7, 3), (8, 3)]),
+    st.booleans(),
+    st.integers(0, 2),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_extend_witness_matches_reference(field, shape, scramble, extra, times_t, seed):
+    """The same certificate or the same error as the reference, for every n
+    from k + 2 to one past the coarsening's jump count; a product with a
+    random stabilizer element can change k and the jump count, and it
+    reaches the `AdaptationError` inputs too."""
+    rng = random.Random(seed)
+    g, s = witness_instance(rng, field, *shape, pad=rng.randint(0, 3), scramble=scramble,
+                            extra_level_pad=extra)
+    if times_t:
+        g = g @ random_stabilizer_element(rng, s, sparsity=3)
+    k = unipotent_exponent(g)
+    for n in range(k + 2, canonical_coarsening(g, s).num_jumps + 2):
+        got = extend_outcome(g, s, n)
+        assert got(extend_witness) == got(ref_extend_witness)
+
+
+def test_power_nonzero_matches_dense_powers(monkeypatch):
+    """The block reading of m^e != 0 that `extend_witness` calls, at every
+    e from 1 to past the inner r, against the dense m; both answers occur,
+    and so do the inner flag's two values at the claimed r."""
+    import flagstab.witness as witness
+
+    calls = []
+    real = witness._power_nonzero
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(witness, "_power_nonzero", spy)
+    seen, flags = set(), set()
+    for seed, shape in itertools.product(range(8), [(6, 2), (7, 3), (8, 3)]):
+        rng = random.Random(seed)
+        field = (F2, GF(3), F5, QQ)[seed % 4]
+        g, s = witness_instance(rng, field, *shape, pad=rng.randint(0, 3),
+                                scramble=seed % 3 == 0, extra_level_pad=seed % 2)
+        for n in range(shape[1] + 3, canonical_coarsening(g, s).num_jumps + 1):
+            cert = extend_witness(g, s, n)
+            g_, factors, r, inner, lifted, comp = calls[-1]
+            ident = Mat.identity(field, s.ambient_dim)
+            m = g @ ((ident - (cert.h - ident)) @ g @ cert.h) - ident
+            flags.add((r == inner.r, inner.stronger_power_nonzero))
+            for e in range(1, inner.r + 3):
+                want = not m.pow(e).is_zero()
+                assert real(g, factors, e, inner, lifted, comp) == want
+                seen.add(want)
+            assert cert.stronger_power_nonzero == (not m.pow(r).is_zero())
+    assert seen == {True, False} and {(True, True), (True, False), (False, False)} <= flags
