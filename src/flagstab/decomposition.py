@@ -50,7 +50,7 @@ def split_chain(chain):
     prev_b = Subspace.zero(field, n)
     for i in range(1, len(chain)):
         # extend the previous complement to a complement of chain[i]
-        ext, _ = prev_b.sum(chain[i])._extend(chain[0].basis)
+        ext = prev_b.sum(chain[i])._extend(chain[0].basis)
         b_i = prev_b.sum(Subspace._span(field, n, ext))
         if not (b_i.intersect(chain[i]).is_zero() and b_i.sum(chain[i]).is_full()):
             raise SeriesError("extended complement does not split the chain member")

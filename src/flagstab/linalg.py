@@ -7,12 +7,14 @@ are left null spaces and images are row spaces.
 
 Kernels read a row as `_form` gives it, (numerators, denominator): over
 GF(p) the canonical entries over 1, over QQ integer numerators over one
-common denominator.  All elimination runs in `_eliminate`, fraction-free
-over QQ: it cross-multiplies and divides each row by its content
-(Bareiss 1968).  Kernels, inverses and solvers eliminate one [A | d*I]
-block built by `_tagged`.  Canonical `Fraction`s are built only where a
-`Vec`, `Mat`, `Subspace` or solution row is handed out, so every result
-is the same as with `Fraction` arithmetic throughout.
+common denominator.  All elimination runs in one Gauss-Jordan loop for
+both fields, `_eliminate`, and one step, `_clear`, clears a column of a
+row against an echelon row: over GF(p) a monic one, over QQ fraction-free,
+by cross-multiplying and dividing the result by its content (Bareiss
+1968).  Kernels, inverses and solvers eliminate one [A | d*I] block built
+by `_tagged`.  Canonical `Fraction`s are built only where a `Vec`, `Mat`,
+`Subspace` or solution row is handed out, so every result is the same as
+with `Fraction` arithmetic throughout.
 
 Over QQ each object keeps the integer form of its rows, so no kernel
 converts the same row twice:
@@ -39,11 +41,10 @@ ones.  The public constructors `Vec(...)`, `Mat(...)` and
 private `Vec._of`, `Mat._of` and `Subspace._span`, which trust it.
 
 Spans grow through one private primitive, `Subspace._extend`: given rows
-in order, it keeps each row that lies outside the span so far and
-returns the kept rows with the span they complete; it reduces each row
-against an incremental echelon of the rows so far and runs one
-elimination at the end.  Complements, chain splittings, new Jordan-chain
-heads and series-splitting complements are all built with it.
+in order, it returns those that lie outside the span so far, each found
+by clearing it against an incremental echelon of the rows before it; it
+builds no span.  Complements, chain splittings, new Jordan-chain heads
+and series-splitting complements are all built with it.
 """
 
 import math
@@ -210,12 +211,6 @@ def _sub(p, r, s):
     return [x - y if y else x for x, y in zip(r, s)]
 
 
-def _neg(p, r):
-    if p is not None:
-        return [-x % p for x in r]
-    return [-x if x else x for x in r]
-
-
 def _scale(p, c, r):
     """c times a canonical row, for a canonical scalar c."""
     if p is not None:
@@ -267,7 +262,7 @@ class Vec:
         return Vec._of(self.field, _sub(self.field.p, self.entries, other.entries))
 
     def __neg__(self):
-        return Vec._of(self.field, _neg(self.field.p, self.entries))
+        return Vec._of(self.field, _scale(self.field.p, -1, self.entries))
 
     def scale(self, c):
         c = self.field.coerce(c)
@@ -543,7 +538,7 @@ class Mat:
 
     def __neg__(self):
         p = self.field.p
-        return Mat._of(self.field, [_neg(p, r) for r in self.rows], self.ncols)
+        return Mat._of(self.field, [_scale(p, -1, r) for r in self.rows], self.ncols)
 
     def scale(self, c):
         c = self.field.coerce(c)
@@ -624,58 +619,20 @@ def _eliminate(field, rows):
     """Gauss-Jordan elimination of rows in kernel form (the numerators of
     `_form`), in place; returns (nonzero rows, pivot cols).
 
-    Over GF(p) the rows are the reduced row echelon form.  Over QQ they
-    are primitive integer rows, each its reduced echelon row times the
-    pivot entry (Bareiss 1968); `_canonical` divides that out.
+    Over GF(p) the rows are the reduced row echelon form: each pivot row
+    is made monic.  Over QQ the rows are first divided by their content,
+    and come out primitive, each its reduced echelon row times the pivot
+    entry (Bareiss 1968); `_canonical` divides that out.
     """
     p = field.p
     if p is None:
-        return _echelon_int(rows)
+        for i, row in enumerate(rows):
+            g = math.gcd(*row)
+            if g > 1:
+                rows[i] = [x // g for x in row]
     m = len(rows)
     n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pivot = rows[r][c]
-        if pivot != 1:
-            ipiv = field.inv(pivot)
-            rows[r] = [(x * ipiv) % p for x in rows[r]]
-        prow = rows[r]
-        for i in range(m):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f == 0:
-                continue
-            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows[:r], pivots
-
-
-def _echelon_int(rows):
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
-
-    Row i becomes a*row_i - b*pivot_row, with a and b the pivot and the
-    entry divided by their gcd, and is then divided by its content.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    gcd = math.gcd
-    for i, row in enumerate(rows):
-        g = gcd(*row)
-        if g > 1:
-            rows[i] = [x // g for x in row]
+    clear = _clear
     pivots = []
     r = 0
     for c in range(n):
@@ -688,26 +645,33 @@ def _echelon_int(rows):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
-        pivot = prow[c]
+        if p is not None and prow[c] != 1:
+            prow = rows[r] = _scale(p, field.inv(prow[c]), prow)
         for i in range(m):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if not f:
-                continue
-            g = gcd(pivot, f)
-            a, b = pivot // g, f // g
-            row = [a * x - b * y for x, y in zip(row, prow)]
-            g = gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
-            rows[i] = row
+            if i != r and rows[i][c]:
+                rows[i] = clear(p, rows[i], prow, c)
         pivots.append(c)
         r += 1
         if r == m:
             break
     return rows[:r], pivots
+
+
+def _clear(p, v, e, c):
+    """v with column c cleared by the echelon row e whose pivot is c, for
+    v[c] nonzero; all rows in kernel form.
+
+    Over GF(p) e is monic.  Over QQ v becomes a*v - b*e, with a and b the
+    pivot and the entry divided by their gcd, divided by its content.
+    """
+    f = v[c]
+    if p is not None:
+        return [(x - f * y) % p for x, y in zip(v, e)]
+    g = math.gcd(e[c], f)
+    a, b = e[c] // g, f // g
+    v = [a * x - b * y for x, y in zip(v, e)]
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def _canonical(field, row, c, start=0):
@@ -829,12 +793,9 @@ class Subspace:
             den, cols = self._integer_columns()
             coeffs = [v[c] for c in self.pivots]
             return (den * v[c] - sum(map(mul, coeffs, col)) for c, col in cols)
-        v = list(v)
         for row, piv in zip(self.basis, self.pivots):
-            f = v[piv]
-            if f == 0:
-                continue
-            v = [(x - f * y) % p for x, y in zip(v, row)]
+            if v[piv]:
+                v = _clear(p, v, row, piv)
         return v
 
     def contains_vec(self, v):
@@ -902,45 +863,35 @@ class Subspace:
         return hash((self.field, self.ambient_dim, self.basis))
 
     def _extend(self, rows, dim=None):
-        """(new, span): the rows, in order, that lie outside the span of
-        this subspace and the rows before them, and the span they complete.
+        """The rows, in order, that lie outside the span of this subspace
+        and the rows before them.
 
-        Rows are `Vec`s or canonical tuples, in any iterable; `new` holds
-        them as given.  Once the span reaches dimension dim (default: the
-        ambient one) it stops, without drawing another row.
+        Rows are `Vec`s or canonical tuples, in any iterable, and are
+        returned as given.  Once the span reaches dimension dim (default:
+        the ambient one) it stops, without drawing another row.
         """
         dim = self.ambient_dim if dim is None else dim
         field, p = self.field, self.field.p
-        # (pivot, row), monic over GF(p), primitive over QQ, and zero left of
-        # its pivot and at earlier pivots: one pass clears a new row's pivots
+        clear = _clear
+        # (pivot, row), monic over GF(p), and zero left of its pivot and at
+        # earlier pivots: one pass clears a new row's pivots
         echelon = list(zip(self.pivots, self._rows()))
-        new, residues = [], []
+        new = []
         for row in rows if len(echelon) < dim else ():
             v = _form(field, row)[0]
             for c, e in echelon:
-                f = v[c]
-                if f and p is not None:
-                    v = [(x - f * y) % p for x, y in zip(v, e)]
-                elif f:
-                    g = math.gcd(e[c], f)
-                    a, b = e[c] // g, f // g
-                    v = [a * x - b * y for x, y in zip(v, e)]
+                if v[c]:
+                    v = clear(p, v, e, c)
             c = next((j for j, x in enumerate(v) if x), None)
             if c is None:
                 continue
             if p is not None:
                 v = _scale(p, field.inv(v[c]), v)
-            else:
-                g = math.gcd(*v)
-                v = [x // g for x in v]
             echelon.append((c, v))
             new.append(row)
-            residues.append(v)
             if len(echelon) >= dim:
                 break
-        if not new:
-            return new, self
-        return new, Subspace._of_rows(field, self.ambient_dim, [*self._rows(), *residues])
+        return new
 
     def apply(self, m):
         """Image of this subspace under the row action of m."""
@@ -998,8 +949,7 @@ def complement_basis(u, w):
     u._match(w)
     if not w.contains(u):
         raise ContainmentError("first subspace is not contained in the second")
-    chosen, _ = u._extend(w.basis_vecs(), w.dim)
-    return chosen
+    return u._extend(w.basis_vecs(), w.dim)
 
 
 def complement_in(u, w):

@@ -168,8 +168,8 @@ def _jordan_chains(nil, kc, candidates):
             base_rows.append(chain[len(chain) - height])
         span = Subspace._span(field, n, base_rows)
         target = kc[height - 1]
-        new_heads, span = span._extend(candidates(height, target), target.dim)
-        if span.dim != target.dim:
+        new_heads = span._extend(candidates(height, target), target.dim)
+        if span.dim + len(new_heads) != target.dim:
             raise ContainmentError(f"candidates do not complete the kernel at height {height}")
         for head in new_heads:
             chain = [head]

@@ -416,11 +416,15 @@ def _h_factors(sel, basis, s):
     field, n, basis = s.field, s.ambient_dim, list(basis)
     if len(basis) != n:
         raise SelectionError("basis size differs from the ambient dimension")
+    if any(v.field != field for v in basis):
+        raise FieldMismatchError(f"a basis vector is not over {field}")
+    if any(v.dim != n for v in basis):
+        raise ShapeError("basis vector width differs from the ambient dimension")
     ys = [sel.pairs[l][1] for l in range(sel.r - 1)]
     xs = [sel.pairs[l + 1][0] for l in range(sel.r - 1)]
     if not all(0 <= i < n for i in ys + xs):
         raise SelectionError("a pair indexes outside the basis")
-    p = Mat.from_vecs(field, basis, ncols=n)
+    p = Mat._of(field, [v.entries for v in basis], n, [_form(field, v) for v in basis])
     factors = _RankFactors(p._inverse_columns(ys), Mat._of(field, [p.rows[x] for x in xs], n))
     if not factors.square_zero():
         raise WitnessError("h-square", "(h-1)^2 != 0; selection inconsistent")
@@ -619,7 +623,7 @@ def _series_split_complement(s, meets):
     for jump in reversed(s.jumps()):
         # the rows chosen at deeper jumps already lie in jump.bottom
         meet = [v for c, v, _ in meets if n - jump.top.dim <= c < n - jump.bottom.dim]
-        new, _ = jump.bottom._extend(meet + list(jump.top.basis), jump.top.dim)
+        new = jump.bottom._extend(meet + list(jump.top.basis), jump.top.dim)
         comp += [Vec._of(s.field, row) for row in new[len(meet):]]
     return comp
 

@@ -685,7 +685,8 @@ def test_kept_integer_forms_match_canonical_entries(data, m, n):
         Subspace(QQ, n, s.basis, s.pivots), s, t,
         Subspace._span(QQ, n, rows), Subspace._span(QQ, n, [list(r) for r in s._rows()]),
         s.sum(t), s.intersect(t), kernel(a), s.apply(a), echelonize(a @ b),
-        s._extend(t.basis_vecs())[1], s._extend(data.draw(qq_rows(3, n)))[1],
+        Subspace._span(QQ, n, [*s.basis_vecs(), *s._extend(t.basis_vecs())]),
+        Subspace._span(QQ, n, [*s.basis_vecs(), *s._extend(data.draw(qq_rows(3, n)))]),
     ]
     u = s.intersect(t)
     qm = QuotientMap(u, s)
@@ -719,7 +720,8 @@ def test_kernels_on_kept_forms_match_fraction_reference(data, m, n):
     assert (c.basis, c.pivots) == ref_intersect(s.basis, t.basis, n)
     for v in vecs:
         assert s.contains_vec(v) == (not any(ref_reduce(s.basis, s.pivots, v.entries)))
-    new, grown = s._extend(vecs + t.basis_vecs())
+    new = s._extend(vecs + t.basis_vecs())
+    grown = Subspace._span(QQ, n, [*s.basis_vecs(), *new])
     expected, span = [], s
     for v in vecs + t.basis_vecs():
         if any(ref_reduce(span.basis, span.pivots, v.entries)):

@@ -1,12 +1,14 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagstab.errors import (
+    FieldMismatchError,
     FlagstabError,
     PreorderError,
     SelectionError,
@@ -196,6 +198,23 @@ def test_build_h_examples():
     assert h.is_identity()
     with pytest.raises(SelectionError):
         build_h(PairSelection([(0, 1, 0), (2, 3, 0)]), basis, s)
+
+
+def test_build_h_rejects_a_basis_of_another_field_or_width():
+    rng = random.Random(2)
+    g, s = witness_instance(rng, F5, 6, 2)
+    basis = [v for c in adapted_jordan_chains(g, s) for v in c]
+    sel = PairSelection([(0, 1, 0)])
+    rational = [Vec(QQ, v.entries) for v in basis]
+    rational[0] = Vec(QQ, [rational[0][0] + Fraction(1, 2), *rational[0].entries[1:]])
+    for bad in (rational, [Vec(QQ, v.entries) for v in basis]):
+        with pytest.raises(FieldMismatchError):
+            build_h(sel, bad, s)
+    # one row too wide, and every row too wide
+    wide = [Vec(F5, [*v.entries, 0]) for v in basis]
+    for bad in (basis[:-1] + wide[-1:], wide):
+        with pytest.raises(ShapeError):
+            build_h(sel, bad, s)
 
 
 def test_construct_witness_precondition_errors():
@@ -915,7 +934,7 @@ def ref_series_split_complement(w, s):
     comp = []
     for jump in reversed(s.jumps()):
         current = jump.bottom.sum(jump.top.intersect(w))
-        new, _ = current._extend(jump.top.basis, jump.top.dim)
+        new = current._extend(jump.top.basis, jump.top.dim)
         comp += [Vec._of(s.field, row) for row in new]
     return comp
 
