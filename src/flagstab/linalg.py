@@ -807,6 +807,8 @@ class Subspace:
 
     def contains(self, other):
         self._match(other)
+        if self.is_full():  # every subspace of F^n lies in F^n
+            return True
         if other.dim > self.dim:
             return False
         return not any(any(self._reduce(r)) for r in other._rows())

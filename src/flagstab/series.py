@@ -156,23 +156,27 @@ def validate(field, ambient_dim, subspaces):
 
 
 def _deepest(members, row, lo, hi):
-    """Largest index below hi of a member holding the row, given members[lo]
-    does; the row is in the kernels' form (the numerators of `linalg._form`).
+    """(d, residue): d the largest index below hi of a member holding the row,
+    given members[lo] does, and the row's residue modulo members[d + 1] (None
+    if hi = d + 1 from the start); the row is in the kernels' form.
 
     The members holding the row form a prefix of the nested chain, so
     binary search finds its end.
     """
+    residue = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if any(members[mid]._reduce(row)):
-            hi = mid
+        rest = [*members[mid]._reduce(row)]
+        if any(rest):
+            hi, residue = mid, rest
         else:
             lo = mid
-    return lo
+    return lo, residue
 
 
-def jump_of(v, s):
-    """The unique jump (B, T) with v in T \\ B."""
+def _level_residue(v, s):
+    """(l, residue): v's jump index l and its `_deepest` residue modulo the
+    member below, from one search over all members; `jump_of`'s errors."""
     if isinstance(v, Vec) and v.is_zero():
         raise SeriesError("the zero vector belongs to no jump")
     entries = v.entries if isinstance(v, Vec) else tuple(v)
@@ -180,10 +184,16 @@ def jump_of(v, s):
         raise ShapeError("vector dim differs from ambient dimension")
     members = s.members
     row = _form(s.field, v if isinstance(v, Vec) else entries)[0]
-    level = _deepest(members, row, 0, len(members))
+    level, residue = _deepest(members, row, 0, len(members))
     if level == len(members) - 1:
         raise SeriesError("vector lies in the zero member")
-    return Jump(members[level + 1], members[level], level + 1)
+    return level + 1, residue
+
+
+def jump_of(v, s):
+    """The unique jump (B, T) with v in T \\ B."""
+    level = _level_residue(v, s)[0]
+    return Jump(s.members[level], s.members[level - 1], level)
 
 
 def level_of(v, s):
@@ -315,7 +325,7 @@ def _coarsening(s, images):
     for i in range(last, 0, -1):
         depth = deepest[i]
         for v, _ in images[i - 1]:
-            depth = _deepest(members, v, i, depth + 1)
+            depth = _deepest(members, v, i, depth + 1)[0]
         deepest[i - 1] = depth
     chain = [members[0]]
     j = 0

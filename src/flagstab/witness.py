@@ -27,6 +27,8 @@ A of the jumps' complement rows, adapted to s), its kernel chain in the
 basis A (the exponent, the Jordan chains' pullback, and each kernel's
 meets with the members, read off its echelon form as in `unipotent`) and
 the chain vectors' levels (the last straightening pass and its check).
+The level search leaves each chain vector's residue modulo the member below;
+that map is linear with the member as kernel, so residues decide dependencies.
 
 `extend_witness` builds the witness for the induced series on a
 g-invariant core W and extends it by the identity on a complement that
@@ -37,6 +39,8 @@ survives on V.  W's meets with the members come from one elimination in
 coordinates adapted to s, and m = g g^h - 1 is block triangular there:
 the inner m on W, whose flag decides its block, and the complement's rows.
 """
+
+import math
 
 from .errors import (
     AdaptationError,
@@ -49,10 +53,10 @@ from .errors import (
     ShapeError,
     WitnessError,
 )
-from .linalg import Mat, QuotientMap, Subspace, Vec, _form, _images, _plus, _row_times, _tagged
+from .linalg import Mat, Subspace, Vec, _eliminate, _form, _images, _plus, _row_times, _tagged
 from .linalg import echelonize, left_kernel_rows
-from .series import Series, _adapted_rows, _coarsening, _complement_rows, _jump_images, _minus_one
-from .series import canonical_coarsening
+from .series import Series, _adapted_rows, _coarsening, _complement_rows, _jump_images
+from .series import _level_residue, _minus_one, canonical_coarsening
 from .series import level_of as level
 from .unipotent import _jordan_chains, _kernel_chain, kernel_chain, unipotent_exponent
 
@@ -208,28 +212,31 @@ def select_pairs(pb):
 
 def _level_dependency(chains, s):
     """(levels, support): the chain vectors' levels, chain by chain, and the
-    first level's dependency modulo the member below, or None if none."""
-    levels = [[level(v, s) for v in chain] for chain in chains]
+    first level's dependency modulo the member below, or None if none.
+
+    The level search leaves each vector's residue modulo the member B below
+    it.  The residue map is linear with kernel B, so a level's residues have
+    the rank and the left kernel of its coordinates in the jump.  Over QQ
+    the search reduces d v, for d the denominator of v's form, so the rows
+    are brought to the lcm of the d before the left kernel is read.
+    """
+    found = [[_level_residue(v, s) for v in chain] for chain in chains]
+    levels = [[lvl for lvl, _ in pairs] for pairs in found]
     items_by_level = {}
-    for ci, (chain, lvls) in enumerate(zip(chains, levels)):
-        for j, (v, lvl) in enumerate(zip(chain, lvls)):
-            items_by_level.setdefault(lvl, []).append((ci, j, v))
+    for ci, (chain, pairs) in enumerate(zip(chains, found)):
+        for j, (v, (lvl, residue)) in enumerate(zip(chain, pairs)):
+            items_by_level.setdefault(lvl, []).append((ci, j, v, residue))
     for lvl in sorted(items_by_level):
         items = items_by_level[lvl]
-        below = s.members[lvl]
-        rows = [v for (_, _, v) in items] + below.basis_vecs()
-        got = Subspace._span(s.field, s.ambient_dim, rows)
-        if got.dim == below.dim + len(items):
+        rows = [residue for *_, residue in items]
+        if len(_eliminate(s.field, list(rows))[0]) == len(rows):
             continue
-        # explicit dependency: kill the projections modulo `below`
-        qm = QuotientMap(below, s.members[lvl - 1])
-        proj = [qm.project(v).entries for (_, _, v) in items]
-        for coeffs in left_kernel_rows(s.field, proj, qm.dim):
-            support = [
-                (ci, j, v, c)
-                for (ci, j, v), c in zip(items, coeffs)
-                if c != 0
-            ]
+        if s.field.p is None:
+            dens = [_form(s.field, v)[1] for _, _, v, _ in items]
+            lcm = math.lcm(*dens)
+            rows = [[x * (lcm // d) for x in row] for row, d in zip(rows, dens)]
+        for coeffs in left_kernel_rows(s.field, rows, len(rows[0])):
+            support = [(ci, j, v, c) for (ci, j, v, _), c in zip(items, coeffs) if c != 0]
             if support:
                 return levels, support
         raise AdaptationError("rank drop without an explicit dependency")

@@ -166,6 +166,27 @@ def test_mismatch_errors():
         Mat(QQ, [[1, 2], [2, 4]]).inverse()
 
 
+@pytest.mark.parametrize("field", [F2, F5, QQ])
+def test_full_space_contains_every_subspace(field):
+    # the full space answers without reducing; the answer must be what
+    # reducing each basis row would give, and mismatches must still raise
+    rng = random.Random(11)
+    for n in (1, 4, 9):
+        full = Subspace.full(field, n)
+        spaces = [Subspace.zero(field, n), full]
+        spaces += [echelonize(rand_mat(rng, field, rng.randint(1, n + 2), n)) for _ in range(6)]
+        for x in spaces:
+            assert full.contains(x)
+            assert all(full.contains_vec(v) for v in x.basis_vecs())
+            assert x.contains(full) == x.is_full()
+        with pytest.raises(FieldMismatchError):
+            full.contains(Subspace.zero(GF(3), n))
+        with pytest.raises(ShapeError):
+            full.contains(Subspace.full(field, n + 1))
+        with pytest.raises(ShapeError):
+            full.contains(Subspace.zero(field, n - 1))
+
+
 def test_canonicity_random_generating_sets():
     rng = random.Random(7)
     for field in FIELDS:

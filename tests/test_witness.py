@@ -12,6 +12,7 @@ from flagstab.errors import (
     FlagstabError,
     PreorderError,
     SelectionError,
+    SeriesError,
     ShapeError,
     SingularMatrixError,
     WitnessError,
@@ -928,6 +929,142 @@ def test_level_counts_match_is_adapted_basis(field, scramble, seed):
         ref = outcome(is_adapted_basis, got, s)
         assert ref == ("ok", fills) or (not fills and ref[0] is ShapeError)
     assert _fills_jumps(_level_dependency(chains, s)[0], s)
+
+
+# The level test before it read the residues of the level search: per
+# level, a span of the level's vectors with the member below, and on a rank
+# drop their coordinates in the jump through a QuotientMap.
+
+
+def ref_level_dependency(chains, s):
+    from flagstab.errors import AdaptationError
+    from flagstab.linalg import QuotientMap, left_kernel_rows
+
+    levels = [[level(v, s) for v in chain] for chain in chains]
+    items_by_level = {}
+    for ci, (chain, lvls) in enumerate(zip(chains, levels)):
+        for j, (v, lvl) in enumerate(zip(chain, lvls)):
+            items_by_level.setdefault(lvl, []).append((ci, j, v))
+    for lvl in sorted(items_by_level):
+        items = items_by_level[lvl]
+        below = s.members[lvl]
+        rows = [v for (_, _, v) in items] + below.basis_vecs()
+        got = Subspace._span(s.field, s.ambient_dim, rows)
+        if got.dim == below.dim + len(items):
+            continue
+        qm = QuotientMap(below, s.members[lvl - 1])
+        proj = [qm.project(v).entries for (_, _, v) in items]
+        for coeffs in left_kernel_rows(s.field, proj, qm.dim):
+            support = [(ci, j, v, c) for (ci, j, v), c in zip(items, coeffs) if c != 0]
+            if support:
+                return levels, support
+        raise AdaptationError("rank drop without an explicit dependency")
+    return levels, None
+
+
+def ref_straighten_chains(chains, g, s):
+    from flagstab.witness import _apply_chain_move, _fills_jumps
+
+    chains = [list(c) for c in chains]
+    while True:
+        levels, dep = ref_level_dependency(chains, s)
+        if dep is None:
+            break
+        _apply_chain_move(chains, dep, s.field)
+    assert _fills_jumps(levels, s)
+    return chains
+
+
+def ref_level(v, s):
+    """`level` by one membership test per member, top down."""
+    if isinstance(v, Vec) and v.is_zero():
+        raise SeriesError("the zero vector belongs to no jump")
+    depth = None
+    for i, member in enumerate(s.members):
+        if not member.contains_vec(v):
+            break
+        depth = i
+    if depth == len(s.members) - 1:
+        raise SeriesError("vector lies in the zero member")
+    return depth + 1
+
+
+def level_dependency_instance(field, seed, scramble, sparsity):
+    rng = random.Random(seed)
+    g, s = witness_instance(rng, field, rng.randint(5, 7), 2, pad=rng.randint(0, 2),
+                            scramble=scramble)
+    if sparsity is not None:
+        g = g @ random_stabilizer_element(rng, s, sparsity=sparsity)
+    return rng, g, s
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([F2, GF(3), F5, QQ]), st.booleans(), st.sampled_from([None, 1, 3]),
+       st.integers(0, 2**32))
+def test_level_dependency_matches_reference(field, scramble, sparsity, seed):
+    # from the naive Jordan chains, apply each move until none is left,
+    # comparing every step; then the perturbed chains of
+    # test_level_counts_match_is_adapted_basis, errors included
+    from flagstab.unipotent import jordan_chains
+    from flagstab.witness import _apply_chain_move, _level_dependency
+
+    rng, g, s = level_dependency_instance(field, seed, scramble, sparsity)
+    chains = [list(c) for c in jordan_chains(g)]
+    for _ in range(4 * s.ambient_dim * s.num_jumps):
+        got = outcome(_level_dependency, chains, s)
+        assert got == outcome(ref_level_dependency, chains, s)
+        if got[0] != "ok" or got[1][1] is None:
+            break
+        if outcome(_apply_chain_move, chains, got[1][1], field)[0] != "ok":
+            break
+    vecs = [v for c in chains for v in c]
+    for _ in range(6):
+        ci = rng.randrange(len(chains))
+        j = rng.randrange(len(chains[ci]))
+        w = Vec.zero(field, s.ambient_dim)
+        for b in rng.choice(s.members).basis_vecs():
+            w = w + b.scale(random_scalar(rng, field))
+        for new in (chains[ci][j] + w, rng.choice(vecs), w, None):
+            changed = [list(c) for c in chains]
+            if new is None:
+                del changed[ci][j]
+            else:
+                changed[ci][j] = new
+            assert outcome(_level_dependency, changed, s) == outcome(
+                ref_level_dependency, changed, s)
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ])
+def test_level_errors_match_reference(field):
+    # a vector in no jump: the zero Vec, a zero tuple (it lies in the zero
+    # member), a Vec of the wrong width
+    from flagstab.series import jump_of
+    from flagstab.unipotent import jordan_chains
+    from flagstab.witness import straighten_chains
+
+    rng, g, s = level_dependency_instance(field, 3, True, None)
+    n = s.ambient_dim
+    chains = [list(c) for c in jordan_chains(g)]
+    bad = [Vec.zero(field, n), (field.zero,) * n, Vec.zero(field, n + 1),
+           Vec(field, [field.one] * (n - 1))]
+    for v in bad:
+        expected = outcome(ref_level, v, s)
+        assert expected[0] in (SeriesError, ShapeError)
+        assert outcome(level, v, s) == expected
+        assert outcome(lambda v, s: jump_of(v, s).index, v, s) == expected
+        for ci in range(len(chains)):
+            changed = [list(c) for c in chains]
+            changed[ci].append(v)
+            assert outcome(straighten_chains, changed, g, s) == expected
+            assert outcome(ref_straighten_chains, changed, g, s) == expected
+    assert outcome(straighten_chains, chains, g, s) == ("ok", ref_straighten_chains(chains, g, s))
+    assert outcome(adapted_jordan_chains, g, s)[0] == "ok"
+    wide = Mat.identity(field, n + 1)
+    assert outcome(adapted_jordan_chains, wide, s) == (ShapeError, "ambient dimensions differ")
+    assert outcome(adapted_jordan_chains, Mat.zero(field, n, n + 1), s) == (
+        ShapeError, "exponent of a non-square matrix")
+    assert outcome(straighten_chains, chains, Mat.zero(field, n, n + 1), s) == (
+        ShapeError, "matrix shapes differ")
 
 
 def ref_series_split_complement(w, s):
