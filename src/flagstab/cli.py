@@ -36,7 +36,8 @@ import sys
 
 from .builder import GeneratorSet, McLainElement, mclain_truncate, module_lcs, refine_series
 from .decomposition import SectionAssignment, patch_sections, split_chain
-from .errors import FlagstabError, ParseError, RefinementObstruction, ShapeError, WitnessError
+from .errors import FlagstabError, NotUnipotentError, ParseError, RefinementObstruction
+from .errors import ShapeError, WitnessError
 from .instances import adapted_basis_of, witness_instance, _chain_layout
 from .linalg import GF, QQ, Mat, QuotientMap, Subspace, Vec, image
 from .series import canonical_coarsening, in_stabilizer, validate
@@ -391,10 +392,11 @@ def run(command, pf, options):
         return out, 0
     if command == "jordan":
         g = _need(pf, pf.matrices, options.matrix, "matrix")
-        if unipotent_exponent(g) is None:
+        try:
+            jd = jordan_blocks(g)
+        except NotUnipotentError:
             out.append("result=not-unipotent")
             return out, 1
-        jd = jordan_blocks(g)
         out.append("result=unipotent")
         out.append(f"blocks={jd.num_blocks}")
         out.append("sizes=" + ",".join(str(d) for d in jd.sizes))

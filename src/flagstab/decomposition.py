@@ -2,7 +2,7 @@
 
 from .errors import SectionError, SeriesError
 from .linalg import LinearSolver, Mat, QuotientMap, Subspace
-from .series import in_stabilizer, is_adapted_basis, section_series
+from .series import _basis_levels, _section_indices, _section_series, in_stabilizer
 
 __all__ = [
     "ChainSplit",
@@ -72,21 +72,15 @@ def split_chain(chain):
 def section_basis(adapted, s, w, u):
     """Adapted basis vectors belonging to jumps inside (u, w].
 
-    Their cosets form a basis of w/u; verified by a rank check.
+    For w, u = s.members[i], s.members[j] they are the vectors of level in
+    (i, j], whose cosets are a basis of w/u (the lemma in `series`).
     """
-    if w not in s.members or u not in s.members:
-        raise SeriesError("section endpoints must be members")
-    if not (w.contains(u) and u.dim < w.dim):
-        raise SeriesError("section endpoints must be strictly nested")
+    i, j = _section_indices(s, w, u, SeriesError)
     adapted = list(adapted)
-    if not is_adapted_basis(adapted, s):
+    levels = _basis_levels(adapted, s)
+    if levels is None:
         raise SeriesError("basis is not adapted to the series")
-    chosen = [v for v in adapted if w.contains_vec(v) and not u.contains_vec(v)]
-    rows = [v.entries for v in chosen] + [list(r) for r in u.basis]
-    got = Subspace._span(s.field, s.ambient_dim, rows)
-    if len(chosen) != w.dim - u.dim or got.dim != w.dim:
-        raise SeriesError("adapted vectors do not give a basis of the section")
-    return chosen
+    return [v for v, lvl in zip(adapted, levels) if i < lvl <= j]
 
 
 class SectionAssignment:
@@ -123,42 +117,36 @@ def patch_sections(adapted, s, assignment):
     the sections, and its induced action on every section is verified.
     """
     adapted = list(adapted)
-    if not is_adapted_basis(adapted, s):
+    levels = _basis_levels(adapted, s)
+    if levels is None:
         raise SeriesError("basis is not adapted to the series")
     sections = list(assignment)
     _check_disjoint(sections)
     field = s.field
     n = s.ambient_dim
-    index_of = {id(v): i for i, v in enumerate(adapted)}
-    coords_rows = [
-        [field.one if i == j else field.zero for j in range(n)] for i in range(n)
-    ]
+    coords_rows = [list(r) for r in Mat.identity(field, n).rows]
     qmaps = []
     for u, w, hmap in sections:
-        if u not in s.members or w not in s.members:
-            raise SectionError("section endpoints must be members")
-        if not (w.contains(u) and u.dim < w.dim):
-            raise SectionError("section endpoints must be strictly nested")
-        induced = section_series(s, w, u)
+        i, j = _section_indices(s, w, u, SectionError)
+        qm = QuotientMap(u, w)
+        induced = _section_series(s, i, j, qm)
         if hmap.nrows != induced.ambient_dim or not hmap.is_square():
             raise SectionError("map shape differs from the section dimension")
         if not in_stabilizer(hmap, induced):
             raise SectionError("map does not stabilize the induced section series")
         # move the map from deterministic-complement coordinates to the
-        # adapted section basis of this section; the section vectors are
-        # adapted basis vectors, so their coefficients are coordinates
-        qm = QuotientMap(u, w)
-        vecs = section_basis(adapted, s, w, u)
-        coords = [qm.project(v) for v in vecs]
+        # adapted section basis of this section: the adapted vectors of
+        # level in (i, j], whose coefficients are coordinates; their
+        # projections are a basis of the quotient, so every solve succeeds
+        index = [k for k, lvl in enumerate(levels) if i < lvl <= j]
+        coords = [qm.project(adapted[k]) for k in index]
         sec_solver = LinearSolver(field, [c.entries for c in coords], qm.dim)
-        for v, c in zip(vecs, coords):
+        for k, c in zip(index, coords):
             a = sec_solver.solve(c @ hmap)
-            if a is None:
-                raise SectionError("section basis failed to span the quotient")
             row = [field.zero] * n
-            for x, b in zip(a, vecs):
-                row[index_of[id(b)]] = x
-            coords_rows[index_of[id(v)]] = row
+            for x, b in zip(a, index):
+                row[b] = x
+            coords_rows[k] = row
         qmaps.append(qm)
     p = Mat.from_vecs(field, adapted, ncols=n)
     h = p.inverse() @ Mat._of(field, coords_rows, n) @ p

@@ -5,8 +5,8 @@ standard flag, then conjugate by a random stabilizer element; the
 non-coarsenability they promise is re-checked, never assumed.
 """
 
-from .linalg import Mat, Subspace, Vec, complement_basis
-from .series import Series, canonical_coarsening, in_stabilizer
+from .linalg import Mat, QuotientMap, Subspace, Vec, complement_basis, image
+from .series import Series, _jump_levels, canonical_coarsening, in_stabilizer
 from .transvections import TransvectionSpec, make_transvection
 from .unipotent import unipotent_exponent
 from .witness import PreorderedBasis
@@ -66,9 +66,7 @@ def random_stabilizer_element(rng, s, sparsity=None):
     basis = adapted_basis_of(s)
     n = s.ambient_dim
     field = s.field
-    levels = []
-    for jump in s.jumps():
-        levels.extend([jump.index] * (jump.top.dim - jump.bottom.dim))
+    levels = _jump_levels(s)
     coords = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
     slots = [(i, j) for i in range(n) for j in range(n) if levels[j] > levels[i]]
     if sparsity is None:
@@ -81,28 +79,29 @@ def random_stabilizer_element(rng, s, sparsity=None):
     return t
 
 
+def _random_row_in(rng, u):
+    """Entries of a random combination of u's basis vectors, one scalar per
+    vector in basis order (small over QQ)."""
+    field = u.field
+    row = Vec.zero(field, u.ambient_dim)
+    for b in u.basis_vecs():
+        row = row + b.scale(random_scalar(rng, field, small=not field.is_prime_field))
+    return row.entries
+
+
 def random_transvection(rng, s):
     """Transvection built over a random proper member of s."""
     candidates = [x for x in s.members if 0 < x.dim < s.ambient_dim]
     if not candidates:
         return Mat.identity(s.field, s.ambient_dim)
     u = rng.choice(candidates)
-    field = s.field
-    q = s.ambient_dim - u.dim
-    rows = []
-    for _ in range(q):
-        row = Vec.zero(field, s.ambient_dim)
-        for b in u.basis_vecs():
-            row = row + b.scale(random_scalar(rng, field, small=not field.is_prime_field))
-        rows.append(row.entries)
-    spec = TransvectionSpec(u, Mat(field, rows, ncols=s.ambient_dim))
+    rows = [_random_row_in(rng, u) for _ in range(s.ambient_dim - u.dim)]
+    spec = TransvectionSpec(u, Mat(s.field, rows, ncols=s.ambient_dim))
     return make_transvection(spec)
 
 
 def random_annihilating_spec(rng, s, t):
     """Random map V/U -> U vanishing on ([V,t]+U)/U, for a random member U."""
-    from .linalg import QuotientMap, image
-
     field = s.field
     n = s.ambient_dim
     u = rng.choice(s.members)
@@ -114,12 +113,7 @@ def random_annihilating_spec(rng, s, t):
     inner = QuotientMap(bad, Subspace.full(field, qm.dim))
     if inner.dim == 0 or u.dim == 0:
         return TransvectionSpec(u, Mat.zero(field, qm.dim, n))
-    targets = []
-    for _ in range(inner.dim):
-        row = Vec.zero(field, n)
-        for b in u.basis_vecs():
-            row = row + b.scale(random_scalar(rng, field, small=not field.is_prime_field))
-        targets.append(row.entries)
+    targets = [_random_row_in(rng, u) for _ in range(inner.dim)]
     phi = inner.projection_matrix() @ Mat(field, targets, ncols=n)
     return TransvectionSpec(u, phi)
 
@@ -130,8 +124,6 @@ def random_square_zero_pair(rng, field, dim):
     Built as a transvection displacement over a subspace containing the
     image of g - 1, so every derived square also vanishes.
     """
-    from .linalg import QuotientMap, image
-
     s = random_series(rng, field, dim, rng.randint(1, max(1, dim - 2)))
     g = random_stabilizer_element(rng, s)
     ident = Mat.identity(field, dim)
@@ -144,12 +136,7 @@ def random_square_zero_pair(rng, field, dim):
     qm = QuotientMap(u, Subspace.full(field, dim))
     if qm.dim == 0 or u.dim == 0:
         return Mat.zero(field, dim, dim), g
-    rows = []
-    for _ in range(qm.dim):
-        row = Vec.zero(field, dim)
-        for b in u.basis_vecs():
-            row = row + b.scale(random_scalar(rng, field, small=not field.is_prime_field))
-        rows.append(row.entries)
+    rows = [_random_row_in(rng, u) for _ in range(qm.dim)]
     eta = qm.projection_matrix() @ Mat(field, rows, ncols=dim)
     return eta, g
 

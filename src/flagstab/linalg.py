@@ -277,7 +277,7 @@ class Vec:
             raise ShapeError("vector/matrix shapes differ")
         if self.field.p is None:
             (form,) = _int_times([_form(self.field, self)], m)
-            return Vec._of(self.field, _fractions(*form), form)
+            return Vec._of(self.field, _entries(None, *form), form)
         return Vec._of(self.field, _row_times(self.field, self.entries, m.rows, m.ncols))
 
     def __eq__(self, other):
@@ -356,11 +356,21 @@ def _coerced(field, rows, width, message):
     return out
 
 
-def _fractions(nums, den):
-    """Canonical Fractions nums[j] / den."""
+def _entries(p, nums, den):
+    """Canonical entries of the form (nums, den): over GF(p), where forms and
+    echelon pivots are over 1, nums; over QQ the Fractions nums[j] / den."""
+    if p is not None:
+        return nums
     if den == 1:
         return [Fraction(x) if x else _ZERO for x in nums]
     return [Fraction(x, den) if x else _ZERO for x in nums]
+
+
+def _common(forms):
+    """(den, rows): den the lcm of the forms' denominators, and each form's
+    numerators brought over it."""
+    den = math.lcm(*[d for _, d in forms])
+    return den, [nums if d == den else _scale(None, den // d, nums) for nums, d in forms]
 
 
 def _int_times(forms, m):
@@ -407,9 +417,9 @@ def _images(field, forms, m):
 
 
 def _plus(p, a, b, sign):
-    """a + sign * b for rows as (numerators, denominator), over the lcm of the denominators."""
-    (x, d), (y, e), m = a, b, math.lcm(a[1], b[1])
-    return _add(p, _scale(p, m // d, x), _scale(p, sign * (m // e), y)), m
+    """a + sign * b (sign +-1) for rows as (numerators, denominator), over their lcm."""
+    m, (x, y) = _common([a, b])
+    return (_add if sign > 0 else _sub)(p, x, y), m
 
 
 class Mat:
@@ -471,10 +481,8 @@ class Mat:
                 # a right factor only needs its columns: skip the row forms
                 flat, den = _int_row([x for r in self.rows for x in r])
             else:
-                den = math.lcm(*[d for _, d in forms])
-                flat = []
-                for nums, d in forms:
-                    flat += nums if d == den else [x * (den // d) for x in nums]
+                den, rows = _common(forms)
+                flat = [x for nums in rows for x in nums]
             n = self.ncols
             form = (den, [flat[j::n] for j in range(n)])
             object.__setattr__(self, "_int_cols", form)
@@ -554,7 +562,7 @@ class Mat:
         field = self.field
         if field.p is None:
             forms = _int_times(self._forms(), other)
-            return Mat._of(field, [_fractions(*f) for f in forms], other.ncols, forms)
+            return Mat._of(field, [_entries(None, *f) for f in forms], other.ncols, forms)
         rows = [_row_times(field, r, other.rows, other.ncols) for r in self.rows]
         return Mat._of(field, rows, other.ncols)
 
@@ -588,7 +596,7 @@ class Mat:
         reduced, pivots = _tagged(self.field, self._forms(), cols)
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        rows = [_canonical(self.field, r, c, n) for r, c in zip(reduced, pivots)]
+        rows = [_entries(self.field.p, r[n:], r[c]) for r, c in zip(reduced, pivots)]
         return Mat._of(self.field, rows, len(cols))
 
     def is_invertible(self):
@@ -622,7 +630,7 @@ def _eliminate(field, rows):
     Over GF(p) the rows are the reduced row echelon form: each pivot row
     is made monic.  Over QQ the rows are first divided by their content,
     and come out primitive, each its reduced echelon row times the pivot
-    entry (Bareiss 1968); `_canonical` divides that out.
+    entry (Bareiss 1968); `_entries` divides that out.
     """
     p = field.p
     if p is None:
@@ -674,14 +682,6 @@ def _clear(p, v, e, c):
     return [x // g for x in v] if g > 1 else v
 
 
-def _canonical(field, row, c, start=0):
-    """Reduced echelon form, from column start on, of a row of `_eliminate`
-    whose pivot is in column c."""
-    if field.p is None:
-        return _fractions(row[start:], row[c])
-    return row[start:]
-
-
 class Subspace:
     """Row space in canonical reduced echelon form; equality is syntactic."""
 
@@ -716,15 +716,16 @@ class Subspace:
     def _of_rows(cls, field, ambient_dim, rows):
         """Span of a fresh list of rows in kernel form (see `_eliminate`).
 
-        Over QQ the subspace keeps the primitive integer rows that the
-        elimination returns, each with a positive pivot entry.
+        Each basis row is its echelon row over the pivot entry, which is 1
+        over GF(p).  Over QQ the subspace keeps the primitive integer rows
+        that the elimination returns, each with a positive pivot entry.
         """
         reduced, pivots = _eliminate(field, rows)
-        if field.p is not None:
-            return cls(field, ambient_dim, reduced, pivots)
         ints = [r if r[c] > 0 else [-x for x in r] for r, c in zip(reduced, pivots)]
-        s = cls(field, ambient_dim, [_fractions(r, r[c]) for r, c in zip(ints, pivots)], pivots)
-        object.__setattr__(s, "_int_rows", ints)
+        basis = [_entries(field.p, r, r[c]) for r, c in zip(ints, pivots)]
+        s = cls(field, ambient_dim, basis, pivots)
+        if field.p is None:
+            object.__setattr__(s, "_int_rows", ints)
         return s
 
     @classmethod
@@ -771,12 +772,9 @@ class Subspace:
         """(den, [(c, column c of den * basis) for each non-pivot c]), cached."""
         form = self._int_cols
         if form is None:
-            rows = self._rows()
-            dens = [r[c] for r, c in zip(rows, self.pivots)]
-            den = math.lcm(*dens)
-            scales = [den // d for d in dens]
+            den, rows = _common([(r, r[c]) for r, c in zip(self._rows(), self.pivots)])
             free = sorted(set(range(self.ambient_dim)).difference(self.pivots))
-            form = (den, [(c, [r[c] * f for r, f in zip(rows, scales)]) for c in free])
+            form = (den, [(c, [r[c] for r in rows]) for c in free])
             object.__setattr__(self, "_int_cols", form)
         return form
 
@@ -939,7 +937,8 @@ def kernel(m):
 def left_kernel_rows(field, rows, ncols):
     """Coefficient rows c with c @ M = 0 for the stack M; may be rectangular."""
     reduced, pivots = _tagged(field, [_form(field, r) for r in rows], range(len(rows)))
-    return [tuple(_canonical(field, r, c, ncols)) for r, c in zip(reduced, pivots) if c >= ncols]
+    rows = zip(reduced, pivots)
+    return [tuple(_entries(field.p, r[ncols:], r[c])) for r, c in rows if c >= ncols]
 
 
 def complement_basis(u, w):
@@ -1043,9 +1042,7 @@ class LinearSolver:
         # The columns of den * M, for a common denominator den of the rows,
         # with a den * identity tag block: over QQ a positive multiple of
         # each row to eliminate, which elimination divides out.
-        forms = [_form(field, r) for r in rows]
-        den = math.lcm(*[d for _, d in forms])
-        scaled = [nums if d == den else [x * (den // d) for x in nums] for nums, d in forms]
+        den, scaled = _common([_form(field, r) for r in rows])
         columns = [([r[j] for r in scaled], den) for j in range(ncols)]
         reduced, pivots = _tagged(field, columns, range(ncols))
         m = self.nrows

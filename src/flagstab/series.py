@@ -9,10 +9,17 @@ to 0, one containment test per consecutive pair.  Members that are
 already known to do so (those `validate` has checked, subsequences of
 a series' members) go through the private `Series._of`, which trusts
 them and keeps only the field and ambient-dimension check.
+
+Adapted bases.  Say v has level l when v is in V_l but not in V_{l+1}.
+If a basis of V has dim V_l - dim V_{l+1} vectors at each level l, its
+vectors of level i or deeper are dim V_i independent vectors of V_i, so
+they span it: the level-i vectors give a basis of V_i/V_{i+1}, and the
+basis is adapted (`_fills_jumps`).  For w, u = s.members[i], s.members[j],
+the adapted vectors in the section w/u are those of level in (i, j].
 """
 
 from .errors import SeriesError, ShapeError, SingularMatrixError
-from .linalg import Mat, QuotientMap, Subspace, Vec, _form, _images
+from .linalg import Mat, QuotientMap, Subspace, Vec, _form, _images, complement_basis
 
 __all__ = [
     "Series",
@@ -201,42 +208,59 @@ def level_of(v, s):
     return jump_of(v, s).index
 
 
-def is_adapted_basis(basis, s):
-    """True iff the basis vectors, grouped by jump, give bases of T/B."""
-    basis = list(basis)
-    field = s.field
+def _jump_levels(s):
+    """The levels of an adapted basis of s, top jump first: level l once
+    per dimension of V_l/V_{l+1}."""
+    m = s.members
+    return [i for i in range(1, len(m)) for _ in range(m[i - 1].dim - m[i].dim)]
+
+
+def _fills_jumps(levels, s):
+    """Whether the levels, in lists (one per chain of vectors), fill each
+    jump of s once per dimension: for a basis of V, whether it is adapted."""
+    return sorted(lvl for lvls in levels for lvl in lvls) == _jump_levels(s)
+
+
+def _basis_levels(basis, s):
+    """The levels of a list of vectors if they form an adapted basis of s,
+    else None; `is_adapted_basis`'s ShapeErrors."""
     n = s.ambient_dim
     if len(basis) != n:
         raise ShapeError("wrong number of basis vectors")
-    stacked = Subspace.span(field, n, basis)
-    if stacked.dim != n:
+    if Subspace.span(s.field, n, basis).dim != n:
         raise ShapeError("vectors do not form a basis")
-    by_level = {}
-    for v in basis:
-        by_level.setdefault(level_of(v, s), []).append(v)
-    for jump in s.jumps():
-        group = by_level.get(jump.index, [])
-        if len(group) != jump.top.dim - jump.bottom.dim:
-            return False
-        got = Subspace.span(field, n, group + jump.bottom.basis_vecs())
-        if got.dim != jump.bottom.dim + len(group):
-            return False
-    return True
+    levels = [level_of(v, s) for v in basis]
+    return levels if _fills_jumps([levels], s) else None
+
+
+def is_adapted_basis(basis, s):
+    """True iff the basis vectors, grouped by jump, give bases of T/B: by
+    the lemma in the module docstring, iff they form a basis (one
+    elimination) with the levels of an adapted basis."""
+    return _basis_levels(list(basis), s) is not None
+
+
+def _section_indices(s, w, u, error):
+    """(i, j) with w, u = s.members[i], s.members[j] and i < j, else error."""
+    if w not in s.members or u not in s.members:
+        raise error("section endpoints must be members")
+    i, j = s.members.index(w), s.members.index(u)
+    if not i < j:
+        raise error("section endpoints must be strictly nested")
+    return i, j
 
 
 def section_series(s, w, u):
     """Series induced on the section w/u, in quotient coordinates."""
-    if w not in s.members or u not in s.members:
-        raise SeriesError("section endpoints must be members")
-    if not (w.contains(u) and u.dim < w.dim):
-        raise SeriesError("section endpoints must be strictly nested")
-    qm = QuotientMap(u, w)
-    members = []
-    for x in s.members:
-        y = qm.project_subspace(x.intersect(w))
-        if y not in members:
-            members.append(y)
-    return Series(s.field, qm.dim, members)
+    i, j = _section_indices(s, w, u, SeriesError)
+    return _section_series(s, i, j, QuotientMap(u, w))
+
+
+def _section_series(s, i, j, qm):
+    """`section_series` of w/u = s.members[i]/s.members[j] through its
+    quotient map qm: a member above w meets w in w, one below u lies in u."""
+    members = [qm.project_subspace(x) for x in s.members[i:j + 1]]
+    return Series._of(s.field, qm.dim, members)
 
 
 def _complement_rows(lower, upper):
@@ -337,8 +361,6 @@ def _coarsening(s, images):
 
 def extend_to_full_flag(s):
     """Insert members until every jump has dimension one."""
-    from .linalg import complement_basis
-
     members = [s.members[0]]
     for jump in s.jumps():
         reps = complement_basis(jump.bottom, jump.top)

@@ -40,8 +40,6 @@ coordinates adapted to s, and m = g g^h - 1 is block triangular there:
 the inner m on W, whose flag decides its block, and the complement's rows.
 """
 
-import math
-
 from .errors import (
     AdaptationError,
     FieldMismatchError,
@@ -53,10 +51,10 @@ from .errors import (
     ShapeError,
     WitnessError,
 )
-from .linalg import Mat, Subspace, Vec, _eliminate, _form, _images, _plus, _row_times, _tagged
-from .linalg import echelonize, left_kernel_rows
+from .linalg import Mat, Subspace, Vec, _common, _eliminate, _form, _images, _plus, _row_times
+from .linalg import _tagged, echelonize, left_kernel_rows
 from .series import Series, _adapted_rows, _coarsening, _complement_rows, _jump_images
-from .series import _level_residue, _minus_one, canonical_coarsening
+from .series import _fills_jumps, _level_residue, _minus_one, canonical_coarsening
 from .series import level_of as level
 from .unipotent import _jordan_chains, _kernel_chain, kernel_chain, unipotent_exponent
 
@@ -218,7 +216,7 @@ def _level_dependency(chains, s):
     it.  The residue map is linear with kernel B, so a level's residues have
     the rank and the left kernel of its coordinates in the jump.  Over QQ
     the search reduces d v, for d the denominator of v's form, so the rows
-    are brought to the lcm of the d before the left kernel is read.
+    are brought to the lcm of the d (`_common`) before the left kernel is read.
     """
     found = [[_level_residue(v, s) for v in chain] for chain in chains]
     levels = [[lvl for lvl, _ in pairs] for pairs in found]
@@ -231,10 +229,7 @@ def _level_dependency(chains, s):
         rows = [residue for *_, residue in items]
         if len(_eliminate(s.field, list(rows))[0]) == len(rows):
             continue
-        if s.field.p is None:
-            dens = [_form(s.field, v)[1] for _, _, v, _ in items]
-            lcm = math.lcm(*dens)
-            rows = [[x * (lcm // d) for x in row] for row, d in zip(rows, dens)]
+        _, rows = _common([(residue, _form(s.field, v)[1]) for _, _, v, residue in items])
         for coeffs in left_kernel_rows(s.field, rows, len(rows[0])):
             support = [(ci, j, v, c) for (ci, j, v, _), c in zip(items, coeffs) if c != 0]
             if support:
@@ -341,7 +336,9 @@ def straighten_chains(chains, g, s):
 
 
 def _straighten(chains, s, nil):
-    """`straighten_chains` for g = 1 + nil, with the chain vectors' levels."""
+    """`straighten_chains` for g = 1 + nil, with the chain vectors' levels.  With
+    no level dependency left they are independent, so by the lemma in the
+    `series` docstring their level counts decide adaptedness (`_fills_jumps`)."""
     chains = [list(c) for c in chains]
     max_moves = 4 * s.ambient_dim * max(1, s.num_jumps)
     for _ in range(max_moves):
@@ -360,15 +357,6 @@ def _straighten(chains, s, nil):
         if not (chain[-1] @ nil).is_zero():
             raise AdaptationError("straightened chain does not end in the kernel")
     return chains, levels
-
-
-def _fills_jumps(levels, s):
-    """Whether each jump of s holds as many levels as its dimension: with no
-    level dependency, each level's vectors are then a basis of their jump,
-    which is `is_adapted_basis`."""
-    m = s.members
-    jumps = [i for i in range(1, len(m)) for _ in range(m[i - 1].dim - m[i].dim)]
-    return sorted(lvl for lvls in levels for lvl in lvls) == jumps
 
 
 def _preordered_basis_from_chains(levels, n):
