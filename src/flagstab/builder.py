@@ -1,11 +1,15 @@
 """Series construction from module lower central chains, plus a finitary
-McLain-style playground over rational indices."""
+McLain-style playground over rational indices.
+
+A factor's lower central chain is built in V: for B <= W normalized by N,
+[W/B, N] = ([W, N] + B)/B, one elimination per term.
+"""
 
 from fractions import Fraction
 
 from .errors import McLainError, NormalizationError, RefinementObstruction, ShapeError
-from .linalg import Mat, QuotientMap, Subspace
-from .series import Series, in_stabilizer
+from .linalg import Mat, Subspace, _images
+from .series import Series, _minus_one, in_stabilizer
 
 __all__ = [
     "GeneratorSet",
@@ -67,15 +71,19 @@ class LowerCentralChain:
         return f"LowerCentralChain[{dims}] zero={self.reaches_zero}"
 
 
-def _commutator_space(w, gens):
-    """[W, N] = sum of W(g-1) over the generators."""
-    field = gens.field
-    n = gens.dim
-    out = Subspace.zero(field, n)
-    ident = Mat.identity(field, n)
-    for g in gens:
-        out = out.sum(w.apply(g - ident))
-    return out
+def _lcs(top, bottom, nils):
+    """W_0 = top, W_(j+1) = bottom + the sum of W_j (g - 1) over the nils
+    g - 1, up to bottom or to the first stationary term."""
+    field, n = top.field, top.ambient_dim
+    chain = [top]
+    while chain[-1].dim > bottom.dim:
+        forms = [(r, 1) for r in chain[-1]._rows()]
+        images = [nums for nil in nils for nums, _ in _images(field, forms, nil)]
+        nxt = Subspace._of_rows(field, n, [*bottom._rows(), *images])
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return chain
 
 
 def module_lcs(gens):
@@ -86,23 +94,17 @@ def module_lcs(gens):
     """
     if not isinstance(gens, GeneratorSet):
         gens = GeneratorSet(gens)
-    current = Subspace.full(gens.field, gens.dim)
-    chain = [current]
-    while True:
-        nxt = _commutator_space(current, gens)
-        if nxt == current:
-            return LowerCentralChain(chain, current.is_zero())
-        chain.append(nxt)
-        current = nxt
-        if current.is_zero():
-            return LowerCentralChain(chain, True)
+    chain = _lcs(Subspace.full(gens.field, gens.dim), Subspace.zero(gens.field, gens.dim),
+                 [_minus_one(g) for g in gens])
+    return LowerCentralChain(chain, chain[-1].is_zero())
 
 
 def refine_series(s, gens):
     """Insert each factor's lower central chain preimages into s.
 
-    Every generator must normalize every member.  If some factor chain
-    stalls above zero, RefinementObstruction reports that jump.
+    Every generator must normalize every member, so each factor's chain
+    is built in V by `_lcs`, as [W/B, N] = ([W, N] + B)/B.  If some factor
+    chain stalls above zero, RefinementObstruction reports that jump.
     """
     if not isinstance(gens, GeneratorSet):
         gens = GeneratorSet(gens)
@@ -112,22 +114,14 @@ def refine_series(s, gens):
         for x in s.members:
             if x.apply(g) != x:
                 raise NormalizationError("a generator does not normalize a member")
+    nils = [_minus_one(g) for g in gens]
     members = [s.members[0]]
     for jump in s.jumps():
-        qm = QuotientMap(jump.bottom, jump.top)
-        induced = GeneratorSet([qm.induced_matrix(g) for g in gens]) if qm.dim else None
-        if qm.dim:
-            lcs = module_lcs(induced)
-            if not lcs.reaches_zero:
-                raise RefinementObstruction(
-                    jump.index,
-                    f"factor at jump {jump.index} has a non-vanishing chain",
-                )
-            for member_q in lcs.chain[1:]:
-                pre = qm.lift_subspace(member_q)
-                if pre not in members and pre != jump.bottom:
-                    members.append(pre)
-        members.append(jump.bottom)
+        chain = _lcs(jump.top, jump.bottom, nils)
+        if chain[-1].dim > jump.bottom.dim:
+            raise RefinementObstruction(
+                jump.index, f"factor at jump {jump.index} has a non-vanishing chain")
+        members += chain[1:]
     refined = Series(s.field, s.ambient_dim, members)
     if not all(in_stabilizer(g, refined) for g in gens):
         raise NormalizationError("a generator does not stabilize the refined series")

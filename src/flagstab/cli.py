@@ -39,9 +39,9 @@ from .decomposition import SectionAssignment, patch_sections, split_chain
 from .errors import FlagstabError, NotUnipotentError, ParseError, RefinementObstruction
 from .errors import ShapeError, WitnessError
 from .instances import adapted_basis_of, witness_instance, _chain_layout
-from .linalg import GF, QQ, Mat, QuotientMap, Subspace, Vec, image
+from .linalg import GF, QQ, Mat, Subspace, Vec
 from .series import canonical_coarsening, in_stabilizer, validate
-from .transvections import TransvectionSpec, transvection_commutator_check
+from .transvections import _annihilating_spec, transvection_commutator_check
 from .unipotent import jordan_blocks, unipotent_exponent
 from .witness import WitnessCertificate, construct_witness, extend_witness, verify_witness
 
@@ -345,20 +345,11 @@ def _need(pf, table, name, what):
     return table[name]
 
 
-def _hypothesis_phi(pf, s, u_index, t):
+def _hypothesis_phi(s, u_index, t):
     """Largest-kernel map V/U -> U vanishing on ([V,t]+U)/U, canonically."""
-    field = pf.field
     u = s.members[u_index]
-    full = Subspace.full(field, pf.dim)
-    qm = QuotientMap(u, full)
-    bad = qm.project_subspace(image(t - Mat.identity(field, pf.dim)).sum(u))
-    inner = QuotientMap(bad, Subspace.full(field, qm.dim))
-    if not inner.dim:
-        return TransvectionSpec(u, Mat.zero(field, qm.dim, pf.dim))
     ub = u.basis_vecs()
-    targets = [ub[i % len(ub)].entries if ub else [field.zero] * pf.dim for i in range(inner.dim)]
-    phi = inner.projection_matrix() @ Mat(field, targets, ncols=pf.dim)
-    return TransvectionSpec(u, phi)
+    return _annihilating_spec(u, t, lambda k: [ub[i % len(ub)].entries for i in range(k)])
 
 
 def _series_report(tag, s):
@@ -418,7 +409,7 @@ def run(command, pf, options):
             raise FlagstabError(f"member index {options.u} out of range")
         if options.k < 1:
             raise FlagstabError(f"--k must be at least 1, got {options.k}")
-        spec = _hypothesis_phi(pf, s, options.u, t)
+        spec = _hypothesis_phi(s, options.u, t)
         bad = transvection_commutator_check(spec, t, options.k)
         if bad is None:
             out.append("result=ok")

@@ -7,7 +7,7 @@ non-coarsenability they promise is re-checked, never assumed.
 
 from .linalg import Mat, QuotientMap, Subspace, Vec, complement_basis, image
 from .series import Series, _jump_levels, canonical_coarsening, in_stabilizer
-from .transvections import TransvectionSpec, make_transvection
+from .transvections import TransvectionSpec, _annihilating_spec, make_transvection
 from .unipotent import unipotent_exponent
 from .witness import PreorderedBasis
 
@@ -102,20 +102,8 @@ def random_transvection(rng, s):
 
 def random_annihilating_spec(rng, s, t):
     """Random map V/U -> U vanishing on ([V,t]+U)/U, for a random member U."""
-    field = s.field
-    n = s.ambient_dim
     u = rng.choice(s.members)
-    full = Subspace.full(field, n)
-    qm = QuotientMap(u, full)
-    if qm.dim == 0:
-        return TransvectionSpec(u, Mat.zero(field, 0, n))
-    bad = qm.project_subspace(image(t - Mat.identity(field, n)).sum(u))
-    inner = QuotientMap(bad, Subspace.full(field, qm.dim))
-    if inner.dim == 0 or u.dim == 0:
-        return TransvectionSpec(u, Mat.zero(field, qm.dim, n))
-    targets = [_random_row_in(rng, u) for _ in range(inner.dim)]
-    phi = inner.projection_matrix() @ Mat(field, targets, ncols=n)
-    return TransvectionSpec(u, phi)
+    return _annihilating_spec(u, t, lambda k: [_random_row_in(rng, u) for _ in range(k)])
 
 
 def random_square_zero_pair(rng, field, dim):

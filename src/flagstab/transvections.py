@@ -77,6 +77,20 @@ class TransvectionSpec:
         )
 
 
+def _annihilating_spec(u, t, targets):
+    """Map V/U -> U vanishing on ([V,t]+U)/U, for U = u: in quotient coordinates the
+    projection to the k coordinates of a complement, times the k rows targets(k),
+    called only when U and that complement are nonzero (else the map is zero)."""
+    field, n = u.field, u.ambient_dim
+    qm = QuotientMap(u, Subspace.full(field, n))
+    bad = qm.project_subspace(image(t - Mat.identity(field, n)).sum(u))
+    inner = QuotientMap(bad, Subspace.full(field, qm.dim))
+    if not inner.dim or not u.dim:
+        return TransvectionSpec(u, Mat.zero(field, qm.dim, n))
+    phi = inner.projection_matrix() @ Mat(field, targets(inner.dim), ncols=n)
+    return TransvectionSpec(u, phi)
+
+
 def make_transvection(spec):
     """Matrix of v -> v + (v+U)phi; always in the stabilizer of {0,U,V}."""
     n = spec.u.ambient_dim

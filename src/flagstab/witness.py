@@ -325,20 +325,32 @@ def adapted_jordan_chains(g, s):
     nil = _minus_one(g)
     basis = _adapted_rows(s)
     kernels, rows = _kernel_chain(nil, basis, _images(s.field, [(r, 1) for r in basis], nil))
-    return _straighten(_jordan_chains(nil, kernels, _member_meets(s, rows)), s, nil)[0]
+    return _straighten(_jordan_chains(nil, kernels, _member_meets(s, rows)), s)[0]
 
 
 def straighten_chains(chains, g, s):
-    """Absorb level dependencies until the chain vectors are s-adapted."""
+    """Absorb level dependencies until the chain vectors are s-adapted.
+    Caller chains may break v_(j+1) = v_j (g - 1) or the kernel end, so the
+    result is checked for both."""
     if not g.is_square():
         raise ShapeError("matrix shapes differ")
-    return _straighten(chains, s, _minus_one(g))[0]
+    nil = _minus_one(g)
+    chains = _straighten(chains, s)[0]
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            if a @ nil != b:
+                raise AdaptationError("straightened chain breaks v_(j+1) = v_j (g-1)")
+        if not (chain[-1] @ nil).is_zero():
+            raise AdaptationError("straightened chain does not end in the kernel")
+    return chains
 
 
-def _straighten(chains, s, nil):
-    """`straighten_chains` for g = 1 + nil, with the chain vectors' levels.  With
-    no level dependency left they are independent, so by the lemma in the
-    `series` docstring their level counts decide adaptedness (`_fills_jumps`)."""
+def _straighten(chains, s):
+    """`straighten_chains` with the chain vectors' levels.  With no level
+    dependency left they are independent, so by the lemma in the `series`
+    docstring their level counts decide adaptedness (`_fills_jumps`).  Chain
+    relations are not checked: `_jordan_chains` builds each vector as the one
+    above it times g - 1, and `_apply_chain_move` keeps that and the kernel end."""
     chains = [list(c) for c in chains]
     max_moves = 4 * s.ambient_dim * max(1, s.num_jumps)
     for _ in range(max_moves):
@@ -350,12 +362,6 @@ def _straighten(chains, s, nil):
         raise AdaptationError("level straightening did not converge")
     if not _fills_jumps(levels, s):
         raise AdaptationError("chains failed the adapted-basis check")
-    for chain in chains:
-        for a, b in zip(chain, chain[1:]):
-            if a @ nil != b:
-                raise AdaptationError("straightened chain breaks v_(j+1) = v_j (g-1)")
-        if not (chain[-1] @ nil).is_zero():
-            raise AdaptationError("straightened chain does not end in the kernel")
     return chains, levels
 
 
@@ -494,7 +500,7 @@ def _witness_with_basis(g, s):
         raise WitnessError(
             "exponent-too-large", f"exponent {k} is not below n-2 = {n - 2}"
         )
-    chains, levels = _straighten(_jordan_chains(nil, kernels, _member_meets(s, rows)), s, nil)
+    chains, levels = _straighten(_jordan_chains(nil, kernels, _member_meets(s, rows)), s)
     sel = select_pairs(_preordered_basis_from_chains(levels, n))
     basis = [v for chain in chains for v in chain]
     for x, y, _ in sel.pairs:

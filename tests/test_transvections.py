@@ -9,7 +9,7 @@ from flagstab.instances import (
     random_square_zero_pair,
     random_stabilizer_element,
 )
-from flagstab.linalg import GF, QQ, Mat, Subspace, Vec, image
+from flagstab.linalg import GF, QQ, Mat, QuotientMap, Subspace, Vec, image
 from flagstab.transvections import (
     TransvectionSpec,
     commutator,
@@ -233,3 +233,63 @@ def test_one_plus_eta_randomized():
             eta, g = random_square_zero_pair(rng, field, dim)
             for n in range(1, 7):
                 one_plus_eta_commutator(eta, g, n)
+
+
+# The two annihilating-map builders before they shared
+# `transvections._annihilating_spec`: the random one of `instances` and
+# the canonical one of `flagstab comm-check`.
+
+
+def ref_random_annihilating_spec(rng, s, t):
+    from flagstab.instances import _random_row_in
+
+    field = s.field
+    n = s.ambient_dim
+    u = rng.choice(s.members)
+    full = Subspace.full(field, n)
+    qm = QuotientMap(u, full)
+    if qm.dim == 0:
+        return TransvectionSpec(u, Mat.zero(field, 0, n))
+    bad = qm.project_subspace(image(t - Mat.identity(field, n)).sum(u))
+    inner = QuotientMap(bad, Subspace.full(field, qm.dim))
+    if inner.dim == 0 or u.dim == 0:
+        return TransvectionSpec(u, Mat.zero(field, qm.dim, n))
+    targets = [_random_row_in(rng, u) for _ in range(inner.dim)]
+    phi = inner.projection_matrix() @ Mat(field, targets, ncols=n)
+    return TransvectionSpec(u, phi)
+
+
+def ref_hypothesis_phi(s, u_index, t):
+    field, n = s.field, s.ambient_dim
+    u = s.members[u_index]
+    full = Subspace.full(field, n)
+    qm = QuotientMap(u, full)
+    bad = qm.project_subspace(image(t - Mat.identity(field, n)).sum(u))
+    inner = QuotientMap(bad, Subspace.full(field, qm.dim))
+    if not inner.dim:
+        return TransvectionSpec(u, Mat.zero(field, qm.dim, n))
+    ub = u.basis_vecs()
+    targets = [ub[i % len(ub)].entries if ub else [field.zero] * n for i in range(inner.dim)]
+    phi = inner.projection_matrix() @ Mat(field, targets, ncols=n)
+    return TransvectionSpec(u, phi)
+
+
+def test_annihilating_specs_match_reference():
+    # the same maps, and the random one leaves the generator in the same
+    # state, so every later draw of an instance is unchanged
+    from flagstab.cli import _hypothesis_phi
+
+    rng = random.Random(11)
+    for _ in range(40):
+        field = rng.choice([F2, F5, F7, QQ])
+        n = rng.randint(1, 6)
+        s = random_series(rng, field, n, rng.randint(0, n - 1))
+        t = random_stabilizer_element(rng, s, sparsity=rng.randint(0, 3))
+        seed = rng.randrange(2**32)
+        got, want = random.Random(seed), random.Random(seed)
+        spec, ref = random_annihilating_spec(got, s, t), ref_random_annihilating_spec(want, s, t)
+        assert (spec.u, spec.phi) == (ref.u, ref.phi)
+        assert got.getstate() == want.getstate()
+        for i in range(len(s.members)):
+            spec, ref = _hypothesis_phi(s, i, t), ref_hypothesis_phi(s, i, t)
+            assert (spec.u, spec.phi) == (ref.u, ref.phi)

@@ -189,6 +189,28 @@ def test_straighten_chains_randomized():
     assert done >= 1  # at least one instance genuinely needed repair
 
 
+@pytest.mark.parametrize("field", [F5, QQ])
+def test_straighten_chains_checks_caller_chain_relations(field):
+    # adapted chains stay adapted when a chain vector is scaled or a chain
+    # is split, so only the chain-relation check rejects them
+    from flagstab.errors import AdaptationError
+    from flagstab.witness import straighten_chains
+
+    g, s = witness_instance(random.Random(5), field, 8, 2)
+    chains = adapted_jordan_chains(g, s)
+    ci = next(i for i, c in enumerate(chains) if len(c) >= 2)
+    assert straighten_chains(chains, g, s) == chains
+    scaled = [list(c) for c in chains]
+    scaled[ci][1] = scaled[ci][1].scale(field.coerce(2))
+    split = [list(c) for c in chains]
+    split[ci:ci + 1] = [chains[ci][:1], chains[ci][1:]]
+    for bad, message in [(scaled, "straightened chain breaks v_(j+1) = v_j (g-1)"),
+                         (split, "straightened chain does not end in the kernel")]:
+        with pytest.raises(AdaptationError) as info:
+            straighten_chains(bad, g, s)
+        assert str(info.value) == message
+
+
 def test_build_h_examples():
     rng = random.Random(2)
     g, s = witness_instance(rng, F5, 6, 2)
