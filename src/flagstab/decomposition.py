@@ -1,7 +1,15 @@
-"""Constructive chain splitting and block patching of section maps."""
+"""Constructive chain splitting and block patching of section maps.
+
+Unit-row lemma: for W' <= W <= F^n, `complement_basis(W, F^n)` picks the
+unit row e_k iff e_k lies outside W + <e_1, ..., e_(k-1)>, a space that
+contains W' + <e_1, ..., e_(k-1)>; so the rows picked for W are picked for
+W'.  Invertibility: `patch_sections` acts on an adapted basis by disjoint
+blocks C hmap C^-1, C the section's adapted vectors in its quotient
+coordinates (a basis there) and hmap unipotent, as it stabilizes a series.
+"""
 
 from .errors import SectionError, SeriesError
-from .linalg import LinearSolver, Mat, QuotientMap, Subspace
+from .linalg import Mat, QuotientMap, Subspace
 from .series import _basis_levels, _section_indices, _section_series, in_stabilizer
 
 __all__ = [
@@ -30,9 +38,10 @@ class ChainSplit:
 def split_chain(chain):
     """Split V along a descending chain: V = A_1 + ... + A_m directly.
 
-    Ascending complements B_i to each chain member produce the parts as
-    A_i = B_i & V_{i-1}; each step checks the modular-law identity
-    B_i = B_{i-1} + A_i and the final stack has full rank.
+    A_i = B_i & V_(i-1), B_i the span of the unit rows picked by
+    `complement_basis(V_i, V)`; B_(i-1) <= B_i by the unit-row lemma.  The
+    closing check (the parts span V, dim A_i = dim V_(i-1) - dim V_i) makes
+    the sum direct and along the chain, as each A_i lies in V_(i-1).
     """
     chain = list(chain)
     if len(chain) < 2:
@@ -46,23 +55,12 @@ def split_chain(chain):
             raise SeriesError("chain must strictly descend")
     field = chain[0].field
     n = chain[0].ambient_dim
-    parts = []
-    prev_b = Subspace.zero(field, n)
-    for i in range(1, len(chain)):
-        # extend the previous complement to a complement of chain[i]
-        ext = prev_b.sum(chain[i])._extend(chain[0].basis)
-        b_i = prev_b.sum(Subspace._span(field, n, ext))
-        if not (b_i.intersect(chain[i]).is_zero() and b_i.sum(chain[i]).is_full()):
-            raise SeriesError("extended complement does not split the chain member")
-        a_i = b_i.intersect(chain[i - 1])
-        if b_i != prev_b.sum(a_i) or not prev_b.intersect(a_i).is_zero():
-            raise SeriesError("chain part breaks the modular-law identity")
-        parts.append(a_i)
-        prev_b = b_i
+    units = chain[0].basis
+    parts = [Subspace._span(field, n, bottom._extend(units)).intersect(top)
+             for top, bottom in zip(chain, chain[1:])]
     stacked = [row for a in parts for row in a.basis]
     if (
-        not prev_b.is_full()
-        or Subspace._span(field, n, stacked).dim != n
+        Subspace._span(field, n, stacked).dim != n
         or any(a.dim != top.dim - bottom.dim for a, top, bottom in zip(parts, chain, chain[1:]))
     ):
         raise SeriesError("chain parts do not split the space")
@@ -114,7 +112,8 @@ def patch_sections(adapted, s, assignment):
 
     Each map must stabilize its induced section series (checked); the
     result acts through the adapted basis, fixing all vectors outside
-    the sections, and its induced action on every section is verified.
+    the sections, so it is invertible (module docstring); that it
+    stabilizes s and induces every section map is verified.
     """
     adapted = list(adapted)
     levels = _basis_levels(adapted, s)
@@ -134,15 +133,12 @@ def patch_sections(adapted, s, assignment):
             raise SectionError("map shape differs from the section dimension")
         if not in_stabilizer(hmap, induced):
             raise SectionError("map does not stabilize the induced section series")
-        # move the map from deterministic-complement coordinates to the
-        # adapted section basis of this section: the adapted vectors of
-        # level in (i, j], whose coefficients are coordinates; their
-        # projections are a basis of the quotient, so every solve succeeds
+        # the map moved to the adapted vectors of level in (i, j], whose
+        # coefficients are basis coordinates: C hmap C^-1
         index = [k for k, lvl in enumerate(levels) if i < lvl <= j]
-        coords = [qm.project(adapted[k]) for k in index]
-        sec_solver = LinearSolver(field, [c.entries for c in coords], qm.dim)
-        for k, c in zip(index, coords):
-            a = sec_solver.solve(c @ hmap)
+        c = Mat._of(field, [qm.project(adapted[k]).entries for k in index], qm.dim)
+        block = c @ hmap @ c.inverse()
+        for k, a in zip(index, block.rows):
             row = [field.zero] * n
             for x, b in zip(a, index):
                 row[b] = x
@@ -150,8 +146,6 @@ def patch_sections(adapted, s, assignment):
         qmaps.append(qm)
     p = Mat.from_vecs(field, adapted, ncols=n)
     h = p.inverse() @ Mat._of(field, coords_rows, n) @ p
-    if not h.is_invertible():
-        raise SectionError("patched map is singular")
     if not in_stabilizer(h, s):
         raise SectionError("patched map escapes the stabilizer")
     # verify the induced action on every section equals the given map

@@ -791,9 +791,10 @@ class Subspace:
             den, cols = self._integer_columns()
             coeffs = [v[c] for c in self.pivots]
             return (den * v[c] - sum(map(mul, coeffs, col)) for c, col in cols)
+        clear = _clear
         for row, piv in zip(self.basis, self.pivots):
             if v[piv]:
-                v = _clear(p, v, row, piv)
+                v = clear(p, v, row, piv)
         return v
 
     def contains_vec(self, v):

@@ -12,7 +12,7 @@ from .errors import (
     TransvectionError,
 )
 from .linalg import Mat, QuotientMap, Subspace, Vec, image
-from .series import Series, in_stabilizer
+from .series import Series, _minus_one, in_stabilizer
 from .unipotent import unipotent_exponent
 
 __all__ = [
@@ -38,10 +38,17 @@ class TransvectionSpec:
 
     def __init__(self, u, phi, quotient_basis=None):
         full = Subspace.full(u.field, u.ambient_dim)
-        if quotient_basis is None:
-            qmap = QuotientMap(u, full)
-        else:
-            qmap = QuotientMap(u, full, reps=quotient_basis)
+        self._set(QuotientMap(u, full, reps=quotient_basis), phi)
+
+    @classmethod
+    def _of(cls, qmap, phi):
+        """Spec over qmap, an existing map of V onto V/U; checked as `__init__` is."""
+        spec = object.__new__(cls)
+        spec._set(qmap, phi)
+        return spec
+
+    def _set(self, qmap, phi):
+        u = qmap.u
         if phi.nrows != qmap.dim or phi.ncols != u.ambient_dim:
             raise TransvectionError("phi has the wrong shape for V/U -> U")
         for row in phi.rows:
@@ -72,9 +79,7 @@ class TransvectionSpec:
     def add(self, other):
         if self.u != other.u or self.qmap.reps != other.qmap.reps:
             raise TransvectionError("specs live over different data")
-        return TransvectionSpec(
-            self.u, self.phi + other.phi, quotient_basis=self.qmap.reps
-        )
+        return TransvectionSpec._of(self.qmap, self.phi + other.phi)
 
 
 def _annihilating_spec(u, t, targets):
@@ -86,9 +91,9 @@ def _annihilating_spec(u, t, targets):
     bad = qm.project_subspace(image(t - Mat.identity(field, n)).sum(u))
     inner = QuotientMap(bad, Subspace.full(field, qm.dim))
     if not inner.dim or not u.dim:
-        return TransvectionSpec(u, Mat.zero(field, qm.dim, n))
+        return TransvectionSpec._of(qm, Mat.zero(field, qm.dim, n))
     phi = inner.projection_matrix() @ Mat(field, targets(inner.dim), ncols=n)
-    return TransvectionSpec(u, phi)
+    return TransvectionSpec._of(qm, phi)
 
 
 def make_transvection(spec):
@@ -134,18 +139,19 @@ def iterated_commutator(x, g, n):
 
 
 def _check_commutator_hypothesis(spec, t):
-    """t must be unipotent, normalize U, and phi must kill [V,t] + U / U."""
+    """t must be unipotent, normalize U, and phi must kill [V,t] + U / U.
+    Returns t - 1 and eta, the displacement of spec, for the identity check."""
     if not t.is_square() or t.nrows != spec.u.ambient_dim:
         raise TransvectionError("shape mismatch between t and the transvection data")
     if unipotent_exponent(t) is None:
         raise HypothesisError("t is not unipotent")
     if spec.u.apply(t) != spec.u:
         raise HypothesisError("t does not normalize U")
-    nil = t - Mat.identity(t.field, t.nrows)
-    for row in image(nil).basis:
-        coords = spec.qmap.project(row)
-        if not (coords @ spec.phi).is_zero():
-            raise HypothesisError("phi does not kill [V,t] + U / U")
+    nil, eta = _minus_one(t), spec.displacement()
+    # v eta = (v + U) phi, so phi kills ([V,t] + U)/U when (t - 1) eta = 0
+    if not (nil @ eta).is_zero():
+        raise HypothesisError("phi does not kill [V,t] + U / U")
+    return nil, eta
 
 
 def transvection_commutator_check(spec, t, k):
@@ -155,12 +161,10 @@ def transvection_commutator_check(spec, t, k):
     failing (basis vector index, exponent), which the hypothesis rules
     out.  Hypothesis violations raise HypothesisError instead.
     """
-    _check_commutator_hypothesis(spec, t)
+    nil, eta = _check_commutator_hypothesis(spec, t)
     x = make_transvection(spec)
-    eta = spec.displacement()
     n = spec.u.ambient_dim
     ident = Mat.identity(spec.field, n)
-    nil = t - ident
     t_inv = t.inverse()  # t is unipotent, hence invertible
     z = x
     power = ident

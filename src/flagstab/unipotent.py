@@ -11,6 +11,8 @@ basis adapted to a series (members spanned by tails of A, as the identity
 is to V > 0), its meets with the members.
 """
 
+import itertools
+
 from .errors import ContainmentError, NotUnipotentError, ShapeError
 from .linalg import Mat, Subspace, _images, _row_times, _tagged
 from .series import _minus_one
@@ -155,23 +157,20 @@ def jordan_chains(g, candidate_order=None):
 
 def _jordan_chains(nil, kc, candidates):
     """`jordan_chains` of g = 1 + nil from the kernels kc of its chain, taking
-    each height's candidates(height, kernel), all inside that kernel."""
+    each height's candidates(height, kernel), all inside that kernel.  The
+    longer chains' elements, independent modulo the kernel below, come first."""
     field = nil.field
     n = nil.nrows
     chains = []
     for height in range(len(kc), 0, -1):
-        base_rows = []
-        if height >= 2:
-            base_rows += kc[height - 2].basis_vecs()
-        for chain in chains:
-            # element of this chain with the current height
-            base_rows.append(chain[len(chain) - height])
-        span = Subspace._span(field, n, base_rows)
+        below = kc[height - 2] if height >= 2 else Subspace.zero(field, n)
+        # element of each longer chain with the current height
+        shifted = [chain[len(chain) - height] for chain in chains]
         target = kc[height - 1]
-        new_heads = span._extend(candidates(height, target), target.dim)
-        if span.dim + len(new_heads) != target.dim:
+        new = below._extend(itertools.chain(shifted, candidates(height, target)), target.dim)
+        if new[:len(shifted)] != shifted or below.dim + len(new) != target.dim:
             raise ContainmentError(f"candidates do not complete the kernel at height {height}")
-        for head in new_heads:
+        for head in new[len(shifted):]:
             chain = [head]
             for _ in range(height - 1):
                 chain.append(chain[-1] @ nil)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagstab.decomposition import (
     SectionAssignment,
@@ -10,7 +12,7 @@ from flagstab.decomposition import (
 )
 from flagstab.errors import SectionError, SeriesError
 from flagstab.instances import adapted_basis_of, random_series, random_stabilizer_element
-from flagstab.linalg import GF, QQ, Mat, Subspace, Vec
+from flagstab.linalg import GF, QQ, Mat, Subspace, Vec, complement_basis
 from flagstab.series import Series, in_stabilizer, section_series, validate
 
 F2 = GF(2)
@@ -51,6 +53,23 @@ def test_split_chain_random_rank_certificates():
             assert Subspace.span(field, n, stacked).dim == n
             for a, top, bottom in zip(cs.parts, s.members, s.members[1:]):
                 assert a.dim == top.dim - bottom.dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unit_rows_picked_for_a_member_are_picked_below_it(data):
+    # the unit-row lemma behind split_chain: along a series, the unit rows
+    # complement_basis(V_(i-1), V) picks are among those picked for V_i
+    field = data.draw(st.sampled_from([F2, GF(3), QQ]))
+    n = data.draw(st.integers(1, 8))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    s = random_series(rng, field, n, data.draw(st.integers(0, n - 1)))
+    full = s.members[0]
+    units = set(full.basis)
+    picked = [complement_basis(x, full) for x in s.members]
+    for above, below in zip(picked, picked[1:]):
+        assert {v.entries for v in above} <= {v.entries for v in below} <= units
+    assert [len(p) for p in picked] == [n - x.dim for x in s.members]
 
 
 def test_section_basis_examples():

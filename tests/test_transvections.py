@@ -1,10 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flagstab.errors import HypothesisError, SingularMatrixError, TransvectionError
+from flagstab.errors import (
+    FlagstabError,
+    HypothesisError,
+    SingularMatrixError,
+    TransvectionError,
+)
 from flagstab.instances import (
+    _random_row_in,
     random_annihilating_spec,
+    random_invertible,
     random_series,
     random_square_zero_pair,
     random_stabilizer_element,
@@ -12,6 +21,7 @@ from flagstab.instances import (
 from flagstab.linalg import GF, QQ, Mat, QuotientMap, Subspace, Vec, image
 from flagstab.transvections import (
     TransvectionSpec,
+    _check_commutator_hypothesis,
     commutator,
     fixed_line_engel_witness,
     iterated_commutator,
@@ -19,7 +29,7 @@ from flagstab.transvections import (
     make_transvection,
     one_plus_eta_commutator,
 )
-from flagstab.unipotent import jordan_matrix
+from flagstab.unipotent import jordan_matrix, unipotent_exponent
 
 F2 = GF(2)
 F5 = GF(5)
@@ -293,3 +303,133 @@ def test_annihilating_specs_match_reference():
         for i in range(len(s.members)):
             spec, ref = _hypothesis_phi(s, i, t), ref_hypothesis_phi(s, i, t)
             assert (spec.u, spec.phi) == (ref.u, ref.phi)
+
+
+# `_check_commutator_hypothesis` before it read the annihilation off the
+# displacement: phi applied to the quotient coordinates of each basis row
+# of [V,t] = image(t - 1).
+
+
+def ref_check_commutator_hypothesis(spec, t):
+    if not t.is_square() or t.nrows != spec.u.ambient_dim:
+        raise TransvectionError("shape mismatch between t and the transvection data")
+    if unipotent_exponent(t) is None:
+        raise HypothesisError("t is not unipotent")
+    if spec.u.apply(t) != spec.u:
+        raise HypothesisError("t does not normalize U")
+    nil = t - Mat.identity(t.field, t.nrows)
+    for row in image(nil).basis:
+        coords = spec.qmap.project(row)
+        if not (coords @ spec.phi).is_zero():
+            raise HypothesisError("phi does not kill [V,t] + U / U")
+
+
+def hypothesis_outcome(spec, t):
+    try:
+        nil, eta = _check_commutator_hypothesis(spec, t)
+    except FlagstabError as exc:
+        return type(exc), str(exc)
+    assert nil == t - Mat.identity(t.field, t.nrows) and eta == spec.displacement()
+    return "ok", None
+
+
+def ref_hypothesis_outcome(spec, t):
+    try:
+        return "ok", ref_check_commutator_hypothesis(spec, t)
+    except FlagstabError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_commutator_hypothesis_matches_reference(data):
+    field = data.draw(st.sampled_from([F2, GF(3), F5, QQ]))
+    n = data.draw(st.integers(1, 6))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    s = random_series(rng, field, n, rng.randint(0, n - 1))
+    other = random_series(rng, field, n, rng.randint(0, n - 1))
+    u = rng.choice(s.members)
+    # phi into U: annihilating [V,t] + U / U only by chance
+    rows = [_random_row_in(rng, u) for _ in range(n - u.dim)]
+    specs = [TransvectionSpec(u, Mat(field, rows, ncols=n)), TransvectionSpec.zero(u)]
+    elements = [
+        random_stabilizer_element(rng, s),  # unipotent and normalizes U
+        random_stabilizer_element(rng, other),  # unipotent, may move U
+        random_invertible(rng, field, n),  # mostly not unipotent
+        Mat.identity(field, n + 1),  # wrong shape
+    ]
+    specs.append(random_annihilating_spec(rng, s, elements[0]))
+    kinds = set()
+    for spec in specs:
+        for t in elements:
+            got = hypothesis_outcome(spec, t)
+            assert got == ref_hypothesis_outcome(spec, t)
+            kinds.add(got)
+    assert ("ok", None) in kinds  # the annihilating spec passes
+
+
+def test_commutator_hypothesis_failure_kinds():
+    # one instance of each outcome, each with the reference's error
+    u = Subspace.span(F5, 3, [[0, 0, 1]])
+    t = jordan_matrix(F5, [3])
+    cases = [
+        (TransvectionSpec.zero(u), Mat.identity(F5, 2)),
+        (TransvectionSpec.zero(u), Mat(F5, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])),
+        (TransvectionSpec.zero(Subspace.span(F5, 3, [[0, 1, 0]])), t),
+        (TransvectionSpec(u, Mat(F5, [[0, 0, 0], [0, 0, 1]])), t),
+        (TransvectionSpec(u, Mat(F5, [[0, 0, 1], [0, 0, 0]])), t),
+    ]
+    got = [hypothesis_outcome(spec, t) for spec, t in cases]
+    assert got == [ref_hypothesis_outcome(spec, t) for spec, t in cases]
+    assert got == [
+        (TransvectionError, "shape mismatch between t and the transvection data"),
+        (HypothesisError, "t is not unipotent"),
+        (HypothesisError, "t does not normalize U"),
+        (HypothesisError, "phi does not kill [V,t] + U / U"),
+        ("ok", None),
+    ]
+
+
+def count_quotient_maps(monkeypatch):
+    calls = []
+    init = QuotientMap.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuotientMap, "__init__", counted)
+    return calls
+
+
+def test_annihilating_specs_build_two_quotient_maps(monkeypatch):
+    # the map V -> V/U and the map of V/U onto its quotient by ([V,t]+U)/U;
+    # the spec keeps the first, and adding specs builds none
+    from flagstab.cli import _hypothesis_phi
+
+    calls = count_quotient_maps(monkeypatch)
+    rng = random.Random(12)
+    for _ in range(30):
+        field = rng.choice([F2, F5, QQ])
+        n = rng.randint(1, 6)
+        s = random_series(rng, field, n, rng.randint(0, n - 1))
+        t = random_stabilizer_element(rng, s)
+        del calls[:]
+        spec = random_annihilating_spec(rng, s, t)
+        assert len(calls) == 2
+        del calls[:]
+        twice = spec.add(spec)
+        assert not calls
+        assert twice.qmap is spec.qmap
+        assert make_transvection(twice) == make_transvection(spec) @ make_transvection(spec)
+        # the trusted constructor still checks phi
+        with pytest.raises(TransvectionError, match="wrong shape"):
+            TransvectionSpec._of(spec.qmap, Mat.zero(field, spec.qmap.dim + 1, n))
+        if spec.qmap.dim:  # a representative lies outside U
+            escaping = Mat(field, [spec.qmap.reps[0].entries] * spec.qmap.dim, ncols=n)
+            with pytest.raises(TransvectionError, match="escapes U"):
+                TransvectionSpec._of(spec.qmap, escaping)
+        for i in range(len(s.members)):
+            del calls[:]
+            _hypothesis_phi(s, i, t)
+            assert len(calls) == 2
