@@ -176,6 +176,19 @@ def _square(field, rows, dim):
     return Mat._of(field, rows, dim)
 
 
+def _subspace(field, dim, rows):
+    """The span of a parsed block: a block in reduced echelon form (strictly
+    increasing pivots, each 1 and alone in its column) is its own canonical
+    basis, and any other block is eliminated."""
+    pivots, c = [], -1
+    for r in rows:
+        c = next((j for j in range(c + 1, dim) if r[j]), dim)
+        if c == dim or r[c] != 1 or any(r[:c]) or any(q[c] for q in rows[:len(pivots)]):
+            return Subspace._span(field, dim, rows)
+        pivots.append(c)
+    return Subspace(field, dim, rows, pivots)
+
+
 def parse_problem(text):
     """Parse a problem file; raises ParseError with a line number."""
     lines = _Lines(text)
@@ -241,7 +254,7 @@ def parse_problem(text):
                 if nrows is None:
                     raise ParseError(l2, "expected 'subspace <rows>'")
                 rows = _parse_matrix_rows(lines, scalars, nrows, dim, "subspace")
-                subs.append(Subspace._span(field, dim, rows))
+                subs.append(_subspace(field, dim, rows))
             try:
                 full = Subspace.full(field, dim)
                 zero = Subspace.zero(field, dim)

@@ -7,29 +7,36 @@ are left null spaces and images are row spaces.
 
 Kernels read a row as `_form` gives it, (numerators, denominator): over
 GF(p) the canonical entries over 1, over QQ integer numerators over one
-common denominator.  All elimination runs in one Gauss-Jordan loop for
-both fields, `_eliminate`, and one step, `_clear`, clears a column of a
-row against an echelon row: over GF(p) a monic one, over QQ fraction-free,
-by cross-multiplying and dividing the result by its content (Bareiss
-1968).  Kernels, inverses and solvers eliminate one [A | d*I] block built
-by `_tagged`.  Canonical `Fraction`s are built only where a `Vec`, `Mat`,
-`Subspace` or solution row is handed out, so every result is the same as
-with `Fraction` arithmetic throughout.
+common denominator.  All elimination runs in one Gauss-Jordan loop,
+`_eliminate`; kernels, inverses and solvers eliminate one [A | d*I] block
+built by `_tagged`.  Canonical `Fraction`s are built only where a `Vec`,
+`Mat`, `Subspace` or solution row is handed out, so every result is the
+same as with `Fraction` arithmetic throughout.
 
-Over QQ each object keeps the integer form of its rows, so no kernel
-converts the same row twice:
-- a `Subspace` keeps the primitive integer rows its elimination returned
-  (`_int_rows`, read through `_rows`): basis row i times its pivot
-  entry, which is also its lcm denominator;
-- a `Vec` keeps its (numerators, denominator) pair (`_int`), and a
-  `Mat` one pair per row (`_int_forms`, read through `_forms`); a
+For p <= 13 the kernels pack a GF(p) row into one int, an 8-bit slot per
+column, column 0 in the top byte (Albrecht, Bard and Hart 2010; Dumas,
+Fousse and Salvy 2011).  A slot cleared by adding (p - f) times a monic
+row holds at most (p - 1) + (p - 1)^2 <= 156, so one byte translation
+reduces every slot mod p; over GF(2) a clear is an XOR (`_residue`).
+Larger p would overflow a byte, so their rows stay lists, cleared by
+`_clear` as QQ's are, there fraction-free (Bareiss 1968).
+
+Each object keeps the kernel form of its rows, so no row is converted
+twice:
+- a `Subspace` keeps the rows its elimination returned (`_int_rows`):
+  for p <= 13 packed (`_packed`), over QQ primitive integer rows, basis
+  row i times its pivot entry, which is also its lcm denominator;
+- over QQ a `Vec` keeps its (numerators, denominator) pair (`_int`), and
+  a `Mat` one pair per row (`_int_forms`, read through `_forms`); a
   product stores the pairs it computed, in lowest terms;
-- a `Mat`'s columns and a `Subspace`'s non-pivot columns, each over one
-  common denominator (`_int_cols`), are derived on first use from those
-  rows (for a `Mat` that has none, from its entries).
+- a `Mat`'s form as a right factor (`_as_factor`: over GF(p) x -> x @ m,
+  for p <= 13 over its packed rows; over QQ its columns over one common
+  denominator) and a `Subspace`'s non-pivot columns (`_int_cols`) are
+  derived on first use.
 An object built otherwise (user input, `Fraction` sums and scalings, the
-public `Subspace(...)`) gets its form on first use through `_int_row`: a
-`Mat` in one conversion of all its entries over a common denominator.
+public `Subspace(...)`) gets its form on first use, over QQ through
+`_int_row`: a `Mat` in one conversion of all its entries over a common
+denominator.
 Rows of plain ints, such as images and elimination output, are read as
 they are.
 
@@ -278,7 +285,7 @@ class Vec:
         if self.field.p is None:
             (form,) = _int_times([_form(self.field, self)], m)
             return Vec._of(self.field, _entries(None, *form), form)
-        return Vec._of(self.field, _row_times(self.field, self.entries, m.rows, m.ncols))
+        return Vec._of(self.field, m._right()(self.entries))
 
     def __eq__(self, other):
         return (
@@ -394,18 +401,36 @@ def _int_times(forms, m):
     return out
 
 
-def _row_times(field, row, rows, ncols):
-    """The row times the matrix with these rows, all of ints: over GF(p)
-    reduced mod p, over QQ an integer row."""
+def _row_map(field, rows, ncols):
+    """x -> x @ M for M the matrix with these rows, all of ints: over GF(p)
+    reduced mod p, over QQ an integer row.  For p <= 13 the rows are packed
+    once (`_pack`) and x @ M is summed in their slots, reduced mod p
+    whenever another term could carry out of a byte."""
     p = field.p
-    out = [0] * ncols
-    for x, mrow in zip(row, rows):
-        if x == 0:
-            continue
-        for j, y in enumerate(mrow):
-            if y != 0:
-                out[j] += x * y
-    return out if p is None else [x % p for x in out]
+    if p in _MOD:
+        words, mod, room = [_pack(r) for r in rows], _MOD[p], (256 - p) // (p - 1) ** 2
+
+        def times(x):
+            acc, left = 0, room
+            for a, w in zip(x, words):
+                if a:
+                    if not left:
+                        acc = int.from_bytes(acc.to_bytes(ncols, "big").translate(mod), "big")
+                        left = room
+                    acc += a * w
+                    left -= 1
+            return acc.to_bytes(ncols, "big").translate(mod)
+        return times
+
+    def times(x):
+        out = [0] * ncols
+        for a, mrow in zip(x, rows):
+            if a:
+                for j, y in enumerate(mrow):
+                    if y:
+                        out[j] += a * y
+        return out if p is None else [y % p for y in out]
+    return times
 
 
 def _images(field, forms, m):
@@ -413,7 +438,8 @@ def _images(field, forms, m):
     form: in lowest terms over QQ, over 1 over GF(p)."""
     if field.p is None:
         return _int_times(forms, m)
-    return [(_row_times(field, r, m.rows, m.ncols), 1) for r, _ in forms]
+    times = m._right()
+    return [(times(r), 1) for r, _ in forms]
 
 
 def _plus(p, a, b, sign):
@@ -425,7 +451,7 @@ def _plus(p, a, b, sign):
 class Mat:
     """Immutable dense matrix, row major."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_int_forms", "_int_cols")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_int_forms", "_as_factor")
 
     def __init__(self, field, rows, ncols=None):
         rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
@@ -440,7 +466,7 @@ class Mat:
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_int_forms", None)
-        object.__setattr__(self, "_int_cols", None)
+        object.__setattr__(self, "_as_factor", None)
 
     @classmethod
     def _of(cls, field, rows, ncols, forms=None):
@@ -453,7 +479,7 @@ class Mat:
         object.__setattr__(m, "ncols", ncols)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "_int_forms", forms)
-        object.__setattr__(m, "_int_cols", None)
+        object.__setattr__(m, "_as_factor", None)
         return m
 
     def _forms(self):
@@ -474,7 +500,7 @@ class Mat:
 
     def _integer_columns(self):
         """(den, [column j of den * self for each j]) over QQ, cached."""
-        form = self._int_cols
+        form = self._as_factor
         if form is None:
             forms = self._int_forms
             if forms is None:
@@ -485,8 +511,16 @@ class Mat:
                 flat = [x for nums in rows for x in nums]
             n = self.ncols
             form = (den, [flat[j::n] for j in range(n)])
-            object.__setattr__(self, "_int_cols", form)
+            object.__setattr__(self, "_as_factor", form)
         return form
+
+    def _right(self):
+        """x -> x @ self over GF(p) (`_row_map`), built on first use."""
+        times = self._as_factor
+        if times is None:
+            times = _row_map(self.field, self.rows, self.ncols)
+            object.__setattr__(self, "_as_factor", times)
+        return times
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -563,8 +597,8 @@ class Mat:
         if field.p is None:
             forms = _int_times(self._forms(), other)
             return Mat._of(field, [_entries(None, *f) for f in forms], other.ncols, forms)
-        rows = [_row_times(field, r, other.rows, other.ncols) for r in self.rows]
-        return Mat._of(field, rows, other.ncols)
+        times = other._right()
+        return Mat._of(field, [times(r) for r in self.rows], other.ncols)
 
     def pow(self, e):
         if not self.is_square():
@@ -623,16 +657,70 @@ class Mat:
         return f"Mat[{body}]"
 
 
+# -- packed GF(p) rows, p <= 13 (see the module docstring) ------------------
+_MOD = {p: bytes(x % p for x in range(256)) for p in (2, 3, 5, 7, 11, 13)}  # byte -> byte % p
+
+
+def _pack(row):
+    """A row of canonical GF(p) entries as one int."""
+    return int.from_bytes(bytes(row), "big")
+
+
+def _residue(p, n, v, echelon):
+    """Packed v of width n with the slot at each (shift, row) pair's shift
+    cleared in turn by that row, which is monic there and zero at the
+    shifts of the pairs before it: a slot holding f is cleared by adding
+    (p - f) times the row, over GF(2) by an XOR."""
+    for s, e in echelon:
+        f = v >> s & 255
+        if f:
+            if p == 2:
+                v ^= e
+            else:
+                v = int.from_bytes((v + (p - f) * e).to_bytes(n, "big").translate(_MOD[p]), "big")
+    return v
+
+
+def _monic(p, n, v):
+    """(shift, v scaled to 1 there) for the leading slot of a nonzero packed v."""
+    s = v.bit_length() - 1 & ~7
+    if v >> s != 1:
+        v = int.from_bytes((v * pow(v >> s, -1, p)).to_bytes(n, "big").translate(_MOD[p]), "big")
+    return s, v
+
+
+def _echelon(p, n, rows):
+    """(rows as bytes, pivots, (shift, packed row) pairs) of the reduced
+    echelon form of rows of width n, built row by row: a row is cleared
+    by the pairs so far and, if nonzero, made monic and cleared out of them."""
+    out = []
+    for v in rows:
+        v = _residue(p, n, _pack(v), out)
+        if v:
+            s, v = pair = _monic(p, n, v)
+            out = [(t, _residue(p, n, e, (pair,)) if e >> s & 255 else e) for t, e in out]
+            out.append(pair)
+            if len(out) == n:
+                break
+    out.sort(reverse=True)
+    return [e.to_bytes(n, "big") for _, e in out], [n - 1 - (s >> 3) for s, _ in out], out
+
+
 def _eliminate(field, rows):
     """Gauss-Jordan elimination of rows in kernel form (the numerators of
-    `_form`), in place; returns (nonzero rows, pivot cols).
+    `_form`); returns (nonzero rows, pivot cols).
 
     Over GF(p) the rows are the reduced row echelon form: each pivot row
-    is made monic.  Over QQ the rows are first divided by their content,
-    and come out primitive, each its reduced echelon row times the pivot
-    entry (Bareiss 1968); `_entries` divides that out.
+    is made monic.  For p <= 13 they are packed, reduced row by row by
+    `_echelon` (byte slots, XOR over GF(2)) and come back as bytes; larger
+    p would overflow a byte slot, so `_clear` reduces their lists in place.
+    Over QQ the rows are first divided by their content, and come out
+    primitive, each its reduced echelon row times the pivot entry (Bareiss
+    1968); `_entries` divides that out.
     """
     p = field.p
+    if p in _MOD:
+        return _echelon(p, len(rows[0]) if rows else 0, rows)[:2]
     if p is None:
         for i, row in enumerate(rows):
             g = math.gcd(*row)
@@ -667,7 +755,7 @@ def _eliminate(field, rows):
 
 def _clear(p, v, e, c):
     """v with column c cleared by the echelon row e whose pivot is c, for
-    v[c] nonzero; all rows in kernel form.
+    v[c] nonzero; both are lists in kernel form (packed rows: `_residue`).
 
     Over GF(p) e is monic.  Over QQ v becomes a*v - b*e, with a and b the
     pivot and the entry divided by their gcd, divided by its content.
@@ -720,6 +808,11 @@ class Subspace:
         over GF(p).  Over QQ the subspace keeps the primitive integer rows
         that the elimination returns, each with a positive pivot entry.
         """
+        if field.p in _MOD:
+            basis, pivots, pairs = _echelon(field.p, ambient_dim, rows)
+            s = cls(field, ambient_dim, basis, pivots)
+            object.__setattr__(s, "_int_rows", pairs)
+            return s
         reduced, pivots = _eliminate(field, rows)
         ints = [r if r[c] > 0 else [-x for x in r] for r, c in zip(reduced, pivots)]
         basis = [_entries(field.p, r, r[c]) for r, c in zip(ints, pivots)]
@@ -768,6 +861,15 @@ class Subspace:
             object.__setattr__(self, "_int_rows", rows)
         return rows
 
+    def _packed(self):
+        """The basis as `_echelon` gives it (p <= 13), kept or packed once."""
+        pairs = self._int_rows
+        if pairs is None:
+            n = self.ambient_dim
+            pairs = [(8 * (n - 1 - c), _pack(r)) for r, c in zip(self.basis, self.pivots)]
+            object.__setattr__(self, "_int_rows", pairs)
+        return pairs
+
     def _integer_columns(self):
         """(den, [(c, column c of den * basis) for each non-pivot c]), cached."""
         form = self._int_cols
@@ -782,20 +884,18 @@ class Subspace:
         """Residue of v, a row in kernel form, after elimination against
         the basis.
 
-        Over QQ the residue is taken on the non-pivot columns only (it
-        vanishes on the others) and scaled to integers; it is yielded
-        lazily, column by column.
+        For p <= 13 it is the packed residue, as bytes.  Otherwise it is
+        taken on the non-pivot columns only (it vanishes on the others):
+        over QQ scaled to integers and yielded lazily, column by column.
         """
         p = self.field.p
-        if p is None:
-            den, cols = self._integer_columns()
-            coeffs = [v[c] for c in self.pivots]
-            return (den * v[c] - sum(map(mul, coeffs, col)) for c, col in cols)
-        clear = _clear
-        for row, piv in zip(self.basis, self.pivots):
-            if v[piv]:
-                v = clear(p, v, row, piv)
-        return v
+        if p in _MOD:
+            n = self.ambient_dim
+            return _residue(p, n, _pack(v), self._packed()).to_bytes(n, "big")
+        den, cols = self._integer_columns()
+        coeffs = [v[c] for c in self.pivots]
+        residue = (den * v[c] - sum(map(mul, coeffs, col)) for c, col in cols)
+        return residue if p is None else [x % p for x in residue]
 
     def contains_vec(self, v):
         if not isinstance(v, Vec):
@@ -810,6 +910,9 @@ class Subspace:
             return True
         if other.dim > self.dim:
             return False
+        p, n = self.field.p, self.ambient_dim
+        if p in _MOD:
+            return not any(_residue(p, n, e, self._packed()) for _, e in other._packed())
         return not any(any(self._reduce(r)) for r in other._rows())
 
     def _match(self, other):
@@ -872,23 +975,29 @@ class Subspace:
         the ambient one) it stops, without drawing another row.
         """
         dim = self.ambient_dim if dim is None else dim
-        field, p = self.field, self.field.p
-        clear = _clear
-        # (pivot, row), monic over GF(p), and zero left of its pivot and at
-        # earlier pivots: one pass clears a new row's pivots
-        echelon = list(zip(self.pivots, self._rows()))
+        field, p, n = self.field, self.field.p, self.ambient_dim
+        packed, clear = p in _MOD, _clear
+        # (pivot, row), or packed (shift, row): monic over GF(p), and zero left
+        # of its pivot and at earlier pivots, so one pass clears a new row
+        echelon = list(self._packed() if packed else zip(self.pivots, self._rows()))
         new = []
         for row in rows if len(echelon) < dim else ():
             v = _form(field, row)[0]
-            for c, e in echelon:
-                if v[c]:
-                    v = clear(p, v, e, c)
-            c = next((j for j, x in enumerate(v) if x), None)
-            if c is None:
-                continue
-            if p is not None:
-                v = _scale(p, field.inv(v[c]), v)
-            echelon.append((c, v))
+            if packed:
+                v = _residue(p, n, _pack(v), echelon)
+                if not v:
+                    continue
+                echelon.append(_monic(p, n, v))
+            else:
+                for c, e in echelon:
+                    if v[c]:
+                        v = clear(p, v, e, c)
+                c = next((j for j, x in enumerate(v) if x), None)
+                if c is None:
+                    continue
+                if p is not None:
+                    v = _scale(p, field.inv(v[c]), v)
+                echelon.append((c, v))
             new.append(row)
             if len(echelon) >= dim:
                 break

@@ -98,8 +98,12 @@ def _annihilating_spec(u, t, targets):
 
 def make_transvection(spec):
     """Matrix of v -> v + (v+U)phi; always in the stabilizer of {0,U,V}."""
+    return _transvection(spec, spec.displacement())
+
+
+def _transvection(spec, eta):
+    """`make_transvection(spec)`, given eta = spec.displacement()."""
     n = spec.u.ambient_dim
-    eta = spec.displacement()
     x = Mat.identity(spec.field, n) + eta
     if not (eta @ eta).is_zero():
         raise TransvectionError("displacement does not square to zero")
@@ -162,7 +166,7 @@ def transvection_commutator_check(spec, t, k):
     out.  Hypothesis violations raise HypothesisError instead.
     """
     nil, eta = _check_commutator_hypothesis(spec, t)
-    x = make_transvection(spec)
+    x = _transvection(spec, eta)
     n = spec.u.ambient_dim
     ident = Mat.identity(spec.field, n)
     t_inv = t.inverse()  # t is unipotent, hence invertible
@@ -189,17 +193,23 @@ def fixed_line_engel_witness(g, u_line, spec, n):
         raise TransvectionError("the bottom member must be a line")
     if spec.u != u_line:
         raise TransvectionError("transvection data is not built over the given line")
-    if not g.is_invertible():
-        raise SingularMatrixError("g must be invertible")
+    try:
+        g_inv = g.inverse()
+    except SingularMatrixError:
+        raise SingularMatrixError("g must be invertible") from None
     dim = u_line.ambient_dim
     ident = Mat.identity(g.field, dim)
     gm1 = g - ident
     for row in u_line.basis:
         if not (Vec(g.field, row) @ gm1).is_zero():
             raise HypothesisError("g does not fix the line pointwise")
-    z = iterated_commutator(make_transvection(spec), g, n)
     eta = spec.displacement()
-    expected = ident + (g.inverse() - ident).pow(n) @ eta
+    z = _transvection(spec, eta)
+    if n < 0:
+        raise ValueError("negative commutator depth")
+    for _ in range(n):  # iterated_commutator, with g^-1 formed once
+        z = _commutator(z, g, g_inv)
+    expected = ident + (g_inv - ident).pow(n) @ eta
     if z != expected:
         raise IdentityError("iterated commutator drifted from 1 + (g^-1-1)^n eta")
     return z

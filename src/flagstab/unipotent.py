@@ -14,7 +14,7 @@ is to V > 0), its meets with the members.
 import itertools
 
 from .errors import ContainmentError, NotUnipotentError, ShapeError
-from .linalg import Mat, Subspace, _images, _row_times, _tagged
+from .linalg import Mat, Subspace, _images, _row_map, _tagged
 from .series import _minus_one
 
 __all__ = [
@@ -79,6 +79,7 @@ def _kernel_chain(nil, basis, forms):
     kernel is everything.
     """
     field, n = nil.field, nil.nrows
+    in_basis = _row_map(field, basis, n)
     kernels, rows = [], []
     for _ in range(n):
         if not any(any(nums) for nums, _ in forms):
@@ -86,7 +87,7 @@ def _kernel_chain(nil, basis, forms):
             rows.append(None)
             break
         reduced, pivots = _tagged(field, forms, range(n))
-        rows.append([(c - n, _row_times(field, r[n:], basis, n))
+        rows.append([(c - n, in_basis(r[n:]))
                      for r, c in zip(reduced, pivots) if c >= n])
         kernels.append(Subspace._of_rows(field, n, [y for _, y in rows[-1]]))
         forms = _images(field, forms, nil)

@@ -51,7 +51,7 @@ from .errors import (
     ShapeError,
     WitnessError,
 )
-from .linalg import Mat, Subspace, Vec, _common, _eliminate, _form, _images, _plus, _row_times
+from .linalg import Mat, Subspace, Vec, _common, _eliminate, _form, _images, _plus, _row_map
 from .linalg import _tagged, echelonize, left_kernel_rows
 from .series import Series, _adapted_rows, _coarsening, _complement_rows, _jump_images
 from .series import _fills_jumps, _level_residue, _minus_one, canonical_coarsening
@@ -574,14 +574,14 @@ class _RankFactors:
         members, field, n = s.members, self.cols.field, self.cols.nrows
         if len(members) > 1 and n != s.ambient_dim:
             raise ShapeError("matrix height differs from ambient dimension")
-        _, cols = self.rows._integer_columns()  # E's rows over one denominator
+        _, e_rows = _common(self.rows._forms())  # E's rows over one denominator
         for i in range(1, len(members)):
-            residues = [list(members[i]._reduce(e)) for e in zip(*cols)]
+            residues = [list(members[i]._reduce(e)) for e in e_rows]
             if not any(map(any, residues)):
                 continue
             rows = [(a, 1) for a in _complement_rows(members[i], members[i - 1])]
-            if any(any(_row_times(field, x, residues, n))
-                   for x, _ in _images(field, rows, self.cols)):
+            by_residues = _row_map(field, residues, n)
+            if any(any(by_residues(x)) for x, _ in _images(field, rows, self.cols)):
                 return False
         return True
 
@@ -609,7 +609,8 @@ def _core_meets(w, s):
     a_inv = Mat._of(s.field, a, n, [(r, 1) for r in a]).inverse()  # reads only the forms
     forms = _images(s.field, [(r, r[c]) for r, c in zip(w._rows(), w.pivots)], a_inv)
     reduced, pivots = _tagged(s.field, forms, range(w.dim))
-    return [(c, _row_times(s.field, r[:n], a, n), r[n:]) for r, c in zip(reduced, pivots)]
+    in_v = _row_map(s.field, a, n)
+    return [(c, in_v(r[:n]), r[n:]) for r, c in zip(reduced, pivots)]
 
 
 def _series_split_complement(s, meets):

@@ -15,7 +15,7 @@ from flagstab.builder import McLainElement
 from flagstab.cli import ProblemFile, format_problem, main, parse_problem
 from flagstab.errors import ParseError, ShapeError
 from flagstab.instances import random_series, random_stabilizer_element, witness_instance
-from flagstab.linalg import GF, QQ, Mat, Vec
+from flagstab.linalg import GF, QQ, Mat, Subspace, Vec
 from flagstab.witness import WitnessCertificate, construct_witness
 
 
@@ -103,6 +103,37 @@ def test_format_rejects_what_the_reader_rejects():
                 format_problem(pf)
     with pytest.raises(ShapeError, match="empty matrix needs explicit ncols"):
         parse_problem("field gf 2\ndim 0\nmatrix g\n")
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(17), QQ])
+def test_subspace_blocks_parse_to_their_span(field, monkeypatch):
+    # a block in reduced echelon form is read as its own basis, any other
+    # block is eliminated; both give the subspace `_span` builds
+    span_of = Subspace._span
+    half = Fraction(1, 2) if field == QQ else 1
+    blocks = {
+        "echelon": [[1, 0, 2, 0], [0, 1, half, 0], [0, 0, 0, 1]],
+        "one row": [[0, 1, 3, 0]],
+        "pivot not 1": [[2, 0, 4, 0], [0, 1, 3, 0]],
+        "pivots decrease": [[0, 1, 3, 0], [1, 0, 2, 0]],
+        "entry left of a pivot": [[0, 1, 3, 0], [1, 0, 0, 1]],
+        "pivot column not alone": [[1, 1, 2, 0], [0, 1, 3, 0]],
+        "zero row": [[1, 0, 2, 0], [0, 0, 0, 0]],
+        "repeated row": [[1, 0, 2, 0], [1, 0, 2, 0]],
+    }
+    for name, rows in blocks.items():
+        rows = [[field.coerce(x) for x in r] for r in rows]
+        body = "".join(" ".join(map(field.format, r)) + "\n" for r in rows)
+        text = f"field {'q' if field == QQ else f'gf {field.p}'}\ndim 4\nseries L 1\nsubspace {len(rows)}\n{body}"
+        spans = []
+        with monkeypatch.context() as m:
+            m.setattr(Subspace, "_span", lambda *args: spans.append(args) or span_of(*args))
+            member = parse_problem(text).series["L"].members[1]
+        assert len(spans) == (name not in ("echelon", "one row")), name
+        span = span_of(field, 4, rows)
+        assert member == span and member.pivots == span.pivots, name
+        assert [list(r) for r in member._rows()] == [list(r) for r in span._rows()], name
+        assert member.contains(span) and span.contains(member), name
 
 
 def test_undecodable_file_exits_2(tmp_path):

@@ -343,9 +343,14 @@ def test_linear_solver():
 # -- differential check of the fraction-free QQ kernels -----------------------
 #
 # The reference below is the plain `Fraction` Gauss-Jordan elimination,
-# reduction and row product that the integer kernels replaced.  Over QQ
-# the reduced row echelon form is unique, so every result must agree
-# exactly, and every entry handed out must be a canonical `Fraction`.
+# reduction and row product that the integer kernels replaced, and over
+# GF(p) the same loops with every row reduced mod p.  The reduced row
+# echelon form is unique, so every result must agree exactly, and every
+# entry handed out must be canonical.
+
+
+def ref_mod(field, row):
+    return [x % field.p for x in row] if field.is_prime_field else row
 
 
 def ref_rref(field, rows):
@@ -365,7 +370,7 @@ def ref_rref(field, rows):
         pivot = rows[r][c]
         if pivot != field.one:
             ipiv = field.inv(pivot)
-            rows[r] = [x * ipiv for x in rows[r]]
+            rows[r] = ref_mod(field, [x * ipiv for x in rows[r]])
         prow = rows[r]
         for i in range(m):
             if i == r:
@@ -373,7 +378,7 @@ def ref_rref(field, rows):
             f = rows[i][c]
             if f == 0:
                 continue
-            rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+            rows[i] = ref_mod(field, [x - f * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == m:
@@ -381,13 +386,13 @@ def ref_rref(field, rows):
     return rows[:r], pivots
 
 
-def ref_reduce(basis, pivots, v):
+def ref_reduce(basis, pivots, v, field=QQ):
     v = list(v)
     for row, piv in zip(basis, pivots):
         f = v[piv]
         if f == 0:
             continue
-        v = [x - f * y for x, y in zip(v, row)]
+        v = ref_mod(field, [x - f * y for x, y in zip(v, row)])
     return v
 
 
@@ -399,40 +404,43 @@ def ref_row_times(field, row, rows, ncols):
         for j, y in enumerate(mrow):
             if y != 0:
                 out[j] += x * y
-    return out
+    return ref_mod(field, out)
 
 
-def ref_span(rows):
+def ref_span(rows, field=QQ):
     if not rows:
         return (), ()
-    basis, pivots = ref_rref(QQ, [[Fraction(x) for x in r] for r in rows])
+    basis, pivots = ref_rref(field, [[field.coerce(x) for x in r] for r in rows])
     return tuple(tuple(r) for r in basis), tuple(pivots)
 
 
-def ref_null_rows(rows, n):
+def ref_null_rows(rows, n, field=QQ):
     """Right halves of the reduced rows whose left n entries vanish."""
-    reduced, _ = ref_rref(QQ, rows)
+    reduced, _ = ref_rref(field, rows)
     return [r[n:] for r in reduced if all(x == 0 for x in r[:n])]
 
 
-def ref_inverse(rows):
+def ref_tagged(rows, field):
     n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    reduced, pivots = ref_rref(QQ, aug)
+    return [list(r) + [field.one if i == j else field.zero for j in range(n)]
+            for i, r in enumerate(rows)]
+
+
+def ref_inverse(rows, field=QQ):
+    n = len(rows)
+    reduced, pivots = ref_rref(field, ref_tagged(rows, field))
     if pivots != list(range(n)):
         return None
     return tuple(tuple(r[n:]) for r in reduced)
 
 
-def ref_kernel(rows):
-    n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    return ref_span(ref_null_rows(aug, n))
+def ref_kernel(rows, field=QQ):
+    return ref_span(ref_null_rows(ref_tagged(rows, field), len(rows), field), field)
 
 
-def ref_intersect(a, b, n):
-    rows = [list(r) + list(r) for r in a] + [list(r) + [Fraction(0)] * n for r in b]
-    return ref_span(ref_null_rows(rows, n))
+def ref_intersect(a, b, n, field=QQ):
+    rows = [list(r) + list(r) for r in a] + [list(r) + [field.zero] * n for r in b]
+    return ref_span(ref_null_rows(rows, n, field), field)
 
 
 def ref_solve(rows, ncols, target):
@@ -567,6 +575,137 @@ def test_solver_matches_fraction_reference(data, m, n):
         if y is not None:
             assert all_fractions([y])
     assert solver.solve(inside) is not None
+
+
+# -- the same differential check over GF(p) -----------------------------------
+#
+# For p <= 13 the kernels pack a row into one int with a byte per column,
+# and larger p keep lists, so the primes sit on both sides of that
+# boundary.  Widths reach 48, the [A | I] width at dim 24, and the rows
+# include all-(p - 1) ones, which fill the byte slots to their maximum.
+
+GF_PRIMES = [2, 3, 5, 7, 11, 13, 17, 101]
+gf_differential = settings(max_examples=15, deadline=None)
+
+
+@st.composite
+def gf_rows(draw, p, nrows, ncols):
+    """GF(p) rows mixing random, dense, all-(p - 1), unit, zero and
+    dependent ones, shuffled."""
+    rows = []
+    entries = st.integers(0, p - 1)
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "dense", "top", "unit", "zero", "combo"]))
+        if kind == "dense":
+            row = draw(st.lists(st.integers(1, p - 1), min_size=ncols, max_size=ncols))
+        elif kind == "top":
+            row = [p - 1] * ncols
+        elif kind == "unit":
+            row = [0] * ncols
+            row[draw(st.integers(0, ncols - 1))] = draw(st.integers(1, p - 1))
+        elif kind == "zero":
+            row = [0] * ncols
+        elif kind == "combo" and rows:
+            row = [0] * ncols
+            for other in rows:
+                c = draw(entries)
+                row = [(x + c * y) % p for x, y in zip(row, other)]
+        else:
+            row = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rows.append(row)
+    return draw(st.permutations(rows))
+
+
+def gf_matrix(p, nrows, ncols):
+    return gf_rows(p, nrows, ncols).map(lambda rows: Mat(GF(p), rows, ncols=ncols))
+
+
+def assert_reduce_matches(s, v, field):
+    """`_reduce` gives the reference residue: whole, or on the non-pivot
+    columns only, where the rest vanishes."""
+    expected = ref_reduce(s.basis, s.pivots, v, field)
+    free = [c for c in range(s.ambient_dim) if c not in s.pivots]
+    assert list(s._reduce(list(v))) in (expected, [expected[c] for c in free])
+    assert s.contains_vec(v) == (not any(expected))
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+@gf_differential
+@given(data=st.data(), m=st.integers(1, 24), n=st.integers(1, 48))
+def test_gf_span_contains_and_extend_match_reference(p, data, m, n):
+    field = GF(p)
+    rows = data.draw(gf_rows(p, m, n))
+    s = Subspace.span(field, n, rows)
+    assert (s.basis, s.pivots) == ref_span(rows, field)
+    assert_canonical(s)
+    others = data.draw(gf_rows(p, 4, n))
+    # a subspace built by the public constructor packs its rows on first use
+    rebuilt = Subspace(field, n, s.basis, s.pivots)
+    for v in others + rows:
+        assert_reduce_matches(s, v, field)
+        assert_reduce_matches(rebuilt, v, field)
+    t = Subspace.span(field, n, others)
+    assert rebuilt.contains(t) == s.contains(t) and rebuilt._extend(t.basis_vecs()) == s._extend(t.basis_vecs())
+    for x, y in [(s, t), (t, s), (s, s.sum(t)), (s.sum(t), s)]:
+        assert x.contains(y) == all(not any(ref_reduce(x.basis, x.pivots, r, field)) for r in y.basis)
+    vecs = [Vec(field, v) for v in others + rows]
+    new = t._extend(vecs)
+    expected, span = [], t
+    for v in vecs:
+        if any(ref_reduce(span.basis, span.pivots, v.entries, field)):
+            expected.append(v)
+            span = Subspace(field, n, *ref_span(list(span.basis) + [v.entries], field))
+    assert new == expected
+    assert Subspace._span(field, n, [*t.basis_vecs(), *new]) == span == s.sum(t)
+    assert t._extend(vecs, t.dim + 1) == expected[:1]
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+@gf_differential
+@given(data=st.data(), n=st.integers(1, 24), k=st.integers(1, 24))
+def test_gf_inverse_kernel_and_products_match_reference(p, data, n, k):
+    field = GF(p)
+    a = data.draw(gf_matrix(p, n, n))
+    b = data.draw(gf_matrix(p, n, k))
+    rows = [list(r) for r in a.rows]
+    expected = ref_inverse(rows, field)
+    if expected is None:
+        with pytest.raises(SingularMatrixError):
+            a.inverse()
+    else:
+        assert a.inverse().rows == expected
+    ker = kernel(a)
+    assert (ker.basis, ker.pivots) == ref_kernel(rows, field)
+    for x in (a @ b, a @ a):
+        assert_canonical(x)
+    assert (a @ b).rows == tuple(tuple(ref_row_times(field, r, b.rows, k)) for r in a.rows)
+    assert (a.row(0) @ b).entries == tuple(ref_row_times(field, a.rows[0], b.rows, k))
+    img = echelonize(a).apply(b)
+    assert (img.basis, img.pivots) == ref_span([ref_row_times(field, r, b.rows, k) for r in a.rows], field)
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+@gf_differential
+@given(data=st.data(), da=st.integers(1, 24), db=st.integers(1, 24), n=st.integers(1, 48))
+def test_gf_intersect_matches_reference(p, data, da, db, n):
+    field = GF(p)
+    a = Subspace.span(field, n, data.draw(gf_rows(p, da, n)))
+    b = Subspace.span(field, n, data.draw(gf_rows(p, db, n)))
+    c = a.intersect(b)
+    assert (c.basis, c.pivots) == ref_intersect(a.basis, b.basis, n, field)
+    assert_canonical(c)
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+def test_gf_products_of_full_slots_over_long_inner_dimensions(p):
+    # all-(p - 1) rows put the most into every slot, and inner dimensions
+    # past 255 / (p - 1)^2 make a packed product reduce its slots midway
+    field = GF(p)
+    for k in (1, 2, 15, 16, 63, 64, 254, 255, 300):
+        a = Mat(field, [[p - 1] * k, [1] * k])
+        b = Mat(field, [[p - 1] * 3] * k)
+        assert (a @ b).rows == tuple(tuple(ref_row_times(field, r, b.rows, 3)) for r in a.rows)
+        assert (a @ b).rows[0] == ((k * (p - 1) ** 2) % p,) * 3
 
 
 def trial_division_primes(limit):
