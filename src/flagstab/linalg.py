@@ -32,7 +32,13 @@ twice:
 - a `Mat`'s form as a right factor (`_as_factor`: over GF(p) x -> x @ m,
   for p <= 13 over its packed rows; over QQ its columns over one common
   denominator) and a `Subspace`'s non-pivot columns (`_int_cols`) are
-  derived on first use.
+  derived on first use;
+- a row with at most a quarter of its entries nonzero (`_sparse`) is
+  multiplied, or reduced over QQ and p > 13, by combining the rows its
+  nonzero entries select (`_combine`; Gustavson 1978): a QQ right factor
+  keeps its integer rows from its first such product, `_int_cols` the
+  basis rows on the non-pivot columns.  Other rows take one dot product
+  per column; both sum the same integers, so the results are the same.
 An object built otherwise (user input, `Fraction` sums and scalings, the
 public `Subspace(...)`) gets its form on first use, over QQ through
 `_int_row`: a `Mat` in one conversion of all its entries over a common
@@ -57,7 +63,8 @@ and series-splitting complements are all built with it.
 import math
 import re
 from fractions import Fraction
-from operator import mul
+from itertools import compress, repeat
+from operator import add, mul, sub
 
 from .errors import (
     ContainmentError,
@@ -385,12 +392,20 @@ def _int_times(forms, m):
     in the same form and in lowest terms, as `_int_row` would give it.
 
     The right factor's columns over one common denominator are cached on
-    it, so a matrix used in many products is converted once.
+    it, so a matrix used in many products is converted once.  A sparse
+    row (`_sparse`) sums its nonzero entries times the matching rows of
+    den * m instead, kept on m from the first: the same integers.
     """
-    den, cols = m._integer_columns()
+    den, cols, rows = m._integer_columns()
     out = []
     for nums, e in forms:
-        prod = [sum(map(mul, nums, col)) for col in cols]
+        if _sparse(nums):
+            if rows is None:
+                rows = list(zip(*cols))
+                object.__setattr__(m, "_as_factor", (den, cols, rows))
+            prod = _combine([0] * m.ncols, nums, rows, add)
+        else:
+            prod = [sum(map(mul, nums, col)) for col in cols]
         e *= den
         if e > 1:
             g = math.gcd(e, *prod)
@@ -401,11 +416,23 @@ def _int_times(forms, m):
     return out
 
 
+def _sparse(coeffs):
+    """Whether at most a quarter of the coefficients, ints, are nonzero."""
+    return 4 * coeffs.count(0) >= 3 * len(coeffs)
+
+
+def _combine(acc, coeffs, rows, op):
+    """acc op c * row (`add` or `sub`) for each nonzero c of coeffs and its row."""
+    for c, row in zip(filter(None, coeffs), compress(rows, coeffs)):
+        acc = list(map(op, acc, row if c == 1 else map(mul, repeat(c), row)))
+    return acc
+
+
 def _row_map(field, rows, ncols):
     """x -> x @ M for M the matrix with these rows, all of ints: over GF(p)
-    reduced mod p, over QQ an integer row.  For p <= 13 the rows are packed
-    once (`_pack`) and x @ M is summed in their slots, reduced mod p
-    whenever another term could carry out of a byte."""
+    reduced mod p, over QQ an integer row (`_combine`).  For p <= 13 the
+    rows are packed once (`_pack`) and x @ M is summed in their slots,
+    reduced mod p whenever another term could carry out of a byte."""
     p = field.p
     if p in _MOD:
         words, mod, room = [_pack(r) for r in rows], _MOD[p], (256 - p) // (p - 1) ** 2
@@ -422,15 +449,9 @@ def _row_map(field, rows, ncols):
             return acc.to_bytes(ncols, "big").translate(mod)
         return times
 
-    def times(x):
-        out = [0] * ncols
-        for a, mrow in zip(x, rows):
-            if a:
-                for j, y in enumerate(mrow):
-                    if y:
-                        out[j] += a * y
-        return out if p is None else [y % p for y in out]
-    return times
+    if p is None:
+        return lambda x: _combine([0] * ncols, x, rows, add)
+    return lambda x: [y % p for y in _combine([0] * ncols, x, rows, add)]
 
 
 def _images(field, forms, m):
@@ -499,7 +520,7 @@ class Mat:
         return forms
 
     def _integer_columns(self):
-        """(den, [column j of den * self for each j]) over QQ, cached."""
+        """(den, [column j of den * self for each j], None) over QQ, cached."""
         form = self._as_factor
         if form is None:
             forms = self._int_forms
@@ -510,7 +531,7 @@ class Mat:
                 den, rows = _common(forms)
                 flat = [x for nums in rows for x in nums]
             n = self.ncols
-            form = (den, [flat[j::n] for j in range(n)])
+            form = (den, [flat[j::n] for j in range(n)], None)
             object.__setattr__(self, "_as_factor", form)
         return form
 
@@ -871,12 +892,13 @@ class Subspace:
         return pairs
 
     def _integer_columns(self):
-        """(den, [(c, column c of den * basis) for each non-pivot c]), cached."""
+        """(den, [(c, column c of den * basis)], its rows), c non-pivot, cached."""
         form = self._int_cols
         if form is None:
             den, rows = _common([(r, r[c]) for r, c in zip(self._rows(), self.pivots)])
             free = sorted(set(range(self.ambient_dim)).difference(self.pivots))
-            form = (den, [(c, [r[c] for r in rows]) for c in free])
+            cols = [[r[c] for r in rows] for c in free]
+            form = (den, list(zip(free, cols)), list(zip(*cols)))
             object.__setattr__(self, "_int_cols", form)
         return form
 
@@ -885,16 +907,21 @@ class Subspace:
         the basis.
 
         For p <= 13 it is the packed residue, as bytes.  Otherwise it is
-        taken on the non-pivot columns only (it vanishes on the others):
-        over QQ scaled to integers and yielded lazily, column by column.
+        taken on the non-pivot columns only (it vanishes on the others),
+        over QQ scaled to integers: yielded lazily, column by column, or
+        for sparse pivot coefficients (`_sparse`) den * v there minus each
+        nonzero one times its basis row there, the same integers.
         """
         p = self.field.p
         if p in _MOD:
             n = self.ambient_dim
             return _residue(p, n, _pack(v), self._packed()).to_bytes(n, "big")
-        den, cols = self._integer_columns()
+        den, cols, rows = self._integer_columns()
         coeffs = [v[c] for c in self.pivots]
-        residue = (den * v[c] - sum(map(mul, coeffs, col)) for c, col in cols)
+        if _sparse(coeffs):
+            residue = _combine([den * v[c] for c, _ in cols], coeffs, rows, sub)
+        else:
+            residue = (den * v[c] - sum(map(mul, coeffs, col)) for c, col in cols)
         return residue if p is None else [x % p for x in residue]
 
     def contains_vec(self, v):

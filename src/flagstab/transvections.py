@@ -121,10 +121,7 @@ def _transvection(spec, eta):
 
 def commutator(x, g):
     """Group commutator x^-1 g^-1 x g."""
-    try:
-        return _commutator(x, g, g.inverse())
-    except SingularMatrixError:
-        raise SingularMatrixError("commutator of a singular matrix") from None
+    return iterated_commutator(x, g, 1)
 
 
 def _commutator(x, g, g_inv):
@@ -134,12 +131,19 @@ def _commutator(x, g, g_inv):
 
 def iterated_commutator(x, g, n):
     """[x, g, g, ..., g] with n copies of g; n = 0 returns x."""
+    try:
+        return _iterated_commutator(x, g, g.inverse() if n > 0 else None, n)
+    except SingularMatrixError:
+        raise SingularMatrixError("commutator of a singular matrix") from None
+
+
+def _iterated_commutator(x, g, g_inv, n):
+    """`iterated_commutator`, given g^-1 (read only when n > 0)."""
     if n < 0:
         raise ValueError("negative commutator depth")
-    out = x
     for _ in range(n):
-        out = commutator(out, g)
-    return out
+        x = _commutator(x, g, g_inv)
+    return x
 
 
 def _check_commutator_hypothesis(spec, t):
@@ -204,11 +208,7 @@ def fixed_line_engel_witness(g, u_line, spec, n):
         if not (Vec(g.field, row) @ gm1).is_zero():
             raise HypothesisError("g does not fix the line pointwise")
     eta = spec.displacement()
-    z = _transvection(spec, eta)
-    if n < 0:
-        raise ValueError("negative commutator depth")
-    for _ in range(n):  # iterated_commutator, with g^-1 formed once
-        z = _commutator(z, g, g_inv)
+    z = _iterated_commutator(_transvection(spec, eta), g, g_inv, n)
     expected = ident + (g_inv - ident).pow(n) @ eta
     if z != expected:
         raise IdentityError("iterated commutator drifted from 1 + (g^-1-1)^n eta")
@@ -236,9 +236,11 @@ def one_plus_eta_commutator(eta, g, n):
         if not (staged @ staged).is_zero():
             raise HypothesisError("(eta (g-1)^j)^2 != 0")
         power = power @ gm1
-    if not g.is_invertible():
-        raise SingularMatrixError("g must be invertible")
-    z = iterated_commutator(ident + eta, g, n)
+    try:
+        g_inv = g.inverse()
+    except SingularMatrixError:
+        raise SingularMatrixError("g must be invertible") from None
+    z = _iterated_commutator(ident + eta, g, g_inv, n)
     expected = ident + eta @ gm1.pow(n)
     if z != expected:
         raise IdentityError("[1+eta, n g] drifted from 1 + eta (g-1)^n")

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -892,3 +893,132 @@ def test_kernels_on_kept_forms_match_fraction_reference(data, m, n):
     solver = LinearSolver(QQ, rows, n)
     for target in vecs + t.basis_vecs():
         assert solver.solve(target) == ref_solve([r.entries for r in rows], n, target.entries)
+
+
+# -- sparse rows ---------------------------------------------------------------
+#
+# A row with at most a quarter of its entries nonzero is multiplied, and
+# reduced over QQ and large p, by combining the rows its nonzero entries
+# select; other rows keep one dot product per column.  The rows below sit
+# on both sides of that rule (1, n // 4 and n // 4 + 1 nonzeros), and the
+# results must match the unedited references either way.
+
+SPARSE_FIELDS = [QQ, GF(17)]
+sparse_differential = settings(max_examples=30, deadline=None)
+
+
+def nonzero_scalars(field):
+    if field.is_prime_field:
+        return st.integers(1, field.p - 1)
+    nums = st.integers(-BIG, BIG).filter(bool)
+    return st.one_of(
+        st.sampled_from([1, -1, 2]).map(Fraction),
+        st.builds(Fraction, nums, st.integers(1, BIG)),
+        st.builds(Fraction, nums, st.sampled_from([1, 2, 3, 6, 35])),
+    )
+
+
+def sparse_counts(n):
+    return st.sampled_from(sorted({1, max(n // 4, 1), n // 4 + 1}))
+
+
+@st.composite
+def sparse_rows(draw, field, nrows, ncols):
+    """Rows with 1, ncols // 4 or ncols // 4 + 1 nonzero entries at random
+    places, mixed with dense and zero rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "dense", "zero"]))
+        row = [field.zero] * ncols
+        if kind == "dense":
+            row = draw(st.lists(nonzero_scalars(field), min_size=ncols, max_size=ncols))
+        elif kind == "sparse":
+            places = draw(st.permutations(range(ncols)))[: draw(sparse_counts(ncols))]
+            for j in places:
+                row[j] = draw(nonzero_scalars(field))
+        rows.append(row)
+    return rows
+
+
+def sparse_combination(draw, field, s):
+    """A combination of 1, dim // 4 or dim // 4 + 1 basis rows of s, so its
+    pivot coefficients are that sparse."""
+    picked = draw(st.permutations(range(s.dim)))[: draw(sparse_counts(s.dim))]
+    row = [field.zero] * s.ambient_dim
+    for i in picked:
+        c = draw(nonzero_scalars(field))
+        row = [field.coerce(x + c * y) for x, y in zip(row, s.basis[i])]
+    return row
+
+
+def record_sparse_choices(monkeypatch):
+    """(kernel, took the sparse path) for every choice the rule makes."""
+    seen = set()
+    rule = linalg._sparse
+
+    def recorded(coeffs):
+        out = rule(coeffs)
+        seen.add((sys._getframe(1).f_code.co_name, out))
+        return out
+
+    monkeypatch.setattr(linalg, "_sparse", recorded)
+    return seen
+
+
+def test_sparse_rule_is_at_most_a_quarter_nonzero():
+    for n in range(50):
+        q = n // 4
+        assert linalg._sparse([1] * q + [0] * (n - q))
+        assert linalg._sparse([0] * (n - q) + [5] * q)
+        if q < n:
+            assert not linalg._sparse([0] * (n - q - 1) + [1] * (q + 1))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS)
+def test_sparse_rows_match_reference(field, monkeypatch):
+    seen = record_sparse_choices(monkeypatch)
+
+    @sparse_differential
+    @given(data=st.data(), m=st.integers(1, 12), k=st.integers(1, 48), n=st.integers(1, 48))
+    def check(data, m, k, n):
+        a = Mat(field, data.draw(sparse_rows(field, m, k)), ncols=k)
+        b = Mat(field, data.draw(sparse_rows(field, k, n)), ncols=n)
+        assert (a @ b).rows == tuple(tuple(ref_row_times(field, r, b.rows, n)) for r in a.rows)
+        for v in a.vec_rows():
+            assert (v @ b).entries == tuple(ref_row_times(field, v.entries, b.rows, n))
+        assert_canonical(a @ b)
+        img = echelonize(a).apply(b)
+        assert (img.basis, img.pivots) == ref_span([ref_row_times(field, r, b.rows, n) for r in a.rows], field)
+
+        s = Subspace.span(field, k, a.rows)
+        if not s.dim:
+            return
+        inside = [sparse_combination(data.draw, field, s) for _ in range(3)]
+        vs = inside + [[field.coerce(x + y) for x, y in zip(inside[0], r)] for r in b.transpose().rows[:1]]
+        vs += list(a.rows)
+        den = s._integer_columns()[0]
+        free = [c for c in range(k) if c not in s.pivots]
+        for v in vs:
+            expected = ref_reduce(s.basis, s.pivots, v, field)
+            if field.is_prime_field:
+                assert_reduce_matches(s, v, field)
+            else:
+                nums, d = linalg._form(field, v)
+                assert list(s._reduce(nums)) == [den * d * expected[c] for c in free]
+            assert s.contains_vec(v) == s.contains_vec(Vec(field, v)) == (not any(expected))
+        for rows in (inside, inside[:1], vs[-2:]):
+            t = Subspace.span(field, k, rows)
+            assert s.contains(t) == all(not any(ref_reduce(s.basis, s.pivots, r, field)) for r in t.basis)
+
+    check()
+    kernels = {"_int_times", "_reduce"} if field.p is None else {"_reduce"}
+    assert seen == {(name, path) for name in kernels for path in (True, False)}
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS)
+@sparse_differential
+@given(data=st.data(), n=st.integers(1, 24))
+def test_kernel_of_sparse_matrices_matches_reference(field, data, n):
+    a = Mat(field, data.draw(sparse_rows(field, n, n)), ncols=n)
+    k = kernel(a)
+    assert (k.basis, k.pivots) == ref_kernel([list(r) for r in a.rows], field)

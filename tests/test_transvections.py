@@ -245,6 +245,64 @@ def test_one_plus_eta_randomized():
                 one_plus_eta_commutator(eta, g, n)
 
 
+
+def count_inversions(monkeypatch):
+    calls = []
+    inverse_columns = Mat._inverse_columns
+
+    def counted(self, cols):
+        calls.append(self)
+        return inverse_columns(self, cols)
+
+    monkeypatch.setattr(Mat, "_inverse_columns", counted)
+    return calls
+
+
+def test_commutator_loops_invert_g_once(monkeypatch):
+    # one inversion of g per call, then one of x per step
+    calls = count_inversions(monkeypatch)
+    rng = random.Random(13)
+    for field in FIELDS:
+        for dim in (2, 4, 6):
+            eta, g = random_square_zero_pair(rng, field, dim)
+            x = random_invertible(rng, field, dim)
+            for n in range(5):
+                del calls[:]
+                one_plus_eta_commutator(eta, g, n)
+                assert len(calls) == n + 1
+                del calls[:]
+                z = iterated_commutator(x, g, n)
+                assert len(calls) == (n + 1 if n else 0)
+                expected = x
+                for _ in range(n):
+                    expected = commutator(expected, g)
+                assert z == expected
+
+
+def test_commutator_loop_errors():
+    field = QQ
+    x = Mat(field, [[1, 1], [0, 1]])
+    singular = Mat(field, [[1, 1], [1, 1]])
+    for args in [(singular, x, 1), (singular, x, 3), (x, singular, 1), (x, singular, 2)]:
+        with pytest.raises(SingularMatrixError, match="^commutator of a singular matrix$"):
+            iterated_commutator(*args)
+    with pytest.raises(SingularMatrixError, match="^commutator of a singular matrix$"):
+        commutator(singular, x)
+    # depth 0 is x itself, and g is never inverted
+    assert iterated_commutator(singular, singular, 0) is singular
+    with pytest.raises(ValueError, match="negative commutator depth"):
+        iterated_commutator(x, singular, -1)
+    # a singular g is reported after the hypothesis checks
+    zero = Mat.zero(field, 2, 2)
+    for n in (0, 1, 3, -1):
+        with pytest.raises(SingularMatrixError, match="^g must be invertible$"):
+            one_plus_eta_commutator(zero, zero, n)
+    eta = Mat(field, [[0, 1], [0, 0]])
+    with pytest.raises(HypothesisError, match=r"\(g-1\) eta != 0"):
+        one_plus_eta_commutator(eta, zero, 1)
+    with pytest.raises(ValueError, match="negative commutator depth"):
+        one_plus_eta_commutator(zero, x, -1)
+
 # The two annihilating-map builders before they shared
 # `transvections._annihilating_spec`: the random one of `instances` and
 # the canonical one of `flagstab comm-check`.
