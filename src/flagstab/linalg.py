@@ -33,12 +33,12 @@ twice:
   for p <= 13 over its packed rows; over QQ its columns over one common
   denominator) and a `Subspace`'s non-pivot columns (`_int_cols`) are
   derived on first use;
-- a row with at most a quarter of its entries nonzero (`_sparse`) is
-  multiplied, or reduced over QQ and p > 13, by combining the rows its
-  nonzero entries select (`_combine`; Gustavson 1978): a QQ right factor
-  keeps its integer rows from its first such product, `_int_cols` the
-  basis rows on the non-pivot columns.  Other rows take one dot product
-  per column; both sum the same integers, so the results are the same.
+- a row with at most a quarter of its entries nonzero, and fewer than the
+  result has columns (`_sparse`), is multiplied, or reduced over QQ and
+  p > 13, by combining the integer rows those entries select (`_combine`;
+  Gustavson 1978), kept on a QQ right factor from its first such product
+  and in `_int_cols`; other rows take one dot product per result column.
+  Both sum the same integers, so the results are the same.
 An object built otherwise (user input, `Fraction` sums and scalings, the
 public `Subspace(...)`) gets its form on first use, over QQ through
 `_int_row`: a `Mat` in one conversion of all its entries over a common
@@ -392,14 +392,13 @@ def _int_times(forms, m):
     in the same form and in lowest terms, as `_int_row` would give it.
 
     The right factor's columns over one common denominator are cached on
-    it, so a matrix used in many products is converted once.  A sparse
-    row (`_sparse`) sums its nonzero entries times the matching rows of
-    den * m instead, kept on m from the first: the same integers.
+    it, so a matrix used in many products is converted once.  A sparse row
+    (`_sparse`) sums its nonzero entries times the rows of den * m instead.
     """
     den, cols, rows = m._integer_columns()
     out = []
     for nums, e in forms:
-        if _sparse(nums):
+        if _sparse(nums, m.ncols):
             if rows is None:
                 rows = list(zip(*cols))
                 object.__setattr__(m, "_as_factor", (den, cols, rows))
@@ -416,9 +415,11 @@ def _int_times(forms, m):
     return out
 
 
-def _sparse(coeffs):
-    """Whether at most a quarter of the coefficients, ints, are nonzero."""
-    return 4 * coeffs.count(0) >= 3 * len(coeffs)
+def _sparse(coeffs, width):
+    """Whether at most a quarter of the coefficients (ints) are nonzero, and
+    at most a quarter of width: then their rows of that width cost less to
+    combine than width dot products."""
+    return 4 * (len(coeffs) - coeffs.count(0)) <= min(len(coeffs), width)
 
 
 def _combine(acc, coeffs, rows, op):
@@ -918,7 +919,7 @@ class Subspace:
             return _residue(p, n, _pack(v), self._packed()).to_bytes(n, "big")
         den, cols, rows = self._integer_columns()
         coeffs = [v[c] for c in self.pivots]
-        if _sparse(coeffs):
+        if _sparse(coeffs, len(cols)):
             residue = _combine([den * v[c] for c, _ in cols], coeffs, rows, sub)
         else:
             residue = (den * v[c] - sum(map(mul, coeffs, col)) for c, col in cols)

@@ -897,11 +897,12 @@ def test_kernels_on_kept_forms_match_fraction_reference(data, m, n):
 
 # -- sparse rows ---------------------------------------------------------------
 #
-# A row with at most a quarter of its entries nonzero is multiplied, and
-# reduced over QQ and large p, by combining the rows its nonzero entries
-# select; other rows keep one dot product per column.  The rows below sit
-# on both sides of that rule (1, n // 4 and n // 4 + 1 nonzeros), and the
-# results must match the unedited references either way.
+# A row with at most a quarter of its entries nonzero (and of the result's
+# width) is multiplied, and reduced over QQ and large p, by combining the
+# rows its nonzero entries select; other rows keep one dot product per
+# column.  The rows below sit on both sides of that rule (1, n // 4 and
+# n // 4 + 1 nonzeros), and the results must match the unedited
+# references either way.
 
 SPARSE_FIELDS = [QQ, GF(17)]
 sparse_differential = settings(max_examples=30, deadline=None)
@@ -956,8 +957,8 @@ def record_sparse_choices(monkeypatch):
     seen = set()
     rule = linalg._sparse
 
-    def recorded(coeffs):
-        out = rule(coeffs)
+    def recorded(coeffs, width):
+        out = rule(coeffs, width)
         seen.add((sys._getframe(1).f_code.co_name, out))
         return out
 
@@ -966,12 +967,14 @@ def record_sparse_choices(monkeypatch):
 
 
 def test_sparse_rule_is_at_most_a_quarter_nonzero():
+    # a quarter of the coefficients and a quarter of the result's width
     for n in range(50):
-        q = n // 4
-        assert linalg._sparse([1] * q + [0] * (n - q))
-        assert linalg._sparse([0] * (n - q) + [5] * q)
-        if q < n:
-            assert not linalg._sparse([0] * (n - q - 1) + [1] * (q + 1))
+        for width in (0, 1, 3, 4, 7, 8, n, 2 * n + 1, 100):
+            q = min(n, width) // 4
+            assert linalg._sparse([1] * q + [0] * (n - q), width)
+            assert linalg._sparse([0] * (n - q) + [5] * q, width)
+            if q < n:
+                assert not linalg._sparse([0] * (n - q - 1) + [1] * (q + 1), width)
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS)
