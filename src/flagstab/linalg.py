@@ -33,12 +33,11 @@ twice:
   for p <= 13 over its packed rows; over QQ its columns over one common
   denominator) and a `Subspace`'s non-pivot columns (`_int_cols`) are
   derived on first use;
-- a row with at most a quarter of its entries nonzero, and fewer than the
-  result has columns (`_sparse`), is multiplied, or reduced over QQ and
-  p > 13, by combining the integer rows those entries select (`_combine`;
-  Gustavson 1978), kept on a QQ right factor from its first such product
-  and in `_int_cols`; other rows take one dot product per result column.
-  Both sum the same integers, so the results are the same.
+- a row with at most a quarter of its entries nonzero, and of the result's
+  columns (`_sparse`), is multiplied, or reduced over QQ and p > 13, as the
+  sum of the integer rows its nonzero entries select (`_combine`; Gustavson
+  1978), kept in `_int_cols` and, from the first such row, `_as_factor`;
+  others take a dot product per column, the same integer sums.
 An object built otherwise (user input, `Fraction` sums and scalings, the
 public `Subspace(...)`) gets its form on first use, over QQ through
 `_int_row`: a `Mat` in one conversion of all its entries over a common
@@ -416,9 +415,8 @@ def _int_times(forms, m):
 
 
 def _sparse(coeffs, width):
-    """Whether at most a quarter of the coefficients (ints) are nonzero, and
-    at most a quarter of width: then their rows of that width cost less to
-    combine than width dot products."""
+    """Whether at most a quarter of the coefficients (ints), and of width, are
+    nonzero: then combining their rows beats width dot products."""
     return 4 * (len(coeffs) - coeffs.count(0)) <= min(len(coeffs), width)
 
 
@@ -909,9 +907,9 @@ class Subspace:
 
         For p <= 13 it is the packed residue, as bytes.  Otherwise it is
         taken on the non-pivot columns only (it vanishes on the others),
-        over QQ scaled to integers: yielded lazily, column by column, or
-        for sparse pivot coefficients (`_sparse`) den * v there minus each
-        nonzero one times its basis row there, the same integers.
+        over QQ scaled to integers: yielded lazily, column by column, or for
+        sparse pivot coefficients (`_sparse`) as den * v there minus their
+        basis rows there, kept in `_int_cols`: the same sums.
         """
         p = self.field.p
         if p in _MOD:
