@@ -1,3 +1,4 @@
+import collections
 import random
 import sys
 from fractions import Fraction
@@ -897,12 +898,12 @@ def test_kernels_on_kept_forms_match_fraction_reference(data, m, n):
 
 # -- sparse rows ---------------------------------------------------------------
 #
-# A row with at most a quarter of its entries nonzero (and of the result's
-# width) is multiplied, and reduced over QQ and large p, by combining the
-# rows its nonzero entries select; other rows keep one dot product per
-# column.  The rows below sit on both sides of that rule (1, n // 4 and
-# n // 4 + 1 nonzeros), and the results must match the unedited
-# references either way.
+# A row with at most a quarter of its entries nonzero, and at most a
+# quarter of the result's width, is multiplied, and reduced over QQ and
+# large p, by combining the rows its nonzero entries select; other rows
+# keep one dot product per column.  The rows below sit on both sides of
+# that rule (1, n // 4 and n // 4 + 1 nonzeros), and the results must
+# match the unedited references either way.
 
 SPARSE_FIELDS = [QQ, GF(17)]
 sparse_differential = settings(max_examples=30, deadline=None)
@@ -952,37 +953,59 @@ def sparse_combination(draw, field, s):
     return row
 
 
-def record_sparse_choices(monkeypatch):
-    """(kernel, took the sparse path) for every choice the rule makes."""
-    seen = set()
-    rule = linalg._sparse
+def record_paths(monkeypatch):
+    """Counts of ("rows", kernel), the rows `_int_times` and the list path
+    of `Subspace._reduce` take, and of ("sparse", kernel), those of them
+    summed by `_combine`."""
+    seen = collections.Counter()
+    combine, int_times, reduce = linalg._combine, linalg._int_times, Subspace._reduce
 
-    def recorded(coeffs, width):
-        out = rule(coeffs, width)
-        seen.add((sys._getframe(1).f_code.co_name, out))
-        return out
+    def recorded_combine(*args):
+        seen["sparse", sys._getframe(1).f_code.co_name] += 1
+        return combine(*args)
 
-    monkeypatch.setattr(linalg, "_sparse", recorded)
+    def recorded_int_times(forms, m):
+        seen["rows", "_int_times"] += len(forms)
+        return int_times(forms, m)
+
+    def recorded_reduce(self, v):
+        seen["rows", "_reduce"] += self.field.p not in linalg._MOD
+        return reduce(self, v)
+
+    monkeypatch.setattr(linalg, "_combine", recorded_combine)
+    monkeypatch.setattr(linalg, "_int_times", recorded_int_times)
+    monkeypatch.setattr(Subspace, "_reduce", recorded_reduce)
     return seen
 
 
-def test_sparse_rule_is_at_most_a_quarter_nonzero():
-    # a quarter of the coefficients and a quarter of the result's width
-    for n in range(50):
-        for width in (0, 1, 3, 4, 7, 8, n, 2 * n + 1, 100):
-            q = min(n, width) // 4
-            assert linalg._sparse([1] * q + [0] * (n - q), width)
-            assert linalg._sparse([0] * (n - q) + [5] * q, width)
-            if q < n:
-                assert not linalg._sparse([0] * (n - q - 1) + [1] * (q + 1), width)
+def test_sparse_path_takes_rows_with_at_most_a_quarter_nonzero(monkeypatch):
+    seen = record_paths(monkeypatch)
+    for n in (4, 7, 8, 9, 12, 24, 48):
+        for width in (1, 4, 7, 8, 12, 33):
+            m = Mat(QQ, [[Fraction(i - j, 1 + (i + j) % 3) for j in range(width)] for i in range(n)])
+            limit = min(n, width) // 4
+            for k in sorted({0, 1, limit, limit + 1}):
+                v = Vec(QQ, [Fraction(7, 3)] * k + [0] * (n - k))
+                seen.clear()
+                assert (v @ m).entries == tuple(ref_row_times(QQ, v.entries, m.rows, width))
+                assert seen["sparse", "_int_times"] == (k <= limit)
+    for d, ambient in ((8, 16), (9, 17), (12, 24), (10, 16), (16, 24), (24, 48)):
+        s = Subspace.full(QQ, d).apply(Mat(QQ, [[int(i == j) + (j >= d) * (i + j) % 5
+                                                   for j in range(ambient)] for i in range(d)]))
+        limit = min(d, ambient - d) // 4
+        for k in sorted({0, 1, limit, limit + 1}):
+            v = [sum(3 * r[j] for r in s._rows()[:k]) + (j == ambient - 1) for j in range(ambient)]
+            seen.clear()
+            assert s.contains_vec(v) == (not any(ref_reduce(s.basis, s.pivots, v)))
+            assert seen["sparse", "_reduce"] == (k <= limit)
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS)
 def test_sparse_rows_match_reference(field, monkeypatch):
-    seen = record_sparse_choices(monkeypatch)
+    seen = record_paths(monkeypatch)
 
     @sparse_differential
-    @given(data=st.data(), m=st.integers(1, 12), k=st.integers(1, 48), n=st.integers(1, 48))
+    @given(data=st.data(), m=st.integers(1, 16), k=st.integers(1, 48), n=st.integers(1, 48))
     def check(data, m, k, n):
         a = Mat(field, data.draw(sparse_rows(field, m, k)), ncols=k)
         b = Mat(field, data.draw(sparse_rows(field, k, n)), ncols=n)
@@ -1014,8 +1037,8 @@ def test_sparse_rows_match_reference(field, monkeypatch):
             assert s.contains(t) == all(not any(ref_reduce(s.basis, s.pivots, r, field)) for r in t.basis)
 
     check()
-    kernels = {"_int_times", "_reduce"} if field.p is None else {"_reduce"}
-    assert seen == {(name, path) for name in kernels for path in (True, False)}
+    for kernel_name in ("_int_times", "_reduce") if field.p is None else ("_reduce",):
+        assert 0 < seen["sparse", kernel_name] < seen["rows", kernel_name]
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS)
