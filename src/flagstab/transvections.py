@@ -124,11 +124,6 @@ def commutator(x, g):
     return iterated_commutator(x, g, 1)
 
 
-def _commutator(x, g, g_inv):
-    """x^-1 g^-1 x g, given g^-1."""
-    return x.inverse() @ g_inv @ x @ g
-
-
 def iterated_commutator(x, g, n):
     """[x, g, g, ..., g] with n copies of g; n = 0 returns x."""
     try:
@@ -142,7 +137,7 @@ def _iterated_commutator(x, g, g_inv, n):
     if n < 0:
         raise ValueError("negative commutator depth")
     for _ in range(n):
-        x = _commutator(x, g, g_inv)
+        x = x.inverse() @ g_inv @ x @ g
     return x
 
 
@@ -177,7 +172,7 @@ def transvection_commutator_check(spec, t, k):
     z = x
     power = ident
     for j in range(1, k + 1):
-        z = _commutator(z, t, t_inv)
+        z = _iterated_commutator(z, t, t_inv, 1)
         power = power @ nil
         expected = ident + eta @ power
         if z != expected:
