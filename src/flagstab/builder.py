@@ -3,13 +3,17 @@ McLain-style playground over rational indices.
 
 A factor's lower central chain is built in V: for B <= W normalized by N,
 [W/B, N] = ([W, N] + B)/B, one elimination per term.
+
+Normalization is tested by residues: for invertible g, x g has the
+dimension of x, so x g <= x implies x g = x.  Each basis row of x times
+g is reduced modulo x, and no span of x g is built.
 """
 
 from fractions import Fraction
 
 from .errors import McLainError, NormalizationError, RefinementObstruction, ShapeError
 from .linalg import Mat, Subspace, _images
-from .series import Series, _minus_one, in_stabilizer
+from .series import Series, _jump_images, _minus_one, in_stabilizer
 
 __all__ = [
     "GeneratorSet",
@@ -112,7 +116,7 @@ def refine_series(s, gens):
         raise ShapeError("generators do not act on the series' space")
     for g in gens:
         for x in s.members:
-            if x.apply(g) != x:
+            if not x._is_invariant(g):  # g is invertible: x g <= x means x g = x
                 raise NormalizationError("a generator does not normalize a member")
     nils = [_minus_one(g) for g in gens]
     members = [s.members[0]]
@@ -123,7 +127,7 @@ def refine_series(s, gens):
                 jump.index, f"factor at jump {jump.index} has a non-vanishing chain")
         members += chain[1:]
     refined = Series(s.field, s.ambient_dim, members)
-    if not all(in_stabilizer(g, refined) for g in gens):
+    if any(_jump_images(g, refined, nil) is None for g, nil in zip(gens, nils)):
         raise NormalizationError("a generator does not stabilize the refined series")
     return refined
 

@@ -654,11 +654,11 @@ class Mat:
         return Mat._of(self.field, rows, len(cols))
 
     def is_invertible(self):
-        try:
-            self.inverse()
-            return True
-        except SingularMatrixError:
+        """Whether the matrix is square of full rank: one elimination of its
+        rows, with no tag block and no inverse rows built."""
+        if not self.is_square():
             return False
+        return len(_eliminate(self.field, [nums for nums, _ in self._forms()])[1]) == self.nrows
 
     def __eq__(self, other):
         return (
@@ -1029,6 +1029,15 @@ class Subspace:
                 break
         return new
 
+    def _is_invariant(self, m):
+        """Whether x m <= x, for x this subspace and m square: each basis row
+        times m reduces to 0 against the basis.  For invertible m, x m has
+        the dimension of x, so this is the normalization test x m = x."""
+        if self.is_full():
+            return True
+        images = _images(self.field, [(r, 1) for r in self._rows()], m)
+        return not any(any(self._reduce(v)) for v, _ in images)
+
     def apply(self, m):
         """Image of this subspace under the row action of m."""
         if m.nrows != self.ambient_dim:
@@ -1099,7 +1108,8 @@ class QuotientMap:
     """Coordinates on w/u through the deterministic complement basis.
 
     Representatives are the rows of `complement_basis(u, w)`, so the map
-    is canonical for a given pair (u, w).
+    is canonical for a given pair (u, w).  Explicit representatives must
+    lie in w and complete u's basis to a basis of w.
     """
 
     __slots__ = ("u", "w", "reps", "field", "dim", "_solver")
@@ -1112,6 +1122,11 @@ class QuotientMap:
             u._match(w)
             if not w.contains(u):
                 raise ContainmentError("first subspace is not contained in the second")
+            reps = [r if isinstance(r, Vec) else Vec._of(u.field, r)
+                    for r in _coerced(u.field, reps, u.ambient_dim, "row width differs")]
+            if len(reps) + u.dim != w.dim or Subspace._span(
+                    u.field, u.ambient_dim, [*reps, *u.basis_vecs()]) != w:
+                raise ContainmentError("representatives do not complete a basis of u to one of w")
         self.u = u
         self.w = w
         self.reps = tuple(reps)
@@ -1153,11 +1168,17 @@ class QuotientMap:
         return Mat._of(self.field, rows, self.dim)
 
     def projection_matrix(self):
-        """Ambient-to-quotient coordinate matrix (only when w is everything)."""
+        """Ambient-to-quotient coordinate matrix, only when w is everything:
+        row i is `project` of the i-th unit vector.  The representatives and
+        u's basis then stack to an invertible M, and column j is column j of
+        M^-1, read off the solver's tag row with pivot j."""
         if not self.w.is_full():
             raise ShapeError("projection matrix needs the full space on top")
-        n = self.u.ambient_dim
-        rows = [self.project(Vec.unit(self.field, n, i)).entries for i in range(n)]
+        s, cols = self._solver, [None] * self.dim
+        for tag, scale, piv in zip(s._tags, s._scales, s._pivots):
+            if piv < self.dim:
+                cols[piv] = _entries(self.field.p, tag, scale)
+        rows = zip(*cols) if cols else [()] * self.u.ambient_dim
         return Mat._of(self.field, rows, self.dim)
 
 

@@ -29,9 +29,10 @@ __all__ = [
 class TransvectionSpec:
     """A linear map V/U -> U in fixed coset coordinates.
 
-    `quotient_basis` lists the coset representatives (the deterministic
-    complement of U by default) and `phi` is a (dim V/U) x (dim V)
-    matrix whose rows are the images, which must lie in U.
+    `quotient_basis` lists the coset representatives, which must complete
+    a basis of U to one of V (the deterministic complement of U by
+    default), and `phi` is a (dim V/U) x (dim V) matrix whose rows are
+    the images, which must lie in U.
     """
 
     __slots__ = ("u", "qmap", "phi")
@@ -148,7 +149,8 @@ def _check_commutator_hypothesis(spec, t):
         raise TransvectionError("shape mismatch between t and the transvection data")
     if unipotent_exponent(t) is None:
         raise HypothesisError("t is not unipotent")
-    if spec.u.apply(t) != spec.u:
+    # t is unipotent, hence invertible, so U t <= U means U t = U
+    if not spec.u._is_invariant(t):
         raise HypothesisError("t does not normalize U")
     nil, eta = _minus_one(t), spec.displacement()
     # v eta = (v + U) phi, so phi kills ([V,t] + U)/U when (t - 1) eta = 0

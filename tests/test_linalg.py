@@ -1048,3 +1048,143 @@ def test_kernel_of_sparse_matrices_matches_reference(field, data, n):
     a = Mat(field, data.draw(sparse_rows(field, n, n)), ncols=n)
     k = kernel(a)
     assert (k.basis, k.pivots) == ref_kernel([list(r) for r in a.rows], field)
+
+
+# -- precondition checks without the constructions they used to run ----------
+#
+# `Mat.is_invertible` built the inverse, `QuotientMap.projection_matrix`
+# projected each unit row, and normalization compared x.apply(g) with x;
+# the references below are those constructions.
+
+CHECK_FIELDS = [F2, GF(3), GF(13), GF(17), GF(101), QQ]
+
+
+def ref_is_invertible(m):
+    try:
+        m.inverse()
+        return True
+    except SingularMatrixError:
+        return False
+
+
+def ref_projection_matrix(qm):
+    n = qm.u.ambient_dim
+    rows = [qm.project(Vec.unit(qm.field, n, i)).entries for i in range(n)]
+    return Mat._of(qm.field, rows, qm.dim)
+
+
+def rand_scalar(rng, field):
+    if field.is_prime_field:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def rand_rows(rng, field, nrows, ncols):
+    return [[rand_scalar(rng, field) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def rand_invertible(rng, field, n):
+    while True:
+        m = Mat(field, rand_rows(rng, field, n, n), ncols=n)
+        if ref_inverse([list(r) for r in m.rows], field) is not None:
+            return m
+
+
+def linear_combination(field, coeffs, rows, width):
+    out = [field.zero] * width
+    for c, row in zip(coeffs, rows):
+        out = [field.add(x, field.mul(field.coerce(c), y)) for x, y in zip(out, row)]
+    return out
+
+
+def combination(rng, field, rows, width):
+    return linear_combination(field, [rand_scalar(rng, field) for _ in rows], rows, width)
+
+
+@pytest.mark.parametrize("field", CHECK_FIELDS)
+def test_is_invertible_matches_inverse_reference(field):
+    rng = random.Random(41)
+    for n in range(9):
+        for _ in range(4):
+            a = rand_invertible(rng, field, n)
+            rows = [list(r) for r in a.rows]
+            if n:  # rank n - 1: one row a combination of the others
+                k = rng.randrange(n)
+                rows[k] = combination(rng, field, rows[:k] + rows[k + 1:], n)
+            cases = [
+                (a, True),
+                (a @ a, True),  # over QQ with the row forms of the product kept
+                (Mat(field, rows, ncols=n), not n),
+                (Mat.zero(field, n, n), not n),
+                (Mat(field, rand_rows(rng, field, n, n + 1), ncols=n + 1), False),
+                (Mat(field, rand_rows(rng, field, n + 1, n), ncols=n), False),
+            ]
+            for m, expected in cases:
+                assert m.is_invertible() == ref_is_invertible(m) == expected
+
+
+@pytest.mark.parametrize("field", CHECK_FIELDS)
+def test_projection_matrix_matches_projected_unit_rows(field):
+    rng = random.Random(43)
+    for n in range(8):
+        full = Subspace.full(field, n)
+        for d in sorted({0, n, rng.randint(0, n), rng.randint(0, n)}):
+            u = rand_subspace(rng, field, n, d)
+            qms = [QuotientMap(u, full)]
+            # explicit representatives: an invertible combination of the
+            # deterministic ones, each moved by a vector of u
+            mix = rand_invertible(rng, field, n - d)
+            reps = [[field.add(x, y) for x, y in zip(linear_combination(field, row, qms[0].reps, n),
+                                                      combination(rng, field, u.basis, n))]
+                    for row in mix.rows]
+            qms.append(QuotientMap(u, full, reps))
+            for qm in qms:
+                got = qm.projection_matrix()
+                assert got == ref_projection_matrix(qm)
+                assert (got.nrows, got.ncols) == (n, n - d)
+                assert_canonical(got)
+                # the quotient coordinates of each representative are a unit row
+                for i, rep in enumerate(qm.reps):
+                    assert Vec(field, rep.entries) @ got == Vec.unit(field, n - d, i)
+
+
+def test_quotient_map_checks_explicit_representatives():
+    u = Subspace.span(F5, 3, [[0, 0, 1]])
+    full = Subspace.full(F5, 3)
+    message = "^representatives do not complete a basis of u to one of w$"
+    for reps in ([[1, 0, 0], [2, 0, 0]],  # dependent
+                 [[1, 0, 0], [0, 0, 1]],  # one lies in u
+                 [[1, 0, 0]],  # too few
+                 [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):  # too many
+        with pytest.raises(ContainmentError, match=message):
+            QuotientMap(u, full, reps)
+    w = Subspace.span(F5, 3, [[1, 0, 0], [0, 0, 1]])
+    with pytest.raises(ContainmentError, match=message):
+        QuotientMap(u, w, [[0, 1, 0]])  # outside w
+    with pytest.raises(ContainmentError, match="^first subspace is not contained"):
+        QuotientMap(full, w, [])
+    with pytest.raises(ShapeError, match="^row width differs$"):
+        QuotientMap(u, full, [[1, 0], [0, 1]])
+    # lists and rows of another field become Vecs of the map's field
+    qm = QuotientMap(u, full, [[1, 0, 3], Vec(F7, [1, 1, 5])])
+    assert qm.reps == (Vec(F5, [1, 0, 3]), Vec(F5, [1, 1, 0]))
+    assert qm.lift([2, 1]) == Vec(F5, [3, 1, 1])
+    assert qm.project(Vec(F5, [3, 1, 4])) == Vec(F5, [2, 1])
+    assert QuotientMap(u, w, [[1, 0, 1]]).lift(Vec(F5, [3])) == Vec(F5, [3, 0, 3])
+
+
+@pytest.mark.parametrize("field", CHECK_FIELDS)
+def test_invariance_matches_image_containment(field):
+    # x m <= x against the span of x m; for invertible m that is x m = x
+    rng = random.Random(47)
+    for n in range(7):
+        for _ in range(6):
+            x = rand_subspace(rng, field, n, rng.randint(0, n))
+            # a matrix mapping x into itself: rows of x's basis go into x
+            rows = [combination(rng, field, x.basis, n) for _ in range(n)]
+            inner = Mat(field, rows, ncols=n)
+            for m in (rand_invertible(rng, field, n), Mat(field, rand_rows(rng, field, n, n), ncols=n),
+                      inner, Mat.identity(field, n) + inner, Mat.zero(field, n, n)):
+                assert x._is_invariant(m) == (x.apply(m) <= x)
+                if ref_is_invertible(m):
+                    assert x._is_invariant(m) == (x.apply(m) == x)

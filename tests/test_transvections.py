@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagstab.errors import (
+    ContainmentError,
     FlagstabError,
     HypothesisError,
     SingularMatrixError,
@@ -491,3 +492,38 @@ def test_annihilating_specs_build_two_quotient_maps(monkeypatch):
             del calls[:]
             _hypothesis_phi(s, i, t)
             assert len(calls) == 2
+
+
+def test_commutator_hypothesis_rejects_unipotent_t_moving_u():
+    # the residue test of U t <= U against the reference's U t != U
+    rng = random.Random(23)
+    moved = 0
+    for _ in range(80):
+        field = rng.choice([F2, GF(3), F5, F7, QQ])
+        n = rng.randint(2, 6)
+        u = rng.choice(random_series(rng, field, n, rng.randint(1, n - 1)).members)
+        t = random_stabilizer_element(rng, random_series(rng, field, n, rng.randint(1, n - 1)))
+        phi = Mat(field, [_random_row_in(rng, u) for _ in range(n - u.dim)], ncols=n)
+        for spec in (TransvectionSpec.zero(u), TransvectionSpec(u, phi)):
+            got = hypothesis_outcome(spec, t)
+            assert got == ref_hypothesis_outcome(spec, t)
+            if u.apply(t) != u:
+                assert got == (HypothesisError, "t does not normalize U")
+                moved += 1
+    assert moved >= 20
+
+
+def test_transvection_spec_checks_quotient_basis():
+    # GF(5), U = <e3>: [e1, 2 e1] is dependent and [e1, e3] meets U, so
+    # neither completes U to V; a valid basis may be given as lists
+    u = Subspace.span(F5, 3, [[0, 0, 1]])
+    phi = Mat(F5, [[0, 0, 1], [0, 0, 2]])
+    for reps in ([[1, 0, 0], [2, 0, 0]], [[1, 0, 0], [0, 0, 1]]):
+        with pytest.raises(ContainmentError, match="^representatives do not complete"):
+            TransvectionSpec(u, phi, quotient_basis=reps)
+    spec = TransvectionSpec(u, phi, quotient_basis=[[1, 1, 0], [0, 1, 4]])
+    assert spec.quotient_basis == (Vec(F5, [1, 1, 0]), Vec(F5, [0, 1, 4]))
+    assert spec.qmap.lift([1, 1]) == Vec(F5, [1, 2, 4])
+    x = make_transvection(spec)
+    for i, rep in enumerate(spec.quotient_basis):
+        assert rep @ x == rep + phi.row(i)
