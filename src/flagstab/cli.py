@@ -18,11 +18,11 @@ certificate.  `dim` is at most MAX_DIM (256): each series builds d x d
 matrices, so a short file with a large d would run for minutes.
 
 `parse_problem` does each piece of work once: it parses each distinct
-scalar token of a file once and shares the canonical value, builds the
-parsed objects through the trusted constructors of `linalg` (each row
-already has its width and canonical entries), and checks each series
-once, in `validate`.  An early end of file is reported on the line after
-the last one.
+scalar token and reads each distinct row line of a file once, into its
+entries and kernel form (`linalg._row_form`), hands the parsed objects to
+the trusted constructors of `linalg` with their forms, and checks each
+series once, in `validate`.  An early end of file is reported on the line
+after the last one.
 
 Reports on stdout are stable `key=value` lines; exit code 0 means
 verified/success, 1 a verified negative, 2 an input error (a file that
@@ -39,7 +39,7 @@ from .decomposition import SectionAssignment, patch_sections, split_chain
 from .errors import FlagstabError, NotUnipotentError, ParseError, RefinementObstruction
 from .errors import ShapeError, WitnessError
 from .instances import adapted_basis_of, witness_instance, _chain_layout
-from .linalg import GF, QQ, Mat, Subspace, Vec
+from .linalg import GF, QQ, Mat, Subspace, Vec, _row_form
 from .series import canonical_coarsening, in_stabilizer, validate
 from .transvections import _annihilating_spec, transvection_commutator_check
 from .unipotent import jordan_blocks, unipotent_exponent
@@ -84,12 +84,9 @@ class ProblemFile:
 
 class _Lines:
     def __init__(self, text):
-        self.items = []
         raws = text.splitlines()
-        for i, raw in enumerate(raws, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                self.items.append((i, line))
+        lines = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(raws, start=1))
+        self.items = [item for item in lines if item[1]]
         self.pos = 0
         self.end = len(raws) + 1  # where an early end of file is reported
 
@@ -129,19 +126,19 @@ def _int(tok):
 
 
 class _Scalars(dict):
-    """The canonical value of each scalar token of one file.
-
-    `Field.parse` runs once per distinct token; rows share the values,
-    which are immutable.
-    """
+    """(canonical value, (numerator, denominator)) of each scalar token of
+    one file, and the `_row_form` of each distinct row line: rows share the
+    values and forms, which no kernel mutates."""
 
     def __init__(self, field):
         super().__init__()
         self.field = field
+        self.rows = {}
 
     def __missing__(self, tok):
-        value = self[tok] = self.field.parse(tok)
-        return value
+        value = self.field.parse(tok)
+        pair = self[tok] = value, value.as_integer_ratio()
+        return pair
 
     def scalar(self, tok, lineno):
         try:
@@ -150,43 +147,37 @@ class _Scalars(dict):
             raise ParseError(lineno, f"bad scalar {tok!r}") from None
 
     def row(self, line, lineno, width):
-        """The canonical entries of a row of exactly width scalars."""
-        toks = line.split()
-        if len(toks) != width:
-            raise ParseError(lineno, f"expected {width} entries, got {len(toks)}")
-        try:
-            return [self[t] for t in toks]
-        except (ValueError, ZeroDivisionError):
-            return [self.scalar(t, lineno) for t in toks]
+        """(entries, form, lead) of a row of exactly width scalars."""
+        row = self.rows.get(line)
+        if row is None:
+            toks = line.split()
+            if len(toks) != width:
+                raise ParseError(lineno, f"expected {width} entries, got {len(toks)}")
+            try:
+                pairs = [self[t] for t in toks]
+            except (ValueError, ZeroDivisionError):
+                pairs = [self.scalar(t, lineno) for t in toks]
+            row = self.rows[line] = _row_form(self.field, pairs)
+        elif len(row[0]) != width:
+            raise ParseError(lineno, f"expected {width} entries, got {len(row[0])}")
+        return row
 
 
 def _parse_matrix_rows(lines, scalars, nrows, ncols, context):
-    rows = []
-    for _ in range(nrows):
-        lineno, line = lines.next(context)
-        rows.append(scalars.row(line, lineno, ncols))
+    items = lines.items[lines.pos:lines.pos + nrows]
+    lines.pos += len(items)
+    rows = [scalars.row(line, lineno, ncols) for lineno, line in items]
+    if len(rows) < nrows:
+        lines.next(context)  # raises: the file ends early
     return rows
 
 
-def _square(field, rows, dim):
-    """The dim x dim matrix of parsed rows; like `Mat(field, rows)`, it
-    needs at least one row to know its width."""
-    if not dim:
+def _matrix(field, rows, ncols, square=False):
+    """The matrix of parsed rows, with their forms; like `Mat(field, rows)`,
+    a square one needs at least one row to know its width."""
+    if square and not ncols:
         raise ShapeError("empty matrix needs explicit ncols")
-    return Mat._of(field, rows, dim)
-
-
-def _subspace(field, dim, rows):
-    """The span of a parsed block: a block in reduced echelon form (strictly
-    increasing pivots, each 1 and alone in its column) is its own canonical
-    basis, and any other block is eliminated."""
-    pivots, c = [], -1
-    for r in rows:
-        c = next((j for j in range(c + 1, dim) if r[j]), dim)
-        if c == dim or r[c] != 1 or any(r[:c]) or any(q[c] for q in rows[:len(pivots)]):
-            return Subspace._span(field, dim, rows)
-        pivots.append(c)
-    return Subspace(field, dim, rows, pivots)
+    return Mat._of(field, [e for e, _, _ in rows], ncols, [f for _, f, _ in rows])
 
 
 def parse_problem(text):
@@ -229,7 +220,7 @@ def parse_problem(text):
             raise ParseError(lineno, "duplicate certificate")
         if kind == "matrix" and len(toks) == 2:
             rows = _parse_matrix_rows(lines, scalars, dim, dim, f"matrix {toks[1]}")
-            pf.matrices[toks[1]] = _square(field, rows, dim)
+            pf.matrices[toks[1]] = _matrix(field, rows, dim, square=True)
         elif kind == "map" and len(toks) == 4:
             try:
                 r, c = _int(toks[2]), _int(toks[3])
@@ -238,7 +229,7 @@ def parse_problem(text):
             if r < 0 or c < 0:
                 raise ParseError(lineno, "map row/col counts must not be negative")
             rows = _parse_matrix_rows(lines, scalars, r, c, f"map {toks[1]}")
-            pf.maps[toks[1]] = Mat._of(field, rows, c)
+            pf.maps[toks[1]] = _matrix(field, rows, c)
         elif kind == "series" and len(toks) == 3:
             try:
                 m = _int(toks[2])
@@ -254,7 +245,7 @@ def parse_problem(text):
                 if nrows is None:
                     raise ParseError(l2, "expected 'subspace <rows>'")
                 rows = _parse_matrix_rows(lines, scalars, nrows, dim, "subspace")
-                subs.append(_subspace(field, dim, rows))
+                subs.append(Subspace._parsed(field, dim, rows))
             try:
                 full = Subspace.full(field, dim)
                 zero = Subspace.zero(field, dim)
@@ -279,7 +270,7 @@ def parse_problem(text):
                     s_idx = QQ.parse(parts[1])
                 except (ValueError, ZeroDivisionError):
                     raise ParseError(l2, "bad rational index") from None
-                coeff = scalars.scalar(parts[2], l2)
+                coeff = scalars.scalar(parts[2], l2)[0]
                 terms.append(((r_idx, s_idx), coeff))
             try:
                 pf.mclain[toks[1]] = [McLainElement(field, terms)]
@@ -299,9 +290,10 @@ def parse_problem(text):
             if pline != "probe":
                 raise ParseError(l4, "expected 'probe'")
             l5, prow = lines.next("probe row")
-            probe = Vec._of(field, scalars.row(prow, l5, dim))
+            entries, form, _ = scalars.row(prow, l5, dim)
+            probe = Vec._of(field, entries, form)
             pf.certificate = WitnessCertificate(
-                _square(field, hrows, dim), r, probe, None, False
+                _matrix(field, hrows, dim, square=True), r, probe, None, False
             )
         else:
             raise ParseError(lineno, f"unknown section {line!r}")

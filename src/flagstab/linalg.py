@@ -38,10 +38,12 @@ twice:
   sum of the integer rows its nonzero entries select (`_combine`; Gustavson
   1978), kept in `_int_cols` and, from the first such row, `_as_factor`;
   others take a dot product per column, the same integer sums.
-An object built otherwise (user input, `Fraction` sums and scalings, the
-public `Subspace(...)`) gets its form on first use, over QQ through
-`_int_row`: a `Mat` in one conversion of all its entries over a common
-denominator.
+Parsed objects arrive with their forms: `cli.parse_problem` builds each
+distinct row once with `_row_form` and hands the forms to `Mat._of`,
+`Vec._of` and `Subspace._parsed`.  An object built otherwise (user input
+to the public constructors, `Fraction` sums and scalings) gets its form on
+first use, over QQ through `_int_row`: a `Mat` in one conversion of all its
+entries over a common denominator.
 Rows of plain ints, such as images and elimination output, are read as
 they are.
 
@@ -63,7 +65,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .errors import (
     ContainmentError,
@@ -244,7 +246,7 @@ class Vec:
     @classmethod
     def _of(cls, field, entries, form=None):
         """Trusted constructor for entries that are already canonical; over
-        QQ, form may give them as (numerators, denominator)."""
+        QQ, form may give them as (numerators, denominator), unread over GF(p)."""
         v = object.__new__(cls)
         object.__setattr__(v, "field", field)
         object.__setattr__(v, "entries", tuple(entries))
@@ -341,17 +343,34 @@ def _form(field, row):
 
     Over GF(p) it is the entries over 1.  Over QQ a row of ints is its
     own numerators over 1, and other rows go through `_int_row`.  A `Vec`
-    keeps the form of its own field, filled on first use.
+    over QQ keeps its form, filled on first use.
     """
     if isinstance(row, Vec):
-        form = row._int
-        if form is None:
-            form = _form(row.field, row.entries)
-            object.__setattr__(row, "_int", form)
-        return form
+        if row.field.p is None:
+            if row._int is None:
+                object.__setattr__(row, "_int", _int_row(row.entries))
+            return row._int
+        row = row.entries
     if field.p is not None or all(type(x) is int for x in row):
         return row, 1
     return _int_row(row)
+
+
+def _row_form(field, pairs):
+    """(entries, kernel form, lead column) of a parsed row, at least one pair
+    (canonical entry, (numerator, denominator)): over QQ the numerators over
+    their lcm denominator, for p <= 13 the packed int, else the entries; the
+    lead column is the first nonzero one, the width for a zero row."""
+    entries, ratios = zip(*pairs)
+    form = ints = entries
+    if field.p is None:
+        den = math.lcm(*[d for _, d in ratios])
+        ints = [n * (den // d) for n, d in ratios]
+        form = ints, den
+    elif field.p in _MOD:
+        form = _pack(entries)
+    lead = next(filter(None, ints), 0)  # the first nonzero entry, at C speed
+    return entries, form, ints.index(lead) if lead else len(ints)
 
 
 def _coerced(field, rows, width, message):
@@ -490,8 +509,8 @@ class Mat:
 
     @classmethod
     def _of(cls, field, rows, ncols, forms=None):
-        """Trusted constructor for rectangular rows of canonical entries;
-        over QQ, forms may give each row as (numerators, denominator)."""
+        """Trusted constructor for rectangular rows of canonical entries; over
+        QQ, forms may give each row as (numerators, denominator), unread over GF(p)."""
         m = object.__new__(cls)
         rows = tuple(map(tuple, rows))
         object.__setattr__(m, "field", field)
@@ -711,11 +730,11 @@ def _monic(p, n, v):
 
 def _echelon(p, n, rows):
     """(rows as bytes, pivots, (shift, packed row) pairs) of the reduced
-    echelon form of rows of width n, built row by row: a row is cleared
-    by the pairs so far and, if nonzero, made monic and cleared out of them."""
+    echelon form of rows of width n, lists or packed, built row by row: a row
+    is cleared by the pairs so far and, if nonzero, made monic and cleared out of them."""
     out = []
     for v in rows:
-        v = _residue(p, n, _pack(v), out)
+        v = _residue(p, n, v if type(v) is int else _pack(v), out)
         if v:
             s, v = pair = _monic(p, n, v)
             out = [(t, _residue(p, n, e, (pair,)) if e >> s & 255 else e) for t, e in out]
@@ -822,7 +841,8 @@ class Subspace:
 
     @classmethod
     def _of_rows(cls, field, ambient_dim, rows):
-        """Span of a fresh list of rows in kernel form (see `_eliminate`).
+        """Span of a fresh list of rows in kernel form (see `_eliminate`;
+        for p <= 13 also packed ints).
 
         Each basis row is its echelon row over the pivot entry, which is 1
         over GF(p).  Over QQ the subspace keeps the primitive integer rows
@@ -839,6 +859,26 @@ class Subspace:
         s = cls(field, ambient_dim, basis, pivots)
         if field.p is None:
             object.__setattr__(s, "_int_rows", ints)
+        return s
+
+    @classmethod
+    def _parsed(cls, field, ambient_dim, rows):
+        """Span of `_row_form` rows: a block in reduced echelon form (leads
+        strictly increasing, each lead entry 1 and alone in its column, read
+        off the integer rows) is its own canonical basis and keeps its forms,
+        over QQ the numerators (the lead entry is the denominator), for
+        p <= 13 (shift, packed) pairs; any other block goes through `_span`."""
+        p, c = field.p, -1
+        ints = [f[0] if p is None else e for e, f, _ in rows]
+        for i, ((_, f, lead), r) in enumerate(zip(rows, ints)):
+            if not c < lead < ambient_dim or r[lead] != (1 if p else f[1]) or any(
+                    map(itemgetter(lead), ints[:i])):
+                return cls._span(field, ambient_dim, ints)
+            c = lead
+        s = cls(field, ambient_dim, [e for e, _, _ in rows], [lead for _, _, lead in rows])
+        if p is None or p in _MOD:
+            object.__setattr__(s, "_int_rows", ints if p is None else [
+                (8 * (ambient_dim - 1 - lead), f) for _, f, lead in rows])
         return s
 
     @classmethod
@@ -949,7 +989,11 @@ class Subspace:
 
     def sum(self, other):
         self._match(other)
-        return Subspace._of_rows(self.field, self.ambient_dim, [*self._rows(), *other._rows()])
+        if self.field.p in _MOD:  # the packed rows both operands keep
+            rows = [e for _, e in (*self._packed(), *other._packed())]
+        else:
+            rows = [*self._rows(), *other._rows()]
+        return Subspace._of_rows(self.field, self.ambient_dim, rows)
 
     def intersect(self, other):
         """Zassenhaus double-block elimination.

@@ -280,8 +280,8 @@ def _minus_one(g):
     if not g.is_square():
         raise SingularMatrixError("stabilizer membership needs an invertible matrix")
     rows = [(*r[:i], g.field.add(r[i], -g.field.one), *r[i + 1:]) for i, r in enumerate(g.rows)]
-    forms = g._int_forms and [([*x[:i], x[i] - d, *x[i + 1:]], d)
-                              for i, (x, d) in enumerate(g._int_forms)]
+    forms = g._int_forms if g.field.p is None else None
+    forms = forms and [([*x[:i], x[i] - d, *x[i + 1:]], d) for i, (x, d) in enumerate(forms)]
     return Mat._of(g.field, rows, g.ncols, forms)
 
 

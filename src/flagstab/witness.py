@@ -561,9 +561,11 @@ class _RankFactors:
     @classmethod
     def of(cls, m):
         """E the echelon basis of m's rows, C its pivot columns: m[i] = sum_j m[i][pivot_j] E_j."""
-        e = echelonize(m)
-        return cls(Mat._of(m.field, [[r[c] for c in e.pivots] for r in m.rows], e.dim),
-                   Mat._of(m.field, e.basis, m.ncols))
+        e, qq = echelonize(m), m.field.p is None  # over QQ C and E keep their integer rows
+        return cls(Mat._of(m.field, [[r[c] for c in e.pivots] for r in m.rows], e.dim,
+                           [([x[c] for c in e.pivots], d) for x, d in m._forms()] if qq else None),
+                   Mat._of(m.field, e.basis, m.ncols,
+                           [(r, r[c]) for r, c in zip(e._rows(), e.pivots)] if qq else None))
 
     def square_zero(self):
         """Whether (h - 1)^2 = C (E C) E is 0, i.e. E C = 0."""

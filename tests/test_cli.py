@@ -11,12 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flagstab import linalg
 from flagstab.builder import McLainElement
 from flagstab.cli import ProblemFile, format_problem, main, parse_problem
 from flagstab.errors import ParseError, ShapeError
 from flagstab.instances import random_series, random_stabilizer_element, witness_instance
-from flagstab.linalg import GF, QQ, Mat, Subspace, Vec
-from flagstab.witness import WitnessCertificate, construct_witness
+from flagstab.linalg import GF, QQ, Mat, Subspace, Vec, echelonize, kernel
+from flagstab.witness import WitnessCertificate, construct_witness, verify_witness
 
 
 def cli(*args, text_input=None):
@@ -850,3 +851,112 @@ def test_field_format_is_str_of_canonical_scalars(field_p, a, b):
     x = field.coerce(a) if field_p is not None else Fraction(a, b)
     assert field.format(x) == str(x)
     assert field.parse(str(x)) == x
+
+
+# -- kernel forms of parsed objects --------------------------------------------
+#
+# `parse_problem` reads each distinct row line once, into its entries and its
+# kernel form, and hands the forms to the trusted constructors.  Every object
+# it returns must hold the forms the lazy paths compute from its entries.
+
+FORM_FIELDS = [GF(2), GF(5), GF(13), GF(17), QQ]
+
+
+@st.composite
+def repeated_line_files(draw):
+    """Problem-file text whose matrix, map, certificate and probe rows are
+    drawn from a small pool of lines that the series blocks also use, so that
+    lines repeat; a block is its member's basis, or that basis with its rows
+    reversed and the last added to the others, which is no echelon form."""
+    field = draw(st.sampled_from(FORM_FIELDS))
+    n = draw(st.integers(1, 5))
+    s = random_series(random.Random(draw(st.integers(0, 2**32))), field, n,
+                      draw(st.integers(0, n - 1)))
+    scalars = fuzz_scalars(field)
+    pool = [list(r) for x in s.members for r in x.basis]
+    pool += draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=1, max_size=3))
+    row = st.sampled_from(pool).map(lambda r: " ".join(map(field.format, r)))
+    lines = ["field q" if field == QQ else f"field gf {field.p}", f"dim {n}"]
+    lines += [f"series L {s.length}"]
+    for x in s.members[1:-1]:
+        rows = [list(r) for r in x.basis]
+        if draw(st.booleans()):
+            rows = [[a + b for a, b in zip(r, rows[0])] for r in rows[:0:-1]] + rows[:1]
+        lines += [f"subspace {x.dim}"] + [" ".join(field.format(field.coerce(a)) for a in r)
+                                          for r in rows]
+    lines += ["matrix g"] + [draw(row) for _ in range(n)]
+    lines += [f"map m 2 {n}"] + [draw(row) for _ in range(2)]
+    lines += ["certificate", "r 1", "h"] + [draw(row) for _ in range(n)] + ["probe", draw(row)]
+    return "\n".join(lines) + "\n"
+
+
+def kept_forms(pf):
+    """The kernel forms every parsed object holds, as plain lists."""
+    mats = [*pf.matrices.values(), *pf.maps.values(), pf.certificate.h]
+    out = [[(list(x), d) for x, d in m._forms()] for m in mats]
+    for s in pf.series.values():
+        for x in s.members:
+            out.append([list(r) for r in x._rows()])
+            out.append(x._packed() if pf.field.p in linalg._MOD else None)
+    nums, den = linalg._form(pf.field, pf.certificate.probe)
+    return out + [(list(nums), den)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_line_files())
+def test_parsed_objects_hold_the_forms_the_lazy_paths_compute(text):
+    pf = parse_problem(text)
+    field, n = pf.field, pf.dim
+    for m in [*pf.matrices.values(), *pf.maps.values(), pf.certificate.h]:
+        assert [(list(x), d) for x, d in m._forms()] == [linalg._int_row(r) for r in m.rows]
+    for x in pf.series["L"].members:
+        fresh = Subspace._span(field, n, x.basis)
+        assert x == fresh and x.pivots == fresh.pivots
+        assert [list(r) for r in x._rows()] == [list(r) for r in fresh._rows()]
+        if field.p in linalg._MOD:
+            assert x._packed() == fresh._packed()
+    nums, den = linalg._form(field, pf.certificate.probe)
+    assert (list(nums), den) == linalg._int_row(pf.certificate.probe.entries)
+
+
+def test_row_memo_keeps_each_lines_own_width_and_first_error():
+    # a line read before as a row of 2 is still 2 entries in a map of width 3
+    text = "field gf 5\ndim 2\nmatrix g\n1 0\n0 1\nmap m 1 3\n1 0\n"
+    with pytest.raises(ParseError) as e:
+        parse_problem(text)
+    assert e.value.line == 7 and str(e.value) == "line 7: expected 3 entries, got 2"
+    # and a map row of width 3 is no row of the 2 x 2 matrix after it
+    text = "field q\ndim 2\nmap m 1 3\n1 0 1/2\nmatrix g\n1 0 1/2\n0 1\n"
+    with pytest.raises(ParseError) as e:
+        parse_problem(text)
+    assert e.value.line == 6 and str(e.value) == "line 6: expected 2 entries, got 3"
+    # a bad scalar on a line that repeats is reported where the line first appears
+    for field in ("gf 2", "gf 17", "q"):
+        text = f"field {field}\ndim 2\nmap m 1 2\n1 1\nmatrix g\n0 1_0\n0 1_0\n"
+        r = cli("exponent", "-", text_input=text)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: line 6: bad scalar '1_0'\n", field
+
+
+@pytest.mark.parametrize("field_p", [2, 5, 17, None])
+def test_memoised_rows_survive_construction_and_verification(field_p):
+    # nested members share rows, so one line's form is held by several
+    # objects; no kernel may change it in place.  t = 2g has rows whose
+    # integer forms have content 2, which elimination divides out.
+    text = certified_file(field_p, 3)
+    pf = parse_problem(text)
+    t = pf.matrices["g"].scale(2)
+    text += "matrix t\n" + "".join(" ".join(map(pf.field.format, r)) + "\n" for r in t.rows)
+    lines = text.splitlines()
+    assert len(set(lines)) < len(lines)
+    pf = parse_problem(text)
+    g, s = pf.matrices["g"], pf.series["L"]
+    cert = construct_witness(g, s)
+    assert verify_witness(g, s, cert) and verify_witness(g, s, pf.certificate)
+    for m in [g, pf.matrices["t"], pf.certificate.h]:
+        echelonize(m), kernel(m), m @ m
+        if m.is_invertible():
+            m.inverse()
+    for x, y in zip(s.members, s.members[1:]):
+        x.sum(y), x.intersect(y), y._extend(x.basis_vecs())
+    assert kept_forms(pf) == kept_forms(parse_problem(text))

@@ -688,6 +688,26 @@ def test_gf_inverse_kernel_and_products_match_reference(p, data, n, k):
 
 @pytest.mark.parametrize("p", GF_PRIMES)
 @gf_differential
+@given(data=st.data(), da=st.integers(0, 24), db=st.integers(0, 24), n=st.integers(1, 48))
+def test_gf_sum_matches_reference(p, data, da, db, n):
+    # for p <= 13 a sum echelons the packed rows its operands keep: rows
+    # their elimination returned, or packed on first use from the basis
+    field = GF(p)
+    rows_a, rows_b = data.draw(gf_rows(p, da, n)), data.draw(gf_rows(p, db, n))
+    a, b = Subspace.span(field, n, rows_a), Subspace.span(field, n, rows_b)
+    both = ref_span(rows_a + rows_b, field)
+    cases = [(a, b, both), (b, a, both), (Subspace(field, n, a.basis, a.pivots), b, both),
+             (a, a.sum(b), both), (a, a, ref_span(rows_a, field))]
+    for x, y, expected in cases:
+        c = x.sum(y)
+        assert (c.basis, c.pivots) == expected
+        assert_canonical(c)
+        if p in linalg._MOD:
+            assert c._packed() == Subspace(field, n, c.basis, c.pivots)._packed()
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+@gf_differential
 @given(data=st.data(), da=st.integers(1, 24), db=st.integers(1, 24), n=st.integers(1, 48))
 def test_gf_intersect_matches_reference(p, data, da, db, n):
     field = GF(p)

@@ -899,6 +899,9 @@ def test_rank_factors_match_dense_products(field, n, data):
     for m in ms:
         factors = _RankFactors.of(m)
         assert factors.rows.nrows == Subspace.span(field, n, m.rows).dim
+        if field == QQ:  # C and E keep integer rows, which give their entries
+            for f in (factors.cols, factors.rows):
+                assert [tuple(Fraction(x, d) for x in xs) for xs, d in f._int_forms] == list(f.rows)
         assert factors.square_zero() == (m @ m).is_zero()
         assert factors.stabilizes(s) == dense_stabilizes(ident + m, s)
         for sign in (1, -1):
