@@ -7,19 +7,27 @@ are left null spaces and images are row spaces.
 
 Kernels read a row as `_form` gives it, (numerators, denominator): over
 GF(p) the canonical entries over 1, over QQ integer numerators over one
-common denominator.  All elimination runs in one Gauss-Jordan loop,
-`_eliminate`; kernels, inverses and solvers eliminate one [A | d*I] block
-built by `_tagged`.  Canonical `Fraction`s are built only where a `Vec`,
-`Mat`, `Subspace` or solution row is handed out, so every result is the
-same as with `Fraction` arithmetic throughout.
+common denominator.  All elimination is one `_echelon`, row by row: a
+forward pass clears each row by the (key, row) pairs so far (`_residue`)
+and keeps its nonzero residue, monic over GF(p), primitive with a positive
+lead over QQ (`_lead`); then one back-substitution, in pivot order from
+the bottom up, clears each row by the reduced rows below it.  Kernels,
+inverses and solvers eliminate one [A | d*I] block built by `_tagged`.
+Canonical `Fraction`s are built only where a `Vec`, `Mat`, `Subspace` or
+solution row is handed out, so every result is the same as with
+`Fraction` arithmetic throughout.
 
 For p <= 13 the kernels pack a GF(p) row into one int, an 8-bit slot per
 column, column 0 in the top byte (Albrecht, Bard and Hart 2010; Dumas,
-Fousse and Salvy 2011).  A slot cleared by adding (p - f) times a monic
-row holds at most (p - 1) + (p - 1)^2 <= 156, so one byte translation
-reduces every slot mod p; over GF(2) a clear is an XOR (`_residue`).
-Larger p would overflow a byte, so their rows stay lists, cleared by
-`_clear` as QQ's are, there fraction-free (Bareiss 1968).
+Fousse and Salvy 2011), keyed by the shift of its leading slot.  A slot
+cleared by adding (p - f) times a monic row holds at most
+(p - 1) + (p - 1)^2 <= 156, so one byte translation reduces every slot
+mod p; over GF(2) a clear is an XOR.  Larger p would overflow a byte, so
+their rows stay lists, keyed by pivot column and cleared by `_clear` as
+QQ's are, there fraction-free (Bareiss 1968).  Membership of a list row
+(`Subspace._reduce`) is decided on the non-pivot columns alone, as den * v
+minus integer sums of the basis there: clearing it pivot by pivot would
+take a gcd and a whole-row rescaling per pivot.
 
 Each object keeps the kernel form of its rows, so no row is converted
 twice:
@@ -55,10 +63,11 @@ ones.  The public constructors `Vec(...)`, `Mat(...)` and
 private `Vec._of`, `Mat._of` and `Subspace._span`, which trust it.
 
 Spans grow through one private primitive, `Subspace._extend`: given rows
-in order, it returns those that lie outside the span so far, each found
-by clearing it against an incremental echelon of the rows before it; it
-builds no span.  Complements, chain splittings, new Jordan-chain heads
-and series-splitting complements are all built with it.
+in order, it returns those that lie outside the span so far, found by
+the forward pass of `_echelon` from the subspace's own pairs
+(`Subspace._packed`); it builds no span.  Complements, chain splittings,
+new Jordan-chain heads and series-splitting complements are all built
+with it.
 """
 
 import math
@@ -696,7 +705,7 @@ class Mat:
         return f"Mat[{body}]"
 
 
-# -- packed GF(p) rows, p <= 13 (see the module docstring) ------------------
+# -- one elimination for every row form (see the module docstring) ------------
 _MOD = {p: bytes(x % p for x in range(256)) for p in (2, 3, 5, 7, 11, 13)}  # byte -> byte % p
 
 
@@ -706,99 +715,91 @@ def _pack(row):
 
 
 def _residue(p, n, v, echelon):
-    """Packed v of width n with the slot at each (shift, row) pair's shift
-    cleared in turn by that row, which is monic there and zero at the
-    shifts of the pairs before it: a slot holding f is cleared by adding
-    (p - f) times the row, over GF(2) by an XOR."""
+    """Row v of width n cleared in turn by each (key, row) pair of echelon,
+    whose row is normalized at its key and zero at the keys before it.
+
+    For p <= 13 v may be a list and comes back packed, and a slot holding f
+    is cleared by adding (p - f) times the row, over GF(2) by an XOR.
+    """
+    if p not in _MOD:
+        for c, e in echelon:
+            if v[c]:
+                v = _clear(p, v, e, c)
+        return v
+    if type(v) is not int:
+        v = _pack(v)
     for s, e in echelon:
         f = v >> s & 255
         if f:
-            if p == 2:
-                v ^= e
-            else:
-                v = int.from_bytes((v + (p - f) * e).to_bytes(n, "big").translate(_MOD[p]), "big")
+            v = v ^ e if p == 2 else int.from_bytes(
+                (v + (p - f) * e).to_bytes(n, "big").translate(_MOD[p]), "big")
     return v
 
 
-def _monic(p, n, v):
-    """(shift, v scaled to 1 there) for the leading slot of a nonzero packed v."""
-    s = v.bit_length() - 1 & ~7
-    if v >> s != 1:
-        v = int.from_bytes((v * pow(v >> s, -1, p)).to_bytes(n, "big").translate(_MOD[p]), "big")
-    return s, v
+def _lead(p, n, v):
+    """(key, v normalized there) for the leading entry of a `_residue` v, or
+    None when v is zero: monic over GF(p), primitive with a positive leading
+    entry over QQ."""
+    if p in _MOD:
+        if not v:
+            return None
+        s = v.bit_length() - 1 & ~7
+        if v >> s != 1:
+            v = int.from_bytes(
+                (v * pow(v >> s, -1, p)).to_bytes(n, "big").translate(_MOD[p]), "big")
+        return s, v
+    lead = next(filter(None, v), 0)  # the first nonzero entry, at C speed
+    if not lead:
+        return None
+    if p is not None:
+        return v.index(lead), v if lead == 1 else _scale(p, pow(lead, -1, p), v)
+    g = math.gcd(*v) if lead > 0 else -math.gcd(*v)
+    return v.index(lead), v if g == 1 else [x // g for x in v]
 
 
 def _echelon(p, n, rows):
-    """(rows as bytes, pivots, (shift, packed row) pairs) of the reduced
-    echelon form of rows of width n, lists or packed, built row by row: a row
-    is cleared by the pairs so far and, if nonzero, made monic and cleared out of them."""
+    """The (key, row) pairs of the reduced echelon form of rows of width n
+    (lists, or for p <= 13 also packed ints), in pivot order.
+
+    A forward pass clears each row by the pairs so far and appends its
+    nonzero residue, normalized by `_lead`, until the width is reached;
+    a back-substitution from the bottom up then clears each row by the
+    rows below it, which are reduced already."""
     out = []
     for v in rows:
-        v = _residue(p, n, v if type(v) is int else _pack(v), out)
-        if v:
-            s, v = pair = _monic(p, n, v)
-            out = [(t, _residue(p, n, e, (pair,)) if e >> s & 255 else e) for t, e in out]
+        if len(out) == n:
+            break
+        v = _residue(p, n, v, out)
+        pair = v and _lead(p, n, v)  # a zero packed residue is 0
+        if pair:
             out.append(pair)
-            if len(out) == n:
-                break
-    out.sort(reverse=True)
-    return [e.to_bytes(n, "big") for _, e in out], [n - 1 - (s >> 3) for s, _ in out], out
+    out.sort(reverse=p in _MOD)  # a larger shift is an earlier column
+    for i in range(len(out) - 2, -1, -1):
+        out[i] = out[i][0], _residue(p, n, out[i][1], out[i + 1:])
+    return out
+
+
+def _unpacked(p, n, pairs):
+    """(rows, pivot columns) of `_echelon` pairs, packed rows as bytes."""
+    if p in _MOD:
+        return [e.to_bytes(n, "big") for _, e in pairs], [n - 1 - (s >> 3) for s, _ in pairs]
+    return [e for _, e in pairs], [c for c, _ in pairs]
 
 
 def _eliminate(field, rows):
-    """Gauss-Jordan elimination of rows in kernel form (the numerators of
-    `_form`); returns (nonzero rows, pivot cols).
-
-    Over GF(p) the rows are the reduced row echelon form: each pivot row
-    is made monic.  For p <= 13 they are packed, reduced row by row by
-    `_echelon` (byte slots, XOR over GF(2)) and come back as bytes; larger
-    p would overflow a byte slot, so `_clear` reduces their lists in place.
-    Over QQ the rows are first divided by their content, and come out
-    primitive, each its reduced echelon row times the pivot entry (Bareiss
-    1968); `_entries` divides that out.
-    """
-    p = field.p
-    if p in _MOD:
-        return _echelon(p, len(rows[0]) if rows else 0, rows)[:2]
-    if p is None:
-        for i, row in enumerate(rows):
-            g = math.gcd(*row)
-            if g > 1:
-                rows[i] = [x // g for x in row]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    clear = _clear
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        if p is not None and prow[c] != 1:
-            prow = rows[r] = _scale(p, field.inv(prow[c]), prow)
-        for i in range(m):
-            if i != r and rows[i][c]:
-                rows[i] = clear(p, rows[i], prow, c)
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows[:r], pivots
+    """(nonzero rows, pivot cols) of the reduced row echelon form of rows in
+    kernel form (the numerators of `_form`), by one `_echelon`: over GF(p)
+    monic, for p <= 13 as bytes; over QQ primitive, each its reduced row
+    times its pivot entry, which is positive and which `_entries` divides out."""
+    n = len(rows[0]) if rows else 0
+    return _unpacked(field.p, n, _echelon(field.p, n, rows))
 
 
 def _clear(p, v, e, c):
     """v with column c cleared by the echelon row e whose pivot is c, for
-    v[c] nonzero; both are lists in kernel form (packed rows: `_residue`).
-
-    Over GF(p) e is monic.  Over QQ v becomes a*v - b*e, with a and b the
-    pivot and the entry divided by their gcd, divided by its content.
-    """
+    v[c] nonzero; both are lists in kernel form.  Over GF(p) e is monic.
+    Over QQ v becomes a*v - b*e, with a and b the pivot and the entry
+    divided by their gcd, divided by its content."""
     f = v[c]
     if p is not None:
         return [(x - f * y) % p for x, y in zip(v, e)]
@@ -833,32 +834,23 @@ class Subspace:
 
     @classmethod
     def _span(cls, field, ambient_dim, rows):
-        """`span` of `Vec`s or canonical rows of width ambient_dim.
-
-        Over QQ the rows may also be integer rows: a span ignores scaling.
-        """
+        """`span` of `Vec`s or canonical rows of width ambient_dim; over QQ
+        also of integer rows, as a span ignores scaling."""
         return cls._of_rows(field, ambient_dim, [_form(field, r)[0] for r in rows])
 
     @classmethod
     def _of_rows(cls, field, ambient_dim, rows):
-        """Span of a fresh list of rows in kernel form (see `_eliminate`;
-        for p <= 13 also packed ints).
-
-        Each basis row is its echelon row over the pivot entry, which is 1
-        over GF(p).  Over QQ the subspace keeps the primitive integer rows
-        that the elimination returns, each with a positive pivot entry.
-        """
-        if field.p in _MOD:
-            basis, pivots, pairs = _echelon(field.p, ambient_dim, rows)
-            s = cls(field, ambient_dim, basis, pivots)
-            object.__setattr__(s, "_int_rows", pairs)
-            return s
-        reduced, pivots = _eliminate(field, rows)
-        ints = [r if r[c] > 0 else [-x for x in r] for r, c in zip(reduced, pivots)]
-        basis = [_entries(field.p, r, r[c]) for r, c in zip(ints, pivots)]
+        """Span of rows in kernel form (see `_eliminate`; for p <= 13 also
+        packed ints).  Each basis row is its echelon row over the pivot entry,
+        1 over GF(p); the subspace keeps the `_echelon` pairs for p <= 13 and
+        over QQ the primitive integer rows, with positive pivot entries."""
+        p = field.p
+        pairs = _echelon(p, ambient_dim, rows)
+        ints, pivots = _unpacked(p, ambient_dim, pairs)
+        basis = ints if p else [_entries(p, r, r[c]) for r, c in zip(ints, pivots)]
         s = cls(field, ambient_dim, basis, pivots)
-        if field.p is None:
-            object.__setattr__(s, "_int_rows", ints)
+        if p is None or p in _MOD:
+            object.__setattr__(s, "_int_rows", ints if p is None else pairs)
         return s
 
     @classmethod
@@ -887,9 +879,12 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        one, z = field.one, field.zero
-        basis = [[one if i == j else z for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return cls(field, ambient_dim, basis, list(range(ambient_dim)))
+        n = ambient_dim
+        units = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        s = cls(field, n, units if field.p else [_entries(None, r, 1) for r in units], range(n))
+        if field.p is None:  # the unit rows are their own integer rows
+            object.__setattr__(s, "_int_rows", units)
+        return s
 
     @property
     def dim(self):
@@ -907,12 +902,9 @@ class Subspace:
                 for r, ints, c in zip(self.basis, self._rows(), self.pivots)]
 
     def _rows(self):
-        """The basis in kernel form (see `_eliminate`).
-
-        Over QQ row i is the primitive integer multiple of basis[i], so
-        its pivot entry is its denominator; the rows are kept from the
-        elimination that built the subspace, else converted once.
-        """
+        """The basis in kernel form (see `_eliminate`): over QQ row i is the
+        primitive integer multiple of basis[i], its pivot entry its denominator,
+        kept from the elimination that built the subspace, else converted once."""
         if self.field.p is not None:
             return self.basis
         rows = self._int_rows
@@ -922,7 +914,10 @@ class Subspace:
         return rows
 
     def _packed(self):
-        """The basis as `_echelon` gives it (p <= 13), kept or packed once."""
+        """The basis as `_echelon` gives it, (key, row) pairs: for p <= 13
+        (shift, packed row), kept or packed once; else (pivot, `_rows()` row)."""
+        if self.field.p not in _MOD:
+            return list(zip(self.pivots, self._rows()))
         pairs = self._int_rows
         if pairs is None:
             n = self.ambient_dim
@@ -943,18 +938,15 @@ class Subspace:
 
     def _reduce(self, v):
         """Residue of v, a row in kernel form, after elimination against
-        the basis.
-
-        For p <= 13 it is the packed residue, as bytes.  Otherwise it is
-        taken on the non-pivot columns only (it vanishes on the others),
+        the basis.  For p <= 13 it is the packed residue, as bytes.  Otherwise
+        it is taken on the non-pivot columns only (it vanishes on the others),
         over QQ scaled to integers: yielded lazily, column by column, or for
         sparse pivot coefficients (`_sparse`) as den * v there minus their
-        basis rows there, kept in `_int_cols`: the same sums.
-        """
+        basis rows there, kept in `_int_cols`: the same sums."""
         p = self.field.p
         if p in _MOD:
             n = self.ambient_dim
-            return _residue(p, n, _pack(v), self._packed()).to_bytes(n, "big")
+            return _residue(p, n, v, self._packed()).to_bytes(n, "big")
         den, cols, rows = self._integer_columns()
         coeffs = [v[c] for c in self.pivots]
         if _sparse(coeffs, len(cols)):
@@ -978,7 +970,8 @@ class Subspace:
             return False
         p, n = self.field.p, self.ambient_dim
         if p in _MOD:
-            return not any(_residue(p, n, e, self._packed()) for _, e in other._packed())
+            pairs = self._packed()
+            return not any(_residue(p, n, e, pairs) for _, e in other._packed())
         return not any(any(self._reduce(r)) for r in other._rows())
 
     def _match(self, other):
@@ -989,10 +982,7 @@ class Subspace:
 
     def sum(self, other):
         self._match(other)
-        if self.field.p in _MOD:  # the packed rows both operands keep
-            rows = [e for _, e in (*self._packed(), *other._packed())]
-        else:
-            rows = [*self._rows(), *other._rows()]
+        rows = [e for _, e in (*self._packed(), *other._packed())]
         return Subspace._of_rows(self.field, self.ambient_dim, rows)
 
     def intersect(self, other):
@@ -1046,31 +1036,15 @@ class Subspace:
         """
         dim = self.ambient_dim if dim is None else dim
         field, p, n = self.field, self.field.p, self.ambient_dim
-        packed, clear = p in _MOD, _clear
-        # (pivot, row), or packed (shift, row): monic over GF(p), and zero left
-        # of its pivot and at earlier pivots, so one pass clears a new row
-        echelon = list(self._packed() if packed else zip(self.pivots, self._rows()))
-        new = []
+        # the forward pass of `_echelon`, from this subspace's pairs
+        echelon, new = list(self._packed()), []
         for row in rows if len(echelon) < dim else ():
-            v = _form(field, row)[0]
-            if packed:
-                v = _residue(p, n, _pack(v), echelon)
-                if not v:
-                    continue
-                echelon.append(_monic(p, n, v))
-            else:
-                for c, e in echelon:
-                    if v[c]:
-                        v = clear(p, v, e, c)
-                c = next((j for j, x in enumerate(v) if x), None)
-                if c is None:
-                    continue
-                if p is not None:
-                    v = _scale(p, field.inv(v[c]), v)
-                echelon.append((c, v))
-            new.append(row)
-            if len(echelon) >= dim:
-                break
+            pair = _lead(p, n, _residue(p, n, _form(field, row)[0], echelon))
+            if pair:
+                echelon.append(pair)
+                new.append(row)
+                if len(echelon) >= dim:
+                    break
         return new
 
     def _is_invariant(self, m):

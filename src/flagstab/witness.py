@@ -227,7 +227,7 @@ def _level_dependency(chains, s):
     for lvl in sorted(items_by_level):
         items = items_by_level[lvl]
         rows = [residue for *_, residue in items]
-        if len(_eliminate(s.field, list(rows))[0]) == len(rows):
+        if len(_eliminate(s.field, rows)[0]) == len(rows):
             continue
         _, rows = _common([(residue, _form(s.field, v)[1]) for _, _, v, residue in items])
         for coeffs in left_kernel_rows(s.field, rows, len(rows[0])):

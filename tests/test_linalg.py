@@ -1,4 +1,5 @@
 import collections
+import math
 import random
 import sys
 from fractions import Fraction
@@ -730,6 +731,60 @@ def test_gf_products_of_full_slots_over_long_inner_dimensions(p):
         assert (a @ b).rows[0] == ((k * (p - 1) ** 2) % p,) * 3
 
 
+# -- raw elimination output against the reference ----------------------------
+#
+# `_eliminate` hands out its rows raw: over GF(p) the reduced echelon rows
+# (bytes for p <= 13), over QQ primitive integer multiples of them with a
+# positive pivot entry, always in pivot order.  The inputs are kernel-form
+# rows with zero, duplicate, scaled and dependent ones, more rows than
+# columns, and the [A | d*I] blocks that `_tagged` builds.
+
+
+@st.composite
+def kernel_form_rows(draw, field, nrows, ncols):
+    """Kernel-form rows (`_form` numerators) of drawn rows, with a duplicate
+    and, over QQ, an integer multiple of a drawn row appended."""
+    if field.is_prime_field:
+        rows = [list(r) for r in draw(gf_rows(field.p, nrows, ncols))]
+    else:
+        rows = [list(linalg._form(QQ, r)[0]) for r in draw(qq_rows(nrows, ncols))]
+    i, k = draw(st.integers(0, nrows - 1)), draw(st.integers(2, 6))
+    rows.append(list(rows[i]))
+    if not field.is_prime_field:
+        rows.append([k * x for x in rows[i]])
+    return draw(st.permutations(rows))
+
+
+def assert_raw_echelon(field, rows):
+    before = [list(r) for r in rows]
+    reduced, pivots = linalg._eliminate(field, rows)
+    assert rows == before  # the argument is left as it was
+    expected, expected_pivots = ref_rref(field, [[field.coerce(x) for x in r] for r in rows])
+    assert pivots == expected_pivots == sorted(pivots)
+    assert len(reduced) == len(expected)
+    for r, c, e in zip(reduced, pivots, expected):
+        if field.is_prime_field:
+            assert list(r) == e
+        else:
+            assert r[c] > 0 and math.gcd(*r) == 1
+            assert [Fraction(x, r[c]) for x in r] == e
+
+
+@pytest.mark.parametrize("field", [GF(p) for p in GF_PRIMES] + [QQ], ids=repr)
+@gf_differential
+@given(data=st.data(), m=st.integers(1, 12), n=st.integers(1, 10))
+def test_eliminate_matches_rref_reference(field, data, m, n):
+    assert_raw_echelon(field, data.draw(kernel_form_rows(field, m, n)))
+    # [A | d*I] for square A, over QQ with denominators d up to 3
+    scale = st.just(1) if field.is_prime_field else st.integers(1, 3)
+    square = data.draw(kernel_form_rows(field, n, n))[:n]
+    forms = [(r, data.draw(scale)) for r in square]
+    tagged = [r + [d if i == j else 0 for j in range(n)] for i, (r, d) in enumerate(forms)]
+    assert_raw_echelon(field, tagged)
+    assert linalg._tagged(field, forms, range(len(forms))) == linalg._eliminate(field, tagged)
+    assert_raw_echelon(field, [])
+
+
 def trial_division_primes(limit):
     primes = []
     for n in range(2, limit):
@@ -873,7 +928,10 @@ def test_kept_integer_forms_match_canonical_entries(data, m, n):
     u = s.intersect(t)
     qm = QuotientMap(u, s)
     built += [qm.project_subspace(s), qm.project_subspace(u), qm.lift_subspace(Subspace.full(QQ, qm.dim))]
-    for x in built:
+    # the full space is built with its unit rows as its integer rows
+    full = Subspace.full(QQ, n)
+    assert full._int_rows == [[int(i == j) for j in range(n)] for i in range(n)]
+    for x in built + [full]:
         assert_subspace_rows(x)
     v = Vec(QQ, data.draw(st.lists(qq_scalars, min_size=n, max_size=n)))
     vecs = [v @ a, v @ a @ b, (v + v) @ b] + s.basis_vecs() + (a @ b).vec_rows()
