@@ -82,7 +82,7 @@ def _lcs(top, bottom, nils):
     chain = [top]
     while chain[-1].dim > bottom.dim:
         forms = [(r, 1) for r in chain[-1]._rows()]
-        images = [nums for nil in nils for nums, _ in _images(field, forms, nil)]
+        images = [nums for nil in nils for nums, _ in _images(forms, nil)]
         nxt = Subspace._of_rows(field, n, [*bottom._rows(), *images])
         if nxt == chain[-1]:
             break

@@ -173,8 +173,8 @@ def _parse_matrix_rows(lines, scalars, nrows, ncols, context):
 
 
 def _matrix(field, rows, ncols, square=False):
-    """The matrix of parsed rows, with their forms; like `Mat(field, rows)`,
-    a square one needs at least one row to know its width."""
+    """The matrix of parsed rows, with their forms over QQ; like `Mat(field,
+    rows)`, a square one needs at least one row to know its width."""
     if square and not ncols:
         raise ShapeError("empty matrix needs explicit ncols")
     return Mat._of(field, [e for e, _, _ in rows], ncols, [f for _, f, _ in rows])

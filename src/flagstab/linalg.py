@@ -34,21 +34,22 @@ twice:
 - a `Subspace` keeps the rows its elimination returned (`_int_rows`):
   for p <= 13 packed (`_packed`), over QQ primitive integer rows, basis
   row i times its pivot entry, which is also its lcm denominator;
-- over QQ a `Vec` keeps its (numerators, denominator) pair (`_int`), and
-  a `Mat` one pair per row (`_int_forms`, read through `_forms`); a
+- over QQ only, a `Vec` keeps its (numerators, denominator) pair (`_int`),
+  and a `Mat` one pair per row (`_int_forms`, read through `_forms`); a
   product stores the pairs it computed, in lowest terms;
-- a `Mat`'s form as a right factor (`_as_factor`: over GF(p) x -> x @ m,
-  for p <= 13 over its packed rows; over QQ its columns over one common
-  denominator) and a `Subspace`'s non-pivot columns (`_int_cols`) are
-  derived on first use;
+- a `Mat` has one right-factor form (`_right`, kept in `_as_factor`),
+  (den, times): den * m has integer rows (`_common`; den = 1 over GF(p))
+  and times is x -> x @ (den * m) on integer rows x (`_row_map`), for
+  p <= 13 over packed rows.  Every product is one loop over it (`_images`);
+  a `Subspace`'s non-pivot columns (`_int_cols`) are also derived on first use;
 - a row with at most a quarter of its entries nonzero, and of the result's
-  columns (`_sparse`), is multiplied, or reduced over QQ and p > 13, as the
-  sum of the integer rows its nonzero entries select (`_combine`; Gustavson
-  1978), kept in `_int_cols` and, from the first such row, `_as_factor`;
-  others take a dot product per column, the same integer sums.
+  columns (`_sparse`), is multiplied over QQ, and reduced over QQ and
+  p > 13, as the sum of the integer rows its nonzero entries select
+  (`_combine`; Gustavson 1978); others take a dot product per column, the
+  same integer sums.  For p > 13 every product takes that sum.
 Parsed objects arrive with their forms: `cli.parse_problem` builds each
 distinct row once with `_row_form` and hands the forms to `Mat._of`,
-`Vec._of` and `Subspace._parsed`.  An object built otherwise (user input
+`Vec._of` (which keep them over QQ only) and `Subspace._parsed`.  An object built otherwise (user input
 to the public constructors, `Fraction` sums and scalings) gets its form on
 first use, over QQ through `_int_row`: a `Mat` in one conversion of all its
 entries over a common denominator.
@@ -254,12 +255,12 @@ class Vec:
 
     @classmethod
     def _of(cls, field, entries, form=None):
-        """Trusted constructor for entries that are already canonical; over
-        QQ, form may give them as (numerators, denominator), unread over GF(p)."""
+        """Trusted constructor for entries that are already canonical; form
+        may give them as (numerators, denominator), kept over QQ only."""
         v = object.__new__(cls)
         object.__setattr__(v, "field", field)
         object.__setattr__(v, "entries", tuple(entries))
-        object.__setattr__(v, "_int", form)
+        object.__setattr__(v, "_int", form if field.p is None else None)
         return v
 
     def __setattr__(self, name, value):
@@ -299,10 +300,8 @@ class Vec:
         _check_same_field(self, m)
         if self.dim != m.nrows:
             raise ShapeError("vector/matrix shapes differ")
-        if self.field.p is None:
-            (form,) = _int_times([_form(self.field, self)], m)
-            return Vec._of(self.field, _entries(None, *form), form)
-        return Vec._of(self.field, m._right()(self.entries))
+        (form,) = _images([_form(self.field, self)], m)
+        return Vec._of(self.field, _entries(self.field.p, *form), form)
 
     def __eq__(self, other):
         return (
@@ -355,11 +354,9 @@ def _form(field, row):
     over QQ keeps its form, filled on first use.
     """
     if isinstance(row, Vec):
-        if row.field.p is None:
-            if row._int is None:
-                object.__setattr__(row, "_int", _int_row(row.entries))
-            return row._int
-        row = row.entries
+        if row._int is None and row.field.p is None:
+            object.__setattr__(row, "_int", _int_row(row.entries))
+        return row._int or (row.entries, 1)
     if field.p is not None or all(type(x) is int for x in row):
         return row, 1
     return _int_row(row)
@@ -414,34 +411,6 @@ def _common(forms):
     return den, [nums if d == den else _scale(None, den // d, nums) for nums, d in forms]
 
 
-def _int_times(forms, m):
-    """r @ m for each rational row r given as (numerators, denominator),
-    in the same form and in lowest terms, as `_int_row` would give it.
-
-    The right factor's columns over one common denominator are cached on
-    it, so a matrix used in many products is converted once.  A sparse row
-    (`_sparse`) sums its nonzero entries times the rows of den * m instead.
-    """
-    den, cols, rows = m._integer_columns()
-    out = []
-    for nums, e in forms:
-        if _sparse(nums, m.ncols):
-            if rows is None:
-                rows = list(zip(*cols))
-                object.__setattr__(m, "_as_factor", (den, cols, rows))
-            prod = _combine([0] * m.ncols, nums, rows, add)
-        else:
-            prod = [sum(map(mul, nums, col)) for col in cols]
-        e *= den
-        if e > 1:
-            g = math.gcd(e, *prod)
-            if g > 1:
-                prod = [x // g for x in prod]
-                e //= g
-        out.append((prod, e))
-    return out
-
-
 def _sparse(coeffs, width):
     """Whether at most a quarter of the coefficients (ints), and of width, are
     nonzero: then combining their rows beats width dot products."""
@@ -456,10 +425,12 @@ def _combine(acc, coeffs, rows, op):
 
 
 def _row_map(field, rows, ncols):
-    """x -> x @ M for M the matrix with these rows, all of ints: over GF(p)
-    reduced mod p, over QQ an integer row (`_combine`).  For p <= 13 the
-    rows are packed once (`_pack`) and x @ M is summed in their slots,
-    reduced mod p whenever another term could carry out of a byte."""
+    """x -> x @ M on integer rows x, for M the matrix with these integer rows.
+    For p <= 13 the rows are packed once (`_pack`) and x @ M is summed in
+    their slots, reduced mod p whenever another term could carry out of a
+    byte.  Otherwise it is the sum of the rows x selects (`_combine`),
+    reduced mod p over GF(p); over QQ a dense x (`_sparse`) takes a dot
+    product per column instead, the same integer sums."""
     p = field.p
     if p in _MOD:
         words, mod, room = [_pack(r) for r in rows], _MOD[p], (256 - p) // (p - 1) ** 2
@@ -476,18 +447,35 @@ def _row_map(field, rows, ncols):
             return acc.to_bytes(ncols, "big").translate(mod)
         return times
 
-    if p is None:
-        return lambda x: _combine([0] * ncols, x, rows, add)
-    return lambda x: [y % p for y in _combine([0] * ncols, x, rows, add)]
+    if p is not None:
+        return lambda x: [y % p for y in _combine([0] * ncols, x, rows, add)]
+    cols = None
+
+    def times(x):
+        nonlocal cols
+        if _sparse(x, ncols):
+            return _combine([0] * ncols, x, rows, add)
+        if cols is None:
+            cols = list(zip(*rows))
+        return [sum(map(mul, x, col)) for col in cols]
+    return times
 
 
-def _images(field, forms, m):
+def _images(forms, m):
     """r @ m for rows r given as (numerators, denominator), in the same
-    form: in lowest terms over QQ, over 1 over GF(p)."""
-    if field.p is None:
-        return _int_times(forms, m)
-    times = m._right()
-    return [(times(r), 1) for r, _ in forms]
+    form and in lowest terms: each numerator row through m's right factor
+    (`Mat._right`), the denominators multiplied."""
+    den, times = m._right()
+    out = []
+    for nums, d in forms:
+        prod, d = times(nums), d * den
+        if d > 1:
+            g = math.gcd(d, *prod)
+            if g > 1:
+                prod = [x // g for x in prod]
+                d //= g
+        out.append((prod, d))
+    return out
 
 
 def _plus(p, a, b, sign):
@@ -518,24 +506,21 @@ class Mat:
 
     @classmethod
     def _of(cls, field, rows, ncols, forms=None):
-        """Trusted constructor for rectangular rows of canonical entries; over
-        QQ, forms may give each row as (numerators, denominator), unread over GF(p)."""
+        """Trusted constructor for rectangular rows of canonical entries; forms
+        may give each row as (numerators, denominator), kept over QQ only."""
         m = object.__new__(cls)
         rows = tuple(map(tuple, rows))
         object.__setattr__(m, "field", field)
         object.__setattr__(m, "nrows", len(rows))
         object.__setattr__(m, "ncols", ncols)
         object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "_int_forms", forms)
+        object.__setattr__(m, "_int_forms", forms if field.p is None else None)
         object.__setattr__(m, "_as_factor", None)
         return m
 
     def _forms(self):
-        """Each row as (numerators, denominator), over GF(p) over 1.
-
-        Over QQ these are kept from the product that built the matrix,
-        else all entries are converted once over a common denominator.
-        """
+        """Each row as (numerators, denominator): over GF(p) over 1, over QQ
+        kept (`_int_forms`) or else all entries converted once over one."""
         if self.field.p is not None:
             return [(r, 1) for r in self.rows]
         forms = self._int_forms
@@ -546,29 +531,15 @@ class Mat:
             object.__setattr__(self, "_int_forms", forms)
         return forms
 
-    def _integer_columns(self):
-        """(den, [column j of den * self for each j], None) over QQ, cached."""
-        form = self._as_factor
-        if form is None:
-            forms = self._int_forms
-            if forms is None:
-                # a right factor only needs its columns: skip the row forms
-                flat, den = _int_row([x for r in self.rows for x in r])
-            else:
-                den, rows = _common(forms)
-                flat = [x for nums in rows for x in nums]
-            n = self.ncols
-            form = (den, [flat[j::n] for j in range(n)], None)
-            object.__setattr__(self, "_as_factor", form)
-        return form
-
     def _right(self):
-        """x -> x @ self over GF(p) (`_row_map`), built on first use."""
-        times = self._as_factor
-        if times is None:
-            times = _row_map(self.field, self.rows, self.ncols)
-            object.__setattr__(self, "_as_factor", times)
-        return times
+        """(den, times): den * self has integer rows, den = 1 over GF(p), and
+        times is x -> x @ (den * self) on integer rows (`_row_map`); cached."""
+        factor = self._as_factor
+        if factor is None:
+            den, rows = (1, self.rows) if self.field.p is not None else _common(self._forms())
+            factor = den, _row_map(self.field, rows, self.ncols)
+            object.__setattr__(self, "_as_factor", factor)
+        return factor
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -643,9 +614,9 @@ class Mat:
             raise ShapeError("inner dimensions differ")
         field = self.field
         if field.p is None:
-            forms = _int_times(self._forms(), other)
+            forms = _images(self._forms(), other)
             return Mat._of(field, [_entries(None, *f) for f in forms], other.ncols, forms)
-        times = other._right()
+        times = other._right()[1]  # den is 1: the rows go through times as they are
         return Mat._of(field, [times(r) for r in self.rows], other.ncols)
 
     def pow(self, e):
@@ -897,7 +868,6 @@ class Subspace:
         return len(self.basis) == self.ambient_dim
 
     def basis_vecs(self):
-        # over GF(p) the pivot entry is 1, and the form is never read
         return [Vec._of(self.field, r, (ints, ints[c]))
                 for r, ints, c in zip(self.basis, self._rows(), self.pivots)]
 
@@ -1053,14 +1023,14 @@ class Subspace:
         the dimension of x, so this is the normalization test x m = x."""
         if self.is_full():
             return True
-        images = _images(self.field, [(r, 1) for r in self._rows()], m)
+        images = _images([(r, 1) for r in self._rows()], m)
         return not any(any(self._reduce(v)) for v, _ in images)
 
     def apply(self, m):
         """Image of this subspace under the row action of m."""
         if m.nrows != self.ambient_dim:
             raise ShapeError("matrix height differs from ambient dimension")
-        images = _images(self.field, [(r, 1) for r in self._rows()], m)
+        images = _images([(r, 1) for r in self._rows()], m)
         return Subspace._of_rows(self.field, m.ncols, [nums for nums, _ in images])
 
     def __repr__(self):

@@ -280,8 +280,8 @@ def _minus_one(g):
     if not g.is_square():
         raise SingularMatrixError("stabilizer membership needs an invertible matrix")
     rows = [(*r[:i], g.field.add(r[i], -g.field.one), *r[i + 1:]) for i, r in enumerate(g.rows)]
-    forms = g._int_forms if g.field.p is None else None
-    forms = forms and [([*x[:i], x[i] - d, *x[i + 1:]], d) for i, (x, d) in enumerate(forms)]
+    forms = g._int_forms and [([*x[:i], x[i] - d, *x[i + 1:]], d)
+                              for i, (x, d) in enumerate(g._int_forms)]
     return Mat._of(g.field, rows, g.ncols, forms)
 
 
@@ -307,7 +307,7 @@ def _jump_images(g, s, nil):
     images = []
     for i in range(1, len(members)):
         rows = _complement_rows(members[i], members[i - 1])
-        imgs = _images(s.field, [(r, 1) for r in rows], nil)
+        imgs = _images([(r, 1) for r in rows], nil)
         if any(any(members[i]._reduce(v)) for v, _ in imgs):
             if not g.is_invertible():
                 raise SingularMatrixError("stabilizer membership needs an invertible matrix")

@@ -90,7 +90,7 @@ def _kernel_chain(nil, basis, forms):
         rows.append([(c - n, in_basis(r[n:]))
                      for r, c in zip(reduced, pivots) if c >= n])
         kernels.append(Subspace._of_rows(field, n, [y for _, y in rows[-1]]))
-        forms = _images(field, forms, nil)
+        forms = _images(forms, nil)
     if kernels and not kernels[-1].is_full():
         raise NotUnipotentError("matrix is not unipotent")
     if any(not (b.contains(a) and a.dim < b.dim) for a, b in zip(kernels, kernels[1:])):

@@ -324,7 +324,7 @@ def adapted_jordan_chains(g, s):
         Subspace.zero(g.field, g.nrows)._match(s.members[0])
     nil = _minus_one(g)
     basis = _adapted_rows(s)
-    kernels, rows = _kernel_chain(nil, basis, _images(s.field, [(r, 1) for r in basis], nil))
+    kernels, rows = _kernel_chain(nil, basis, _images([(r, 1) for r in basis], nil))
     return _straighten(_jordan_chains(nil, kernels, _member_meets(s, rows)), s)[0]
 
 
@@ -569,7 +569,7 @@ class _RankFactors:
 
     def square_zero(self):
         """Whether (h - 1)^2 = C (E C) E is 0, i.e. E C = 0."""
-        return not any(any(x) for x, _ in _images(self.cols.field, self.rows._forms(), self.cols))
+        return not any(any(x) for x, _ in _images(self.rows._forms(), self.cols))
 
     def stabilizes(self, s):
         """`in_stabilizer(h, s)`, by the residues of E's rows modulo each V_i."""
@@ -583,21 +583,21 @@ class _RankFactors:
                 continue
             rows = [(a, 1) for a in _complement_rows(members[i], members[i - 1])]
             by_residues = _row_map(field, residues, n)
-            if any(any(by_residues(x)) for x, _ in _images(field, rows, self.cols)):
+            if any(any(by_residues(x)) for x, _ in _images(rows, self.cols)):
                 return False
         return True
 
     def times(self, form, sign):
         """w (1 + sign (h - 1)) = w + sign (w C) E, for forms (see `_images`)."""
         field = self.cols.field
-        (wce,) = _images(field, _images(field, [form], self.cols), self.rows)
+        (wce,) = _images(_images([form], self.cols), self.rows)
         return _plus(field.p, form, wce, sign)
 
     def power(self, g, forms, e):
         """The nonzero rows among the forms times m^e, for m = g h^-1 g h - 1."""
         field = g.field
         for _ in range(e):
-            ws = _images(field, [self.times(f, -1) for f in _images(field, forms, g)], g)
+            ws = _images([self.times(f, -1) for f in _images(forms, g)], g)
             forms = [f for f in (_plus(field.p, self.times(w, 1), v, -1)
                                  for w, v in zip(ws, forms)) if any(f[0])]
         return forms
@@ -609,7 +609,7 @@ def _core_meets(w, s):
     those with pivot dim V - dim V_i or later span w & V_i."""
     a, n = _adapted_rows(s), s.ambient_dim
     a_inv = Mat._of(s.field, a, n, [(r, 1) for r in a]).inverse()  # reads only the forms
-    forms = _images(s.field, [(r, r[c]) for r, c in zip(w._rows(), w.pivots)], a_inv)
+    forms = _images([(r, r[c]) for r, c in zip(w._rows(), w.pivots)], a_inv)
     reduced, pivots = _tagged(s.field, forms, range(w.dim))
     in_v = _row_map(s.field, a, n)
     return [(c, in_v(r[:n]), r[n:]) for r, c in zip(reduced, pivots)]

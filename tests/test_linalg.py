@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagstab import linalg
+from flagstab import cli, linalg
 from flagstab.errors import (
     ContainmentError,
     FieldMismatchError,
@@ -29,6 +29,8 @@ from flagstab.linalg import (
     image,
     kernel,
 )
+from flagstab.series import _minus_one
+from flagstab.witness import _RankFactors
 
 F2 = GF(2)
 F5 = GF(5)
@@ -1032,26 +1034,30 @@ def sparse_combination(draw, field, s):
 
 
 def record_paths(monkeypatch):
-    """Counts of ("rows", kernel), the rows `_int_times` and the list path
-    of `Subspace._reduce` take, and of ("sparse", kernel), those of them
-    summed by `_combine`."""
+    """Counts of ("rows", kernel), the rows the product loop `_images` and
+    the list path of `Subspace._reduce` take, and of ("sparse", kernel),
+    those of them summed by `_combine`: a sum under `_images` is counted
+    there, whichever right factor's map (`_row_map`) made it."""
     seen = collections.Counter()
-    combine, int_times, reduce = linalg._combine, linalg._int_times, Subspace._reduce
+    combine, images, reduce = linalg._combine, linalg._images, Subspace._reduce
 
     def recorded_combine(*args):
-        seen["sparse", sys._getframe(1).f_code.co_name] += 1
+        frame = sys._getframe(1)
+        if frame.f_back.f_code.co_name == "_images":
+            frame = frame.f_back
+        seen["sparse", frame.f_code.co_name] += 1
         return combine(*args)
 
-    def recorded_int_times(forms, m):
-        seen["rows", "_int_times"] += len(forms)
-        return int_times(forms, m)
+    def recorded_images(forms, m):
+        seen["rows", "_images"] += len(forms)
+        return images(forms, m)
 
     def recorded_reduce(self, v):
         seen["rows", "_reduce"] += self.field.p not in linalg._MOD
         return reduce(self, v)
 
     monkeypatch.setattr(linalg, "_combine", recorded_combine)
-    monkeypatch.setattr(linalg, "_int_times", recorded_int_times)
+    monkeypatch.setattr(linalg, "_images", recorded_images)
     monkeypatch.setattr(Subspace, "_reduce", recorded_reduce)
     return seen
 
@@ -1066,7 +1072,7 @@ def test_sparse_path_takes_rows_with_at_most_a_quarter_nonzero(monkeypatch):
                 v = Vec(QQ, [Fraction(7, 3)] * k + [0] * (n - k))
                 seen.clear()
                 assert (v @ m).entries == tuple(ref_row_times(QQ, v.entries, m.rows, width))
-                assert seen["sparse", "_int_times"] == (k <= limit)
+                assert seen["sparse", "_images"] == (k <= limit)
     for d, ambient in ((8, 16), (9, 17), (12, 24), (10, 16), (16, 24), (24, 48)):
         s = Subspace.full(QQ, d).apply(Mat(QQ, [[int(i == j) + (j >= d) * (i + j) % 5
                                                    for j in range(ambient)] for i in range(d)]))
@@ -1115,7 +1121,7 @@ def test_sparse_rows_match_reference(field, monkeypatch):
             assert s.contains(t) == all(not any(ref_reduce(s.basis, s.pivots, r, field)) for r in t.basis)
 
     check()
-    for kernel_name in ("_int_times", "_reduce") if field.p is None else ("_reduce",):
+    for kernel_name in ("_images", "_reduce") if field.p is None else ("_reduce",):
         assert 0 < seen["sparse", kernel_name] < seen["rows", kernel_name]
 
 
@@ -1126,6 +1132,96 @@ def test_kernel_of_sparse_matrices_matches_reference(field, data, n):
     a = Mat(field, data.draw(sparse_rows(field, n, n)), ncols=n)
     k = kernel(a)
     assert (k.basis, k.pivots) == ref_kernel([list(r) for r in a.rows], field)
+
+
+# -- one product path ----------------------------------------------------------
+#
+# Every product runs through a matrix's one right-factor form,
+# `Mat._right()` = (den, times): den the common denominator of its rows
+# (1 over GF(p)) and times = `_row_map` of den times its rows, a map on
+# integer rows.  `_images` multiplies each numerator row by times and the
+# denominators together, in lowest terms.  Kept forms exist over QQ only.
+
+PRODUCT_FIELDS = [GF(p) for p in GF_PRIMES] + [QQ]
+
+
+@st.composite
+def product_rows(draw, field, nrows, ncols, limit):
+    """Integer rows of width ncols, canonical over GF(p), any ints over QQ:
+    zero, dense, or with 1, limit // 4 or limit // 4 + 1 nonzero entries,
+    on both sides of the quarter rule of `_sparse` for limit = min(rows of
+    the factor, its width)."""
+    ints = st.integers(1, field.p - 1) if field.p else st.integers(-BIG, BIG).filter(bool)
+    rows = []
+    for _ in range(nrows):
+        count = draw(st.sampled_from(sorted({0, 1, limit // 4, limit // 4 + 1, ncols})))
+        row = [0] * ncols
+        for j in draw(st.permutations(range(ncols)))[:count]:
+            row[j] = draw(ints)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=repr)
+@sparse_differential
+@given(data=st.data(), k=st.integers(0, 20), n=st.integers(0, 20))
+def test_row_map_and_images_match_row_times_reference(field, data, k, n):
+    factor = data.draw(product_rows(field, k, n, min(k, n)))
+    xs = data.draw(product_rows(field, 6, k, min(k, n)))
+    times = linalg._row_map(field, factor, n)
+    for x in xs:
+        assert list(times(x)) == ref_row_times(field, x, factor, n)
+
+    # the same rows as a matrix, over QQ each over its own denominator
+    dens = data.draw(st.lists(st.sampled_from([1, 2, 6, 35, BIG]), min_size=k, max_size=k))
+    if field.p is not None:
+        dens = [1] * k
+    m = Mat(field, [[Fraction(y, d) for y in r] for r, d in zip(factor, dens)], ncols=n)
+    den, times = m._right()
+    assert den == (1 if field.p else math.lcm(*[x.denominator for r in m.rows for x in r]))
+    scaled = [[den * y for y in r] for r in m.rows]
+    for x in xs:
+        assert list(times(x)) == ref_row_times(field, x, scaled, n)
+
+    # forms over 1, over a denominator, and scaled out of lowest terms
+    forms = [(x, 1) for x in xs]
+    if field.p is None:
+        forms += [(x, d) for x, d in zip(xs, [2, 6, BIG] * 2)] + [([2 * c for c in x], 2) for x in xs]
+    for (nums, d), (x, e) in zip(linalg._images(forms, m), forms):
+        assert d > 0 and math.gcd(d, *nums) == 1
+        assert d == 1 or field.p is None
+        row = [field.coerce(Fraction(c, e)) for c in x]
+        assert list(linalg._entries(field.p, nums, d)) == ref_row_times(field, row, m.rows, n)
+
+
+@pytest.mark.parametrize("field", [F2, F5, GF(17), QQ], ids=repr)
+def test_vec_of_keeps_a_form_over_qq_only(field):
+    one, zero = field.one, field.zero
+    form = (linalg._pack([1, 0]) if field.p in linalg._MOD else [1, 0], 1)
+    kept = form if field.p is None else None
+    assert Vec._of(field, [one, zero], form)._int == kept
+    # a product and a parsed probe hand `Vec._of` a form
+    v = Vec(field, [one, one]) @ Mat(field, [[one, zero], [zero, one]])
+    assert (v._int is None) == (field.p is not None)
+    name = "q" if field.p is None else f"gf {field.p}"
+    text = f"field {name}\ndim 2\nmatrix g\n1 0\n0 1\ncertificate\nr 1\nh\n1 0\n0 1\nprobe\n1 1\n"
+    probe = cli.parse_problem(text).certificate.probe
+    assert probe.entries == (one, one) and (probe._int is None) == (field.p is not None)
+
+
+@pytest.mark.parametrize("field", [F2, F5, GF(17), QQ], ids=repr)
+def test_mat_of_keeps_forms_over_qq_only(field):
+    one, zero = field.one, field.zero
+    rows = [[one, zero], [one, one]]
+    forms = [([1, 0], 1), ([1, 1], 1)]
+    assert Mat._of(field, rows, 2, forms)._int_forms == (forms if field.p is None else None)
+    # parsed rows, products, g - 1 and the forms of a rank factorization
+    g = cli.parse_problem(f"field {'q' if field.p is None else f'gf {field.p}'}"
+                          "\ndim 2\nmatrix g\n1 0\n1 1\n").matrices["g"]
+    built = [g, g @ g, _minus_one(g), _RankFactors.of(_minus_one(g)).cols]
+    for m in built:
+        assert (m._int_forms is None) == (field.p is not None)
+    assert [list(nums) for nums, _ in g._forms()] == [[1, 0], [1, 1]]
 
 
 # -- precondition checks without the constructions they used to run ----------

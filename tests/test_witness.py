@@ -798,7 +798,7 @@ def adapted_kernel_chain(g, s):
 
     nil = g - Mat.identity(g.field, g.nrows)
     basis = _adapted_rows(s)
-    return _kernel_chain(nil, basis, _images(s.field, [(r, 1) for r in basis], nil))
+    return _kernel_chain(nil, basis, _images([(r, 1) for r in basis], nil))
 
 
 @settings(max_examples=60, deadline=None)
