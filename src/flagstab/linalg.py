@@ -26,8 +26,8 @@ mod p; over GF(2) a clear is an XOR.  Larger p would overflow a byte, so
 their rows stay lists, keyed by pivot column and cleared by `_clear` as
 QQ's are, there fraction-free (Bareiss 1968).  Membership of a list row
 (`Subspace._reduce`) is decided on the non-pivot columns alone, as den * v
-minus integer sums of the basis there: clearing it pivot by pivot would
-take a gcd and a whole-row rescaling per pivot.
+minus a product of its pivot entries with the basis there: clearing it
+pivot by pivot would take a gcd and a whole-row rescaling per pivot.
 
 Each object keeps the kernel form of its rows, so no row is converted
 twice:
@@ -41,12 +41,14 @@ twice:
   (den, times): den * m has integer rows (`_common`; den = 1 over GF(p))
   and times is x -> x @ (den * m) on integer rows x (`_row_map`), for
   p <= 13 over packed rows.  Every product is one loop over it (`_images`);
-  a `Subspace`'s non-pivot columns (`_int_cols`) are also derived on first use;
-- a row with at most a quarter of its entries nonzero, and of the result's
-  columns (`_sparse`), is multiplied over QQ, and reduced over QQ and
-  p > 13, as the sum of the integer rows its nonzero entries select
-  (`_combine`; Gustavson 1978); others take a dot product per column, the
-  same integer sums.  For p > 13 every product takes that sum.
+- the other integer sums are `_row_map` products too: a `Subspace`'s
+  residues on its non-pivot columns (`_int_cols`, derived on first use) and
+  a `LinearSolver`'s products of a target with its tag columns (`_dots`);
+- over QQ a row with at most a quarter of its entries nonzero, and of the
+  result's columns (`_sparse`), is multiplied as the sum of the integer rows
+  its nonzero entries select (`_combine`; Gustavson 1978); others take a dot
+  product per column, the same integer sums.  For p > 13 every product
+  takes that sum.
 Parsed objects arrive with their forms: `cli.parse_problem` builds each
 distinct row once with `_row_form` and hands the forms to `Mat._of`,
 `Vec._of` (which keep them over QQ only) and `Subspace._parsed`.  An object built otherwise (user input
@@ -60,8 +62,11 @@ Canonical in, canonical out: every entry held by a `Vec`, `Mat` or
 `Subspace` is canonical (an int in [0, p) over GF(p), a `Fraction` over
 QQ), and every kernel returns canonical entries when given canonical
 ones.  The public constructors `Vec(...)`, `Mat(...)` and
-`Subspace.span(...)` coerce their input; kernel results go through the
-private `Vec._of`, `Mat._of` and `Subspace._span`, which trust it.
+`Subspace.span(...)` coerce their input, and so do the public entries that
+take one raw row (`Subspace.contains_vec`, `LinearSolver.solve`, and through
+`series._level_residue` `jump_of`, `level_of` and `is_adapted_basis`): a
+packed kernel reads only entries in [0, p).  Kernel results go through the
+private `Vec._of`, `Mat._of` and `Subspace._span`, which trust them.
 
 Spans grow through one private primitive, `Subspace._extend`: given rows
 in order, it returns those that lie outside the span so far, found by
@@ -75,7 +80,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul
 
 from .errors import (
     ContainmentError,
@@ -417,10 +422,10 @@ def _sparse(coeffs, width):
     return 4 * (len(coeffs) - coeffs.count(0)) <= min(len(coeffs), width)
 
 
-def _combine(acc, coeffs, rows, op):
-    """acc op c * row (`add` or `sub`) for each nonzero c of coeffs and its row."""
+def _combine(acc, coeffs, rows):
+    """acc + c * row for each nonzero c of coeffs and its row."""
     for c, row in zip(filter(None, coeffs), compress(rows, coeffs)):
-        acc = list(map(op, acc, row if c == 1 else map(mul, repeat(c), row)))
+        acc = list(map(add, acc, row if c == 1 else map(mul, repeat(c), row)))
     return acc
 
 
@@ -448,13 +453,13 @@ def _row_map(field, rows, ncols):
         return times
 
     if p is not None:
-        return lambda x: [y % p for y in _combine([0] * ncols, x, rows, add)]
+        return lambda x: [y % p for y in _combine([0] * ncols, x, rows)]
     cols = None
 
     def times(x):
         nonlocal cols
         if _sparse(x, ncols):
-            return _combine([0] * ncols, x, rows, add)
+            return _combine([0] * ncols, x, rows)
         if cols is None:
             cols = list(zip(*rows))
         return [sum(map(mul, x, col)) for col in cols]
@@ -649,8 +654,8 @@ class Mat:
         reduced, pivots = _tagged(self.field, self._forms(), cols)
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        rows = [_entries(self.field.p, r[n:], r[c]) for r, c in zip(reduced, pivots)]
-        return Mat._of(self.field, rows, len(cols))
+        forms = [(r[n:], r[c]) for r, c in zip(reduced, pivots)]
+        return Mat._of(self.field, [_entries(self.field.p, *f) for f in forms], len(cols), forms)
 
     def is_invertible(self):
         """Whether the matrix is square of full rank: one elimination of its
@@ -728,15 +733,16 @@ def _lead(p, n, v):
     return v.index(lead), v if g == 1 else [x // g for x in v]
 
 
-def _echelon(p, n, rows):
+def _echelon(p, n, rows, start=()):
     """The (key, row) pairs of the reduced echelon form of rows of width n
-    (lists, or for p <= 13 also packed ints), in pivot order.
+    (lists, or for p <= 13 also packed ints), in pivot order, together with
+    start, pairs already in reduced echelon form.
 
-    A forward pass clears each row by the pairs so far and appends its
-    nonzero residue, normalized by `_lead`, until the width is reached;
-    a back-substitution from the bottom up then clears each row by the
-    rows below it, which are reduced already."""
-    out = []
+    A forward pass, from start, clears each row by the pairs so far and
+    appends its nonzero residue, normalized by `_lead`, until the width is
+    reached; a back-substitution from the bottom up then clears each row by
+    the rows below it, which are reduced already."""
+    out = list(start)
     for v in rows:
         if len(out) == n:
             break
@@ -810,13 +816,14 @@ class Subspace:
         return cls._of_rows(field, ambient_dim, [_form(field, r)[0] for r in rows])
 
     @classmethod
-    def _of_rows(cls, field, ambient_dim, rows):
+    def _of_rows(cls, field, ambient_dim, rows, start=()):
         """Span of rows in kernel form (see `_eliminate`; for p <= 13 also
-        packed ints).  Each basis row is its echelon row over the pivot entry,
-        1 over GF(p); the subspace keeps the `_echelon` pairs for p <= 13 and
-        over QQ the primitive integer rows, with positive pivot entries."""
+        packed ints) and of the `_echelon` pairs start.  Each basis row is its
+        echelon row over the pivot entry, 1 over GF(p); the subspace keeps the
+        `_echelon` pairs for p <= 13 and over QQ the primitive integer rows,
+        with positive pivot entries."""
         p = field.p
-        pairs = _echelon(p, ambient_dim, rows)
+        pairs = _echelon(p, ambient_dim, rows, start)
         ints, pivots = _unpacked(p, ambient_dim, pairs)
         basis = ints if p else [_entries(p, r, r[c]) for r, c in zip(ints, pivots)]
         s = cls(field, ambient_dim, basis, pivots)
@@ -896,13 +903,13 @@ class Subspace:
         return pairs
 
     def _integer_columns(self):
-        """(den, [(c, column c of den * basis)], its rows), c non-pivot, cached."""
+        """(den, non-pivot columns, times), cached: times is x -> x @ B
+        (`_row_map`) for B den * basis on those columns, an integer matrix."""
         form = self._int_cols
         if form is None:
             den, rows = _common([(r, r[c]) for r, c in zip(self._rows(), self.pivots)])
             free = sorted(set(range(self.ambient_dim)).difference(self.pivots))
-            cols = [[r[c] for r in rows] for c in free]
-            form = (den, list(zip(free, cols)), list(zip(*cols)))
+            form = den, free, _row_map(self.field, [[r[c] for c in free] for r in rows], len(free))
             object.__setattr__(self, "_int_cols", form)
         return form
 
@@ -910,26 +917,19 @@ class Subspace:
         """Residue of v, a row in kernel form, after elimination against
         the basis.  For p <= 13 it is the packed residue, as bytes.  Otherwise
         it is taken on the non-pivot columns only (it vanishes on the others),
-        over QQ scaled to integers: yielded lazily, column by column, or for
-        sparse pivot coefficients (`_sparse`) as den * v there minus their
-        basis rows there, kept in `_int_cols`: the same sums."""
+        over QQ scaled to integers: den * v there minus v's pivot entries
+        times the basis there (`_integer_columns`)."""
         p = self.field.p
         if p in _MOD:
             n = self.ambient_dim
             return _residue(p, n, v, self._packed()).to_bytes(n, "big")
-        den, cols, rows = self._integer_columns()
-        coeffs = [v[c] for c in self.pivots]
-        if _sparse(coeffs, len(cols)):
-            residue = _combine([den * v[c] for c, _ in cols], coeffs, rows, sub)
-        else:
-            residue = (den * v[c] - sum(map(mul, coeffs, col)) for c, col in cols)
+        den, free, times = self._integer_columns()
+        residue = [den * v[c] - y for c, y in zip(free, times([v[c] for c in self.pivots]))]
         return residue if p is None else [x % p for x in residue]
 
     def contains_vec(self, v):
-        if not isinstance(v, Vec):
-            v = tuple(v)
-        if (v.dim if isinstance(v, Vec) else len(v)) != self.ambient_dim:
-            raise ShapeError("vector dim differs from ambient dimension")
+        message = "vector dim differs from ambient dimension"
+        (v,) = _coerced(self.field, [v], self.ambient_dim, message)
         return not any(self._reduce(_form(self.field, v)[0]))
 
     def contains(self, other):
@@ -951,9 +951,12 @@ class Subspace:
             raise ShapeError("ambient dimensions differ")
 
     def sum(self, other):
+        """One forward pass of the smaller operand's rows from the larger
+        one's pairs, which are reduced already."""
         self._match(other)
-        rows = [e for _, e in (*self._packed(), *other._packed())]
-        return Subspace._of_rows(self.field, self.ambient_dim, rows)
+        small, big = (self, other) if self.dim <= other.dim else (other, self)
+        rows = [e for _, e in small._packed()]
+        return Subspace._of_rows(self.field, self.ambient_dim, rows, big._packed())
 
     def intersect(self, other):
         """Zassenhaus double-block elimination.
@@ -1192,36 +1195,26 @@ class LinearSolver:
         reduced, pivots = _tagged(field, columns, range(ncols))
         m = self.nrows
         # Tag blocks of the reduced rows; over QQ each is an integer row
-        # that still has to be divided by its row's pivot entry.
+        # that still has to be divided by its row's pivot entry.  Their
+        # products with a target are one `_row_map` of the tag columns.
         self._tags = [r[m:] for r in reduced]
         self._scales = [r[c] for r, c in zip(reduced, pivots)]
         self._pivots = pivots
+        self._inside = sum(c < m for c in pivots)  # pivots ascend: these rows give y
+        cols = [[t[j] for t in self._tags] for j in range(ncols)]
+        self._dots = _row_map(field, cols, len(reduced))
 
     def solve(self, target):
         """Coefficient row y with y @ M = target, or None."""
-        entries = target.entries if isinstance(target, Vec) else tuple(target)
-        if len(entries) != self.ncols:
-            raise ShapeError("target width differs")
-        field = self.field
-        m = self.nrows
-        if field.p is None:
-            nums, den = _form(field, target if isinstance(target, Vec) else entries)
-            sums = [sum(map(mul, tag, nums)) for tag in self._tags]
-            if any(s for s, piv in zip(sums, self._pivots) if piv >= m):
-                return None
-            y = [_ZERO] * m
-            for s, scale, piv in zip(sums, self._scales, self._pivots):
-                if s:
-                    y[piv] = Fraction(s, scale * den)
-            return y
-        p = field.p
-        y = [0] * m
-        for tag, piv in zip(self._tags, self._pivots):
-            val = sum(map(mul, tag, entries)) % p
-            if piv < m:
-                y[piv] = val
-            elif val != 0:
-                return None
+        (target,) = _coerced(self.field, [target], self.ncols, "target width differs")
+        nums, den = _form(self.field, target)
+        sums = self._dots(nums)
+        if any(sums[self._inside:]):
+            return None
+        y = [self.field.zero] * self.nrows
+        for s, scale, piv in zip(sums, self._scales, self._pivots):
+            if s:
+                y[piv] = s if self.field.p else Fraction(s, scale * den)
         return y
 
     def contains(self, target):

@@ -19,7 +19,7 @@ the adapted vectors in the section w/u are those of level in (i, j].
 """
 
 from .errors import SeriesError, ShapeError, SingularMatrixError
-from .linalg import Mat, QuotientMap, Subspace, Vec, _form, _images, complement_basis
+from .linalg import Mat, QuotientMap, Subspace, Vec, _coerced, _form, _images, complement_basis
 
 __all__ = [
     "Series",
@@ -186,11 +186,9 @@ def _level_residue(v, s):
     member below, from one search over all members; `jump_of`'s errors."""
     if isinstance(v, Vec) and v.is_zero():
         raise SeriesError("the zero vector belongs to no jump")
-    entries = v.entries if isinstance(v, Vec) else tuple(v)
-    if len(entries) != s.ambient_dim:
-        raise ShapeError("vector dim differs from ambient dimension")
+    (v,) = _coerced(s.field, [v], s.ambient_dim, "vector dim differs from ambient dimension")
     members = s.members
-    row = _form(s.field, v if isinstance(v, Vec) else entries)[0]
+    row = _form(s.field, v)[0]
     level, residue = _deepest(members, row, 0, len(members))
     if level == len(members) - 1:
         raise SeriesError("vector lies in the zero member")

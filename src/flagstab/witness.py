@@ -425,8 +425,10 @@ def _h_factors(sel, basis, s):
     xs = [sel.pairs[l + 1][0] for l in range(sel.r - 1)]
     if not all(0 <= i < n for i in ys + xs):
         raise SelectionError("a pair indexes outside the basis")
-    p = Mat._of(field, [v.entries for v in basis], n, [_form(field, v) for v in basis])
-    factors = _RankFactors(p._inverse_columns(ys), Mat._of(field, [p.rows[x] for x in xs], n))
+    forms = [_form(field, v) for v in basis]
+    p = Mat._of(field, [v.entries for v in basis], n, forms)
+    rows = Mat._of(field, [p.rows[x] for x in xs], n, [forms[x] for x in xs])
+    factors = _RankFactors(p._inverse_columns(ys), rows)
     if not factors.square_zero():
         raise WitnessError("h-square", "(h-1)^2 != 0; selection inconsistent")
     if not factors.stabilizes(s):

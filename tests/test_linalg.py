@@ -29,7 +29,7 @@ from flagstab.linalg import (
     image,
     kernel,
 )
-from flagstab.series import _minus_one
+from flagstab.series import Series, _minus_one, is_adapted_basis, jump_of, level_of
 from flagstab.witness import _RankFactors
 
 F2 = GF(2)
@@ -345,6 +345,36 @@ def test_linear_solver():
             assert got == target
 
 
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("field", [F2, F5, GF(17), QQ], ids=repr)
+def test_raw_rows_give_the_answers_of_their_vecs(field):
+    # the public entries coerce a row of ints as `Vec` does: negative
+    # entries, entries >= p and >= 256 must not reach the packed kernels
+    rng = random.Random(29)
+    s = Subspace.span(field, 3, [[1, 2, 0]])
+    series = Series(field, 3, [Subspace.full(field, 3), s, Subspace.zero(field, 3)])
+    solver = LinearSolver(field, [[1, 2, 0], [0, 1, 1]], 3)
+    raws = [[11, 2, 0], [-4, 2, 0], [-1, -2, 0], [256, 512, 0], [300, -257, 1], [17, 34, 0]]
+    raws += [[rng.randint(-600, 600) for _ in range(3)] for _ in range(30)]
+    for raw in raws:
+        vec = Vec(field, raw)
+        assert s.contains_vec(raw) == s.contains_vec(vec)
+        assert solver.solve(raw) == solver.solve(vec)
+        assert outcome(level_of, raw, series) == outcome(level_of, vec, series)
+        assert outcome(jump_of, raw, series) == outcome(jump_of, vec, series)
+    for i in range(0, len(raws) - 2, 3):
+        basis = raws[i:i + 3]
+        expected = outcome(is_adapted_basis, [Vec(field, r) for r in basis], series)
+        assert outcome(is_adapted_basis, basis, series) == expected
+
+
 # -- differential check of the fraction-free QQ kernels -----------------------
 #
 # The reference below is the plain `Fraction` Gauss-Jordan elimination,
@@ -448,14 +478,14 @@ def ref_intersect(a, b, n, field=QQ):
     return ref_span(ref_null_rows(rows, n, field), field)
 
 
-def ref_solve(rows, ncols, target):
+def ref_solve(rows, ncols, target, field=QQ):
     m = len(rows)
-    aug = [[rows[i][j] for i in range(m)] + [Fraction(int(j == k)) for k in range(ncols)]
-           for j in range(ncols)]
-    reduced, pivots = ref_rref(QQ, aug) if aug else ([], [])
-    y = [Fraction(0)] * m
+    unit = [[field.one if j == k else field.zero for k in range(ncols)] for j in range(ncols)]
+    aug = [[rows[i][j] for i in range(m)] + unit[j] for j in range(ncols)]
+    reduced, pivots = ref_rref(field, aug) if aug else ([], [])
+    y = [field.zero] * m
     for row, piv in zip(reduced, pivots):
-        val = sum((row[m + k] * t for k, t in enumerate(target)), Fraction(0))
+        val = ref_mod(field, [sum((row[m + k] * t for k, t in enumerate(target)), field.zero)])[0]
         if piv < m:
             y[piv] = val
         elif val != 0:
@@ -663,6 +693,25 @@ def test_gf_span_contains_and_extend_match_reference(p, data, m, n):
     assert new == expected
     assert Subspace._span(field, n, [*t.basis_vecs(), *new]) == span == s.sum(t)
     assert t._extend(vecs, t.dim + 1) == expected[:1]
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+@gf_differential
+@given(data=st.data(), m=st.integers(1, 24), n=st.integers(1, 48))
+def test_gf_solver_matches_reference(p, data, m, n):
+    # a solve is one `_row_map` product with the solver's tag columns, packed
+    # for p <= 13; the targets are a member, one that differs from it in
+    # column 0 (a non-member unless the rows span e_0) and drawn rows
+    field = GF(p)
+    rows = data.draw(gf_rows(p, m, n))
+    solver = LinearSolver(field, rows, n)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+    inside = ref_row_times(field, coeffs, rows, n)
+    outside = [x if j else (x + 1) % p for j, x in enumerate(inside)]
+    for target in [inside, outside] + data.draw(gf_rows(p, 3, n)):
+        y = solver.solve(target)
+        assert y == ref_solve(rows, n, target, field) == solver.solve(Vec(field, target))
+    assert solver.solve(inside) is not None
 
 
 @pytest.mark.parametrize("p", GF_PRIMES)
@@ -978,12 +1027,12 @@ def test_kernels_on_kept_forms_match_fraction_reference(data, m, n):
 
 # -- sparse rows ---------------------------------------------------------------
 #
-# A row with at most a quarter of its entries nonzero, and at most a
-# quarter of the result's width, is multiplied, and reduced over QQ and
-# large p, by combining the rows its nonzero entries select; other rows
-# keep one dot product per column.  The rows below sit on both sides of
-# that rule (1, n // 4 and n // 4 + 1 nonzeros), and the results must
-# match the unedited references either way.
+# Over QQ a row with at most a quarter of its entries nonzero, and at most
+# a quarter of the result's width, is multiplied and reduced by combining
+# the rows its nonzero entries select; other rows keep one dot product per
+# column.  Over large p every row is combined.  The rows below sit on both
+# sides of that rule (1, n // 4 and n // 4 + 1 nonzeros), and the results
+# must match the unedited references either way.
 
 SPARSE_FIELDS = [QQ, GF(17)]
 sparse_differential = settings(max_examples=30, deadline=None)
@@ -1036,16 +1085,13 @@ def sparse_combination(draw, field, s):
 def record_paths(monkeypatch):
     """Counts of ("rows", kernel), the rows the product loop `_images` and
     the list path of `Subspace._reduce` take, and of ("sparse", kernel),
-    those of them summed by `_combine`: a sum under `_images` is counted
-    there, whichever right factor's map (`_row_map`) made it."""
+    those of them summed by `_combine`: a sum is counted under the kernel
+    that called the `_row_map` closure which made it."""
     seen = collections.Counter()
     combine, images, reduce = linalg._combine, linalg._images, Subspace._reduce
 
     def recorded_combine(*args):
-        frame = sys._getframe(1)
-        if frame.f_back.f_code.co_name == "_images":
-            frame = frame.f_back
-        seen["sparse", frame.f_code.co_name] += 1
+        seen["sparse", sys._getframe(2).f_code.co_name] += 1
         return combine(*args)
 
     def recorded_images(forms, m):
@@ -1121,8 +1167,11 @@ def test_sparse_rows_match_reference(field, monkeypatch):
             assert s.contains(t) == all(not any(ref_reduce(s.basis, s.pivots, r, field)) for r in t.basis)
 
     check()
-    for kernel_name in ("_images", "_reduce") if field.p is None else ("_reduce",):
-        assert 0 < seen["sparse", kernel_name] < seen["rows", kernel_name]
+    if field.p is None:
+        for kernel_name in ("_images", "_reduce"):
+            assert 0 < seen["sparse", kernel_name] < seen["rows", kernel_name]
+    else:  # for p > 13 every row is combined, products and residues alike
+        assert 0 < seen["sparse", "_reduce"] == seen["rows", "_reduce"]
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS)
