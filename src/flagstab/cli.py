@@ -18,11 +18,13 @@ certificate.  `dim` is at most MAX_DIM (256): each series builds d x d
 matrices, so a short file with a large d would run for minutes.
 
 `parse_problem` does each piece of work once: it parses each distinct
-scalar token and reads each distinct row line of a file once, into its
-entries and kernel form (`linalg._row_form`), hands the parsed objects to
-the trusted constructors of `linalg` with their forms, and checks each
-series once, in `validate`.  An early end of file is reported on the line
-after the last one.
+scalar token once, over QQ into a (numerator, denominator) pair in lowest
+terms with no `Fraction` (`Field._ratio`), reads each distinct row line once
+into its kernel form (`linalg._row_form`), hands the parsed objects to the
+trusted constructors of `linalg` with their forms, and checks each series
+once, in `validate`.  An early end of file is reported on the line after
+the last one.  `format_problem` prints each row from its form, each entry
+`n` or `n/d` in lowest terms, as `str` prints the canonical scalar.
 
 Reports on stdout are stable `key=value` lines; exit code 0 means
 verified/success, 1 a verified negative, 2 an input error (a file that
@@ -31,15 +33,18 @@ is not valid UTF-8 included).
 
 import argparse
 import contextlib
+import math
 import re
 import sys
+from fractions import Fraction
+from itertools import repeat
 
 from .builder import GeneratorSet, McLainElement, mclain_truncate, module_lcs, refine_series
 from .decomposition import SectionAssignment, patch_sections, split_chain
 from .errors import FlagstabError, NotUnipotentError, ParseError, RefinementObstruction
 from .errors import ShapeError, WitnessError
 from .instances import adapted_basis_of, witness_instance, _chain_layout
-from .linalg import GF, QQ, Mat, Subspace, Vec, _row_form
+from .linalg import GF, QQ, Mat, Subspace, Vec, _form, _row_form
 from .series import canonical_coarsening, in_stabilizer, validate
 from .transvections import _annihilating_spec, transvection_commutator_check
 from .unipotent import jordan_blocks, unipotent_exponent
@@ -126,9 +131,9 @@ def _int(tok):
 
 
 class _Scalars(dict):
-    """(canonical value, (numerator, denominator)) of each scalar token of
-    one file, and the `_row_form` of each distinct row line: rows share the
-    values and forms, which no kernel mutates."""
+    """(numerator, denominator) of each scalar token of one file in lowest
+    terms (`Field._ratio`), and the width and `_row_form` of each distinct
+    row line: rows share the forms, which no kernel mutates."""
 
     def __init__(self, field):
         super().__init__()
@@ -136,9 +141,8 @@ class _Scalars(dict):
         self.rows = {}
 
     def __missing__(self, tok):
-        value = self.field.parse(tok)
-        pair = self[tok] = value, value.as_integer_ratio()
-        return pair
+        ratio = self[tok] = self.field._ratio(tok)
+        return ratio
 
     def scalar(self, tok, lineno):
         try:
@@ -154,13 +158,13 @@ class _Scalars(dict):
             if len(toks) != width:
                 raise ParseError(lineno, f"expected {width} entries, got {len(toks)}")
             try:
-                pairs = [self[t] for t in toks]
+                ratios = [self[t] for t in toks]
             except (ValueError, ZeroDivisionError):
-                pairs = [self.scalar(t, lineno) for t in toks]
-            row = self.rows[line] = _row_form(self.field, pairs)
-        elif len(row[0]) != width:
-            raise ParseError(lineno, f"expected {width} entries, got {len(row[0])}")
-        return row
+                ratios = [self.scalar(t, lineno) for t in toks]
+            row = self.rows[line] = len(toks), _row_form(self.field, ratios)
+        elif row[0] != width:
+            raise ParseError(lineno, f"expected {width} entries, got {row[0]}")
+        return row[1]
 
 
 def _parse_matrix_rows(lines, scalars, nrows, ncols, context):
@@ -173,11 +177,12 @@ def _parse_matrix_rows(lines, scalars, nrows, ncols, context):
 
 
 def _matrix(field, rows, ncols, square=False):
-    """The matrix of parsed rows, with their forms over QQ; like `Mat(field,
+    """The matrix of parsed rows, over QQ of their forms alone; like `Mat(field,
     rows)`, a square one needs at least one row to know its width."""
     if square and not ncols:
         raise ShapeError("empty matrix needs explicit ncols")
-    return Mat._of(field, [e for e, _, _ in rows], ncols, [f for _, f, _ in rows])
+    entries = None if field.p is None else [e for e, _, _ in rows]
+    return Mat._of(field, entries, ncols, [f for _, f, _ in rows])
 
 
 def parse_problem(text):
@@ -270,8 +275,8 @@ def parse_problem(text):
                     s_idx = QQ.parse(parts[1])
                 except (ValueError, ZeroDivisionError):
                     raise ParseError(l2, "bad rational index") from None
-                coeff = scalars.scalar(parts[2], l2)[0]
-                terms.append(((r_idx, s_idx), coeff))
+                num, den = scalars.scalar(parts[2], l2)
+                terms.append(((r_idx, s_idx), num if field.p is not None else Fraction(num, den)))
             try:
                 pf.mclain[toks[1]] = [McLainElement(field, terms)]
             except FlagstabError as exc:
@@ -300,9 +305,12 @@ def parse_problem(text):
     return pf
 
 
-def _format_matrix_rows(rows):
-    # for a canonical scalar x, str(x) is field.format(x): Fraction prints n or n/d
-    return [" ".join(map(str, row)) for row in rows]
+def _format_rows(forms):
+    """Text of rows given as (numerators, denominator): each entry n, or n/d
+    in lowest terms, as `str` prints a canonical scalar (`field.format`)."""
+    return [" ".join(map(str, nums)) if den == 1 else " ".join(
+        str(x // g) if g == den else f"{x // g}/{den // g}"
+        for x, g in zip(nums, map(math.gcd, nums, repeat(den)))) for nums, den in forms]
 
 
 def format_problem(pf):
@@ -318,16 +326,16 @@ def format_problem(pf):
     out.append(f"dim {pf.dim}")
     for name, m in pf.matrices.items():
         out.append(f"matrix {name}")
-        out.extend(_format_matrix_rows(m.rows))
+        out.extend(_format_rows(m._forms()))
     for name, m in pf.maps.items():
         out.append(f"map {name} {m.nrows} {m.ncols}")
-        out.extend(_format_matrix_rows(m.rows))
+        out.extend(_format_rows(m._forms()))
     for name, s in pf.series.items():
         inner = s.members[1:-1]
         out.append(f"series {name} {len(inner)}")
         for member in inner:
             out.append(f"subspace {member.dim}")
-            out.extend(_format_matrix_rows(member.basis))
+            out.extend(_format_rows(member._forms()))
     for name, elems in pf.mclain.items():
         for el in elems:
             out.append(f"mclain {name} {len(el.terms)}")
@@ -338,9 +346,9 @@ def format_problem(pf):
         out.append("certificate")
         out.append(f"r {cert.r}")
         out.append("h")
-        out.extend(_format_matrix_rows(cert.h.rows))
+        out.extend(_format_rows(cert.h._forms()))
         out.append("probe")
-        out.extend(_format_matrix_rows([cert.probe.entries]))
+        out.extend(_format_rows([_form(field, cert.probe)]))
     return "\n".join(out) + "\n"
 
 
@@ -483,7 +491,7 @@ def run(command, pf, options):
         h = patch_sections(basis, s, SectionAssignment(sections))
         out.append("result=ok")
         out.append("matrix h")
-        out.extend(_format_matrix_rows(h.rows))
+        out.extend(_format_rows(h._forms()))
         return out, 0
     if command in ("lcs", "refine"):
         names = (options.gens or "").split(",") if options.gens else []

@@ -13,9 +13,10 @@ and keeps its nonzero residue, monic over GF(p), primitive with a positive
 lead over QQ (`_lead`); then one back-substitution, in pivot order from
 the bottom up, clears each row by the reduced rows below it.  Kernels,
 inverses and solvers eliminate one [A | d*I] block built by `_tagged`.
-Canonical `Fraction`s are built only where a `Vec`, `Mat`, `Subspace` or
-solution row is handed out, so every result is the same as with
-`Fraction` arithmetic throughout.
+Over QQ the private constructors given forms alone leave `Vec.entries`,
+`Mat.rows` and `Subspace.basis` unset; the first read builds the canonical
+`Fraction`s (`_lazy`), so every result is the same as with `Fraction`
+arithmetic throughout.  Dims, zero tests and subspace equality read forms.
 
 For p <= 13 the kernels pack a GF(p) row into one int, an 8-bit slot per
 column, column 0 in the top byte (Albrecht, Bard and Hart 2010; Dumas,
@@ -44,14 +45,14 @@ twice:
 - the other integer sums are `_row_map` products too: a `Subspace`'s
   residues on its non-pivot columns (`_int_cols`, derived on first use) and
   a `LinearSolver`'s products of a target with its tag columns (`_dots`);
-- over QQ a row with at most a quarter of its entries nonzero, and of the
-  result's columns (`_sparse`), is multiplied as the sum of the integer rows
-  its nonzero entries select (`_combine`; Gustavson 1978); others take a dot
-  product per column, the same integer sums.  For p > 13 every product
-  takes that sum.
-Parsed objects arrive with their forms: `cli.parse_problem` builds each
+- over QQ and p > 13 a row with at most a quarter of its entries nonzero,
+  and of the result's columns (`_sparse`), is multiplied as the sum of the
+  integer rows its nonzero entries select (`_combine`; Gustavson 1978);
+  others take a dot product per column, the same integer sums.
+Parsed objects arrive with their forms: `cli.parse_problem` reads each
+scalar as a (numerator, denominator) pair (`Field._ratio`), builds each
 distinct row once with `_row_form` and hands the forms to `Mat._of`,
-`Vec._of` (which keep them over QQ only) and `Subspace._parsed`.  An object built otherwise (user input
+`Vec._of` and `Subspace._parsed`.  An object built otherwise (user input
 to the public constructors, `Fraction` sums and scalings) gets its form on
 first use, over QQ through `_int_row`: a `Mat` in one conversion of all its
 entries over a common denominator.
@@ -141,6 +142,9 @@ def _is_prime(n):
     return True
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class Field:
     """GF(p) for prime p, or the rationals when p is None."""
 
@@ -160,11 +164,11 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _ZERO
 
     @property
     def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return 1 if self.p is not None else _ONE
 
     def coerce(self, x):
         if self.p is not None:
@@ -189,14 +193,21 @@ class Field:
     def parse(self, text):
         """Parse 'a', or 'a/b' over QQ, into a canonical scalar; a and b
         are ASCII decimal integers with an optional sign."""
+        num, den = self._ratio(text)
+        return num if self.p is not None else Fraction(num, den)
+
+    def _ratio(self, text):
+        """`parse` as (numerator, denominator > 0) in lowest terms, (value, 1) over GF(p)."""
         if not (text.isascii() and text.isdigit() or _SCALAR.fullmatch(text)):
             raise ValueError(f"bad scalar {text!r}")
         if self.p is not None:
-            return int(text) % self.p
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return int(text) % self.p, 1
+        num, _, den = text.partition("/")
+        num, den = int(num), int(den or 1)
+        if not den:
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        return num // g, den // g
 
     def format(self, x):
         if self.p is not None:
@@ -248,6 +259,20 @@ def _scale(p, c, r):
     return [c * x if x else x for x in r]
 
 
+def _lazy(cls, name, build):
+    """The subclass of cls, of the same name, for QQ objects made from their
+    integer forms alone: they leave slot name unset, and its first read fills
+    it with build(self).  cls has no `__getattr__`, which would slow every
+    attribute read of its other objects, GF(p) ones included."""
+    def __getattr__(self, attr):
+        if attr != name:
+            raise AttributeError(attr)
+        value = build(self)
+        object.__setattr__(self, name, value)
+        return value
+    return type(cls.__name__, (cls,), {"__slots__": (), "__getattr__": __getattr__})
+
+
 class Vec:
     """Immutable row vector with exact entries."""
 
@@ -261,11 +286,14 @@ class Vec:
     @classmethod
     def _of(cls, field, entries, form=None):
         """Trusted constructor for entries that are already canonical; form
-        may give them as (numerators, denominator), kept over QQ only."""
-        v = object.__new__(cls)
+        may give them as (numerators, denominator), kept over QQ only.
+        Without entries they are the form's: over QQ built on first read."""
+        lazy = entries is None and field.p is None
+        v = object.__new__(_LazyVec if lazy else cls)
         object.__setattr__(v, "field", field)
-        object.__setattr__(v, "entries", tuple(entries))
         object.__setattr__(v, "_int", form if field.p is None else None)
+        if not lazy:
+            object.__setattr__(v, "entries", tuple(form[0] if entries is None else entries))
         return v
 
     def __setattr__(self, name, value):
@@ -273,10 +301,10 @@ class Vec:
 
     @property
     def dim(self):
-        return len(self.entries)
+        return len(self._int[0] if self._int else self.entries)
 
     def is_zero(self):
-        return all(x == 0 for x in self.entries)
+        return not any(self._int[0]) if self._int else all(x == 0 for x in self.entries)
 
     def _match(self, other):
         _check_same_field(self, other)
@@ -306,7 +334,7 @@ class Vec:
         if self.dim != m.nrows:
             raise ShapeError("vector/matrix shapes differ")
         (form,) = _images([_form(self.field, self)], m)
-        return Vec._of(self.field, _entries(self.field.p, *form), form)
+        return Vec._of(self.field, None, form)
 
     def __eq__(self, other):
         return (
@@ -337,7 +365,7 @@ class Vec:
         return cls._of(field, [field.zero] * dim)
 
 
-_ZERO = Fraction(0)
+_LazyVec = _lazy(Vec, "entries", lambda v: tuple(_entries(None, *v._int)))
 
 
 def _int_row(row):
@@ -367,36 +395,31 @@ def _form(field, row):
     return _int_row(row)
 
 
-def _row_form(field, pairs):
-    """(entries, kernel form, lead column) of a parsed row, at least one pair
-    (canonical entry, (numerator, denominator)): over QQ the numerators over
-    their lcm denominator, for p <= 13 the packed int, else the entries; the
-    lead column is the first nonzero one, the width for a zero row."""
-    entries, ratios = zip(*pairs)
-    form = ints = entries
+def _row_form(field, ratios):
+    """(entries, kernel form, lead column) of a parsed row, at least one
+    `Field._ratio`: over QQ no entries (the constructors build them from the
+    form) and the numerators over their lcm denominator, for p <= 13 the
+    packed int, else the entries; the lead column is the first nonzero one,
+    the width for a zero row."""
+    entries = ints = [n for n, _ in ratios]
+    form = _pack(entries) if field.p in _MOD else entries
     if field.p is None:
         den = math.lcm(*[d for _, d in ratios])
         ints = [n * (den // d) for n, d in ratios]
-        form = ints, den
-    elif field.p in _MOD:
-        form = _pack(entries)
+        entries, form = None, (ints, den)
     lead = next(filter(None, ints), 0)  # the first nonzero entry, at C speed
     return entries, form, ints.index(lead) if lead else len(ints)
 
 
-def _coerced(field, rows, width, message):
-    """Rows as lists of canonical scalars, `Vec`s of the field kept whole
-    (with their integer forms); ShapeError(message) unless each has the
+def _coerced(field, r, width, message):
+    """A row as a list of canonical scalars, or a `Vec` of the field kept
+    whole (with its integer form); ShapeError(message) unless it has the
     width."""
-    out = [
-        r if isinstance(r, Vec) and r.field == field
-        else [field.coerce(x) for x in (r.entries if isinstance(r, Vec) else r)]
-        for r in rows
-    ]
-    for r in out:
-        if len(r.entries if isinstance(r, Vec) else r) != width:
-            raise ShapeError(message)
-    return out
+    if not (isinstance(r, Vec) and r.field == field):
+        r = [field.coerce(x) for x in (r.entries if isinstance(r, Vec) else r)]
+    if (r.dim if isinstance(r, Vec) else len(r)) != width:
+        raise ShapeError(message)
+    return r
 
 
 def _entries(p, nums, den):
@@ -433,9 +456,9 @@ def _row_map(field, rows, ncols):
     """x -> x @ M on integer rows x, for M the matrix with these integer rows.
     For p <= 13 the rows are packed once (`_pack`) and x @ M is summed in
     their slots, reduced mod p whenever another term could carry out of a
-    byte.  Otherwise it is the sum of the rows x selects (`_combine`),
-    reduced mod p over GF(p); over QQ a dense x (`_sparse`) takes a dot
-    product per column instead, the same integer sums."""
+    byte.  Otherwise a sparse x (`_sparse`) is the sum of the rows it
+    selects (`_combine`), a dense one a dot product per column, the same
+    integer sums, reduced mod p over GF(p)."""
     p = field.p
     if p in _MOD:
         words, mod, room = [_pack(r) for r in rows], _MOD[p], (256 - p) // (p - 1) ** 2
@@ -452,17 +475,16 @@ def _row_map(field, rows, ncols):
             return acc.to_bytes(ncols, "big").translate(mod)
         return times
 
-    if p is not None:
-        return lambda x: [y % p for y in _combine([0] * ncols, x, rows)]
     cols = None
 
     def times(x):
         nonlocal cols
         if _sparse(x, ncols):
-            return _combine([0] * ncols, x, rows)
-        if cols is None:
-            cols = list(zip(*rows))
-        return [sum(map(mul, x, col)) for col in cols]
+            out = _combine([0] * ncols, x, rows)
+        else:
+            cols = cols or list(zip(*rows))
+            out = [sum(map(mul, x, col)) for col in cols]
+        return out if p is None else [y % p for y in out]
     return times
 
 
@@ -512,13 +534,16 @@ class Mat:
     @classmethod
     def _of(cls, field, rows, ncols, forms=None):
         """Trusted constructor for rectangular rows of canonical entries; forms
-        may give each row as (numerators, denominator), kept over QQ only."""
-        m = object.__new__(cls)
-        rows = tuple(map(tuple, rows))
+        may give each row as (numerators, denominator), kept over QQ only.
+        Without rows they are the forms': over QQ built on first read."""
+        lazy = rows is None and field.p is None
+        m = object.__new__(_LazyMat if lazy else cls)
+        if not lazy:
+            rows = tuple(map(tuple, [nums for nums, _ in forms] if rows is None else rows))
+            object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "field", field)
-        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "nrows", len(forms if rows is None else rows))
         object.__setattr__(m, "ncols", ncols)
-        object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "_int_forms", forms if field.p is None else None)
         object.__setattr__(m, "_as_factor", None)
         return m
@@ -573,6 +598,8 @@ class Mat:
         return self.nrows == self.ncols
 
     def is_zero(self):
+        if self._int_forms is not None:
+            return not any(any(nums) for nums, _ in self._int_forms)
         return all(x == 0 for r in self.rows for x in r)
 
     def is_identity(self):
@@ -619,8 +646,7 @@ class Mat:
             raise ShapeError("inner dimensions differ")
         field = self.field
         if field.p is None:
-            forms = _images(self._forms(), other)
-            return Mat._of(field, [_entries(None, *f) for f in forms], other.ncols, forms)
+            return Mat._of(field, None, other.ncols, _images(self._forms(), other))
         times = other._right()[1]  # den is 1: the rows go through times as they are
         return Mat._of(field, [times(r) for r in self.rows], other.ncols)
 
@@ -655,7 +681,7 @@ class Mat:
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
         forms = [(r[n:], r[c]) for r, c in zip(reduced, pivots)]
-        return Mat._of(self.field, [_entries(self.field.p, *f) for f in forms], len(cols), forms)
+        return Mat._of(self.field, None, len(cols), forms)
 
     def is_invertible(self):
         """Whether the matrix is square of full rank: one elimination of its
@@ -679,6 +705,9 @@ class Mat:
         fmt = self.field.format
         body = "; ".join(" ".join(fmt(x) for x in r) for r in self.rows)
         return f"Mat[{body}]"
+
+
+_LazyMat = _lazy(Mat, "rows", lambda m: tuple(tuple(_entries(None, *f)) for f in m._int_forms))
 
 
 # -- one elimination for every row form (see the module docstring) ------------
@@ -800,13 +829,30 @@ class Subspace:
         object.__setattr__(self, "_int_rows", None)
         object.__setattr__(self, "_int_cols", None)
 
+    @classmethod
+    def _of(cls, field, ambient_dim, rows, pivots, packed=None):
+        """Trusted constructor from the rows of `_rows()` and the pivots: over
+        QQ the primitive integer rows, kept, and the basis built from them on
+        first read; over GF(p) the basis, with the `_packed` pairs if given."""
+        lazy = field.p is None
+        s = object.__new__(_LazySubspace if lazy else cls)
+        if not lazy:
+            object.__setattr__(s, "basis", tuple(map(tuple, rows)))
+        object.__setattr__(s, "field", field)
+        object.__setattr__(s, "ambient_dim", ambient_dim)
+        object.__setattr__(s, "pivots", tuple(pivots))
+        object.__setattr__(s, "_int_rows", rows if lazy else packed)
+        object.__setattr__(s, "_int_cols", None)
+        return s
+
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def span(cls, field, ambient_dim, rows):
         """Canonical subspace spanned by the given rows or `Vec`s."""
-        rows = _coerced(field, rows, ambient_dim, "row width differs from ambient dimension")
+        message = "row width differs from ambient dimension"
+        rows = [_coerced(field, r, ambient_dim, message) for r in rows]
         return cls._span(field, ambient_dim, rows)
 
     @classmethod
@@ -825,11 +871,7 @@ class Subspace:
         p = field.p
         pairs = _echelon(p, ambient_dim, rows, start)
         ints, pivots = _unpacked(p, ambient_dim, pairs)
-        basis = ints if p else [_entries(p, r, r[c]) for r, c in zip(ints, pivots)]
-        s = cls(field, ambient_dim, basis, pivots)
-        if p is None or p in _MOD:
-            object.__setattr__(s, "_int_rows", ints if p is None else pairs)
-        return s
+        return cls._of(field, ambient_dim, ints, pivots, pairs if p in _MOD else None)
 
     @classmethod
     def _parsed(cls, field, ambient_dim, rows):
@@ -845,11 +887,8 @@ class Subspace:
                     map(itemgetter(lead), ints[:i])):
                 return cls._span(field, ambient_dim, ints)
             c = lead
-        s = cls(field, ambient_dim, [e for e, _, _ in rows], [lead for _, _, lead in rows])
-        if p is None or p in _MOD:
-            object.__setattr__(s, "_int_rows", ints if p is None else [
-                (8 * (ambient_dim - 1 - lead), f) for _, f, lead in rows])
-        return s
+        return cls._of(field, ambient_dim, ints, [lead for _, _, lead in rows], [
+            (8 * (ambient_dim - 1 - lead), f) for _, f, lead in rows] if p in _MOD else None)
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -859,24 +898,25 @@ class Subspace:
     def full(cls, field, ambient_dim):
         n = ambient_dim
         units = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        s = cls(field, n, units if field.p else [_entries(None, r, 1) for r in units], range(n))
-        if field.p is None:  # the unit rows are their own integer rows
-            object.__setattr__(s, "_int_rows", units)
-        return s
+        return cls._of(field, n, units, range(n))  # over QQ their own integer rows
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
     def is_zero(self):
-        return not self.basis
+        return not self.pivots
 
     def is_full(self):
-        return len(self.basis) == self.ambient_dim
+        return len(self.pivots) == self.ambient_dim
 
     def basis_vecs(self):
-        return [Vec._of(self.field, r, (ints, ints[c]))
-                for r, ints, c in zip(self.basis, self._rows(), self.pivots)]
+        return [Vec._of(self.field, None, f) for f in self._forms()]
+
+    def _forms(self):
+        """Each basis row as (numerators, denominator): `_rows()` over the
+        pivot entry, 1 over GF(p)."""
+        return [(r, r[c]) for r, c in zip(self._rows(), self.pivots)]
 
     def _rows(self):
         """The basis in kernel form (see `_eliminate`): over QQ row i is the
@@ -907,7 +947,7 @@ class Subspace:
         (`_row_map`) for B den * basis on those columns, an integer matrix."""
         form = self._int_cols
         if form is None:
-            den, rows = _common([(r, r[c]) for r, c in zip(self._rows(), self.pivots)])
+            den, rows = _common(self._forms())
             free = sorted(set(range(self.ambient_dim)).difference(self.pivots))
             form = den, free, _row_map(self.field, [[r[c] for c in free] for r in rows], len(free))
             object.__setattr__(self, "_int_cols", form)
@@ -928,8 +968,7 @@ class Subspace:
         return residue if p is None else [x % p for x in residue]
 
     def contains_vec(self, v):
-        message = "vector dim differs from ambient dimension"
-        (v,) = _coerced(self.field, [v], self.ambient_dim, message)
+        v = _coerced(self.field, v, self.ambient_dim, "vector dim differs from ambient dimension")
         return not any(self._reduce(_form(self.field, v)[0]))
 
     def contains(self, other):
@@ -993,7 +1032,10 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.pivots == other.pivots
+            # over QQ the primitive integer rows are canonical too
+            and (self.basis == other.basis if self.field.p else
+                 [*map(tuple, self._rows())] == [*map(tuple, other._rows())])
         )
 
     def __hash__(self):
@@ -1040,6 +1082,10 @@ class Subspace:
         fmt = self.field.format
         body = "; ".join(" ".join(fmt(x) for x in r) for r in self.basis)
         return f"Subspace<{self.dim} of {self.ambient_dim}: {body}>"
+
+
+_LazySubspace = _lazy(Subspace, "basis", lambda s: tuple(
+    tuple(_entries(None, r, r[c])) for r, c in zip(s._int_rows, s.pivots)))
 
 
 def echelonize(m):
@@ -1113,8 +1159,8 @@ class QuotientMap:
             u._match(w)
             if not w.contains(u):
                 raise ContainmentError("first subspace is not contained in the second")
-            reps = [r if isinstance(r, Vec) else Vec._of(u.field, r)
-                    for r in _coerced(u.field, reps, u.ambient_dim, "row width differs")]
+            reps = [r if isinstance(r, Vec) else Vec._of(u.field, r) for r in
+                    (_coerced(u.field, r, u.ambient_dim, "row width differs") for r in reps)]
             if len(reps) + u.dim != w.dim or Subspace._span(
                     u.field, u.ambient_dim, [*reps, *u.basis_vecs()]) != w:
                 raise ContainmentError("representatives do not complete a basis of u to one of w")
@@ -1183,7 +1229,7 @@ class LinearSolver:
     """
 
     def __init__(self, field, rows, ncols):
-        rows = _coerced(field, rows, ncols, "row width differs")
+        rows = [_coerced(field, r, ncols, "row width differs") for r in rows]
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
@@ -1206,7 +1252,7 @@ class LinearSolver:
 
     def solve(self, target):
         """Coefficient row y with y @ M = target, or None."""
-        (target,) = _coerced(self.field, [target], self.ncols, "target width differs")
+        target = _coerced(self.field, target, self.ncols, "target width differs")
         nums, den = _form(self.field, target)
         sums = self._dots(nums)
         if any(sums[self._inside:]):

@@ -186,7 +186,7 @@ def _level_residue(v, s):
     member below, from one search over all members; `jump_of`'s errors."""
     if isinstance(v, Vec) and v.is_zero():
         raise SeriesError("the zero vector belongs to no jump")
-    (v,) = _coerced(s.field, [v], s.ambient_dim, "vector dim differs from ambient dimension")
+    v = _coerced(s.field, v, s.ambient_dim, "vector dim differs from ambient dimension")
     members = s.members
     row = _form(s.field, v)[0]
     level, residue = _deepest(members, row, 0, len(members))
@@ -272,15 +272,18 @@ def _complement_rows(lower, upper):
     return [r for r, c in zip(upper._rows(), upper.pivots) if c not in pivots]
 
 
-def _minus_one(g):
-    """g - 1, changing only the diagonal of g and of the row forms it keeps over
-    QQ; SingularMatrixError for a non-square g, as in the stabilizer test."""
+def _minus_one(g, c=-1):
+    """g - 1, or g + c for another integer c: only the diagonal of g changes,
+    over QQ that of its row forms alone (c times each denominator added);
+    SingularMatrixError for a non-square g, as in the stabilizer test."""
     if not g.is_square():
         raise SingularMatrixError("stabilizer membership needs an invertible matrix")
-    rows = [(*r[:i], g.field.add(r[i], -g.field.one), *r[i + 1:]) for i, r in enumerate(g.rows)]
-    forms = g._int_forms and [([*x[:i], x[i] - d, *x[i + 1:]], d)
-                              for i, (x, d) in enumerate(g._int_forms)]
-    return Mat._of(g.field, rows, g.ncols, forms)
+    p = g.field.p
+    if p is None:
+        forms = [([*x[:i], x[i] + c * d, *x[i + 1:]], d) for i, (x, d) in enumerate(g._forms())]
+        return Mat._of(g.field, None, g.ncols, forms)
+    rows = [(*r[:i], (r[i] + c) % p, *r[i + 1:]) for i, r in enumerate(g.rows)]
+    return Mat._of(g.field, rows, g.ncols)
 
 
 def _adapted_rows(s):

@@ -404,7 +404,7 @@ def build_h(sel, basis, s):
     pairs from distinct chains, that index test is exact.
     """
     factors = _h_factors(sel, basis, s)
-    return Mat.identity(s.field, s.ambient_dim) + factors.cols @ factors.rows
+    return _minus_one(factors.cols @ factors.rows, 1)  # 1 + C E
 
 
 def _h_factors(sel, basis, s):
@@ -426,8 +426,8 @@ def _h_factors(sel, basis, s):
     if not all(0 <= i < n for i in ys + xs):
         raise SelectionError("a pair indexes outside the basis")
     forms = [_form(field, v) for v in basis]
-    p = Mat._of(field, [v.entries for v in basis], n, forms)
-    rows = Mat._of(field, [p.rows[x] for x in xs], n, [forms[x] for x in xs])
+    p = Mat._of(field, None, n, forms)
+    rows = Mat._of(field, None, n, [forms[x] for x in xs])
     factors = _RankFactors(p._inverse_columns(ys), rows)
     if not factors.square_zero():
         raise WitnessError("h-square", "(h-1)^2 != 0; selection inconsistent")
@@ -563,11 +563,12 @@ class _RankFactors:
     @classmethod
     def of(cls, m):
         """E the echelon basis of m's rows, C its pivot columns: m[i] = sum_j m[i][pivot_j] E_j."""
-        e, qq = echelonize(m), m.field.p is None  # over QQ C and E keep their integer rows
-        return cls(Mat._of(m.field, [[r[c] for c in e.pivots] for r in m.rows], e.dim,
-                           [([x[c] for c in e.pivots], d) for x, d in m._forms()] if qq else None),
-                   Mat._of(m.field, e.basis, m.ncols,
-                           [(r, r[c]) for r, c in zip(e._rows(), e.pivots)] if qq else None))
+        e, field = echelonize(m), m.field
+        rows = Mat._of(field, None, m.ncols, e._forms())
+        if field.p is None:  # C from the forms of m, taken at the pivot columns
+            return cls(Mat._of(field, None, e.dim, [([x[c] for c in e.pivots], d)
+                                                    for x, d in m._forms()]), rows)
+        return cls(Mat._of(field, [[r[c] for c in e.pivots] for r in m.rows], e.dim), rows)
 
     def square_zero(self):
         """Whether (h - 1)^2 = C (E C) E is 0, i.e. E C = 0."""
@@ -610,8 +611,8 @@ def _core_meets(w, s):
     [X | I], X that basis on A = `_adapted_rows(s)`: as in `_member_meets`,
     those with pivot dim V - dim V_i or later span w & V_i."""
     a, n = _adapted_rows(s), s.ambient_dim
-    a_inv = Mat._of(s.field, a, n, [(r, 1) for r in a]).inverse()  # reads only the forms
-    forms = _images([(r, r[c]) for r, c in zip(w._rows(), w.pivots)], a_inv)
+    a_inv = Mat._of(s.field, None, n, [(r, 1) for r in a]).inverse()
+    forms = _images(w._forms(), a_inv)
     reduced, pivots = _tagged(s.field, forms, range(w.dim))
     in_v = _row_map(s.field, a, n)
     return [(c, in_v(r[:n]), r[n:]) for r, c in zip(reduced, pivots)]

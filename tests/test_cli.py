@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from flagstab import linalg
 from flagstab.builder import McLainElement
-from flagstab.cli import ProblemFile, format_problem, main, parse_problem
+from flagstab.cli import ProblemFile, _format_rows, format_problem, main, parse_problem
 from flagstab.errors import ParseError, ShapeError
 from flagstab.instances import random_series, random_stabilizer_element, witness_instance
 from flagstab.linalg import GF, QQ, Mat, Subspace, Vec, echelonize, kernel
@@ -917,6 +917,43 @@ def test_parsed_objects_hold_the_forms_the_lazy_paths_compute(text):
             assert x._packed() == fresh._packed()
     nums, den = linalg._form(field, pf.certificate.probe)
     assert (list(nums), den) == linalg._int_row(pf.certificate.probe.entries)
+
+
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=8),
+       st.integers(1, 10**12), st.sampled_from([1, 1, 2, 6, 35]), st.booleans())
+def test_rows_print_from_forms_as_str_of_fractions(nums, den, k, zero):
+    # forms need not be in lowest terms; each entry prints in lowest terms
+    nums, den = [0 if zero else k * x for x in nums], k * den
+    want = " ".join(map(str, (Fraction(x, den) for x in nums)))
+    assert _format_rows([(nums, den)]) == [want]
+    assert _format_rows([(nums, 1)]) == [" ".join(map(str, map(Fraction, nums)))]
+
+
+def test_scalars_parse_into_lowest_terms():
+    cases = {"2/4": (1, 2), "-3/6": (-1, 2), "3/-4": (-3, 4), "0/5": (0, 1), "+2": (2, 1),
+             "-0": (0, 1), "6/-3": (-2, 1), "-0/-7": (0, 1), "12": (12, 1)}
+    for text, ratio in cases.items():
+        assert QQ._ratio(text) == ratio and QQ.parse(text) == Fraction(*ratio)
+    assert GF(5)._ratio("-12") == (3, 1)
+    # a block in unreduced fractions is the reduced one, down to its integer rows
+    text = "field q\ndim 2\nseries L 1\nsubspace 1\n{} {}\n"
+    got, want = parse_problem(text.format("2/2", "0/5")), parse_problem(text.format(1, 0))
+    assert got == want and got.series["L"].members[1]._rows() == [[1, 0]]
+
+
+@pytest.mark.parametrize("field", ["q", "gf 5", "gf 17"])
+@pytest.mark.parametrize("tok", ["1_0", "١", "1.5", "1/0", "1/", "--1", "+"])
+def test_bad_scalars_exit_2_on_their_line(field, tok, monkeypatch, capsys):
+    cases = [
+        (["exponent"], f"field {field}\ndim 2\nmatrix g\n1 0\n0 {tok}\n", 5),
+        (["verify"], f"field {field}\ndim 1\ncertificate\nr 1\nh\n1\nprobe\n{tok}\n", 8),
+        (["mclain", "--elems", "x"], f"field {field}\ndim 1\nmclain x 1\n0 1 {tok}\n", 4),
+    ]
+    for args, text, line in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main([args[0], "-", *args[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: line {line}: bad scalar {tok!r}\n", text
 
 
 def test_row_memo_keeps_each_lines_own_width_and_first_error():

@@ -991,6 +991,113 @@ def test_kept_integer_forms_match_canonical_entries(data, m, n):
         assert_forms(x)
 
 
+# -- objects made from integer forms alone --------------------------------------
+#
+# Over QQ the private constructors given only forms leave `Mat.rows`,
+# `Vec.entries` and `Subspace.basis` unbuilt; the first read builds the
+# canonical Fractions.  Forms need not be in lowest terms, and reading only
+# the form (dims, zero tests, pivots, equality of subspaces, products, g - 1)
+# must leave the entries unbuilt.
+
+
+def unbuilt(x, name):
+    """Whether the slot name of x is still unset (bypassing `__getattr__`)."""
+    try:
+        getattr(type(x), name).__get__(x, type(x))
+    except AttributeError:
+        return True
+    return False
+
+
+@st.composite
+def qq_forms(draw, nrows, ncols):
+    """(numerators, denominator) rows: zero, sparse or dense numerators of
+    either sign over a positive denominator, then often both times a common
+    factor, so not in lowest terms."""
+    forms = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["zero", "sparse", "dense", "dense"]))
+        nums = [0] * ncols
+        if kind != "zero":
+            nums = draw(st.lists(st.integers(-BIG, BIG), min_size=ncols, max_size=ncols))
+            if kind == "sparse":
+                nums = [x if j % 3 == 0 else 0 for j, x in enumerate(nums)]
+        den, k = draw(st.integers(1, 12)), draw(st.sampled_from([1, 1, 2, 6]))
+        forms.append(([k * x for x in nums], k * den))
+    return forms
+
+
+def fractions_of(forms):
+    return [[Fraction(x, d) for x in nums] for nums, d in forms]
+
+
+def assert_same(lazy, eager, name):
+    """lazy, built from forms, reads as eager; both orders of == and hash agree."""
+    assert unbuilt(lazy, name) and isinstance(lazy, type(eager))
+    assert type(lazy).__name__ == type(eager).__name__
+    assert getattr(lazy, name) == getattr(eager, name)
+    assert_canonical(lazy)
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+
+
+@differential
+@given(st.data(), st.integers(0, 6), st.integers(1, 6))
+def test_objects_from_forms_read_as_eager_ones(data, m, n):
+    forms = data.draw(qq_forms(m, n))
+    sq = data.draw(qq_forms(n, n))
+    a, b = Mat._of(QQ, None, n, forms), Mat._of(QQ, None, n, sq)
+    eager_a, eager_b = Mat(QQ, fractions_of(forms), ncols=n), Mat(QQ, fractions_of(sq), ncols=n)
+    # reads of the forms alone
+    nil = _minus_one(b)
+    prod, image_of_a = a @ b, echelonize(a)
+    assert (a.nrows, a.is_zero(), b.is_zero()) == (m, eager_a.is_zero(), eager_b.is_zero())
+    assert a._forms() is forms
+    vecs = [Vec._of(QQ, None, f) for f in forms]
+    assert [(v.dim, v.is_zero()) for v in vecs] == [(n, not any(nums)) for nums, _ in forms]
+    full, basis = Subspace.full(QQ, n), image_of_a.basis_vecs()
+    assert (image_of_a.dim, image_of_a.is_zero(), full.is_full(), full.dim) == (
+        len(image_of_a.pivots), not image_of_a.pivots, True, n)
+    assert [v.dim for v in basis] == [n] * image_of_a.dim
+    assert image_of_a == image_of_a.apply(Mat.identity(QQ, n)) and full == Subspace.full(QQ, n)
+    for x in (a, b, nil, prod):
+        assert unbuilt(x, "rows")
+    for x in vecs + basis:
+        assert unbuilt(x, "entries")
+    for x in (image_of_a, full):
+        assert unbuilt(x, "basis")
+    # then the entries, against eager construction
+    assert_same(a, eager_a, "rows")
+    assert_same(b, eager_b, "rows")
+    ones = Mat.identity(QQ, n)
+    assert_same(nil, eager_b - ones, "rows")
+    assert_same(_minus_one(nil, 1), eager_b, "rows")
+    assert_same(prod, eager_a @ eager_b, "rows")
+    for v, row in zip(vecs, fractions_of(forms)):
+        assert_same(v, Vec(QQ, row), "entries")
+    eager_image = Subspace(QQ, n, *ref_span(fractions_of(forms)))
+    assert_same(image_of_a, eager_image, "basis")
+    assert_same(full, Subspace(QQ, n, ones.rows, range(n)), "basis")
+    for v, row in zip(basis, eager_image.basis):
+        assert_same(v, Vec(QQ, row), "entries")
+    if eager_b.is_invertible():
+        assert_same(Mat._of(QQ, None, n, sq).inverse(), eager_b.inverse(), "rows")
+    # over GF(p) the same constructors build the plain classes, entries set
+    gf = [Mat._of(F5, None, 2, [([1, 2], 1)]), Vec._of(F5, None, ([1, 2], 1)), Subspace.full(F5, n)]
+    assert [type(x) for x in gf] == [Mat, Vec, Subspace]
+
+
+def test_qq_zero_and_one_are_shared_constants():
+    assert QQ.one is QQ.one and QQ.zero is QQ.zero
+    assert (QQ.zero, QQ.one, F5.zero, F5.one) == (Fraction(0), Fraction(1), 0, 1)
+    assert type(QQ.one) is Fraction and type(F5.one) is int
+    ones = Mat.identity(QQ, 3)
+    assert ones.rows == tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
+    assert ones == Mat(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) and ones.is_identity()
+    assert Vec.zero(QQ, 3) == Vec(QQ, [0, 0, 0]) and Vec.zero(QQ, 3).entries == (Fraction(0),) * 3
+    for x in (ones, Vec.zero(QQ, 3), Vec.unit(QQ, 3, 1), Mat.zero(QQ, 2, 3)):
+        assert_canonical(x)
+
+
 @differential
 @given(st.data(), st.integers(1, 6), st.integers(1, 6))
 def test_kernels_on_kept_forms_match_fraction_reference(data, m, n):
@@ -1027,12 +1134,12 @@ def test_kernels_on_kept_forms_match_fraction_reference(data, m, n):
 
 # -- sparse rows ---------------------------------------------------------------
 #
-# Over QQ a row with at most a quarter of its entries nonzero, and at most
-# a quarter of the result's width, is multiplied and reduced by combining
-# the rows its nonzero entries select; other rows keep one dot product per
-# column.  Over large p every row is combined.  The rows below sit on both
-# sides of that rule (1, n // 4 and n // 4 + 1 nonzeros), and the results
-# must match the unedited references either way.
+# Over QQ and large p a row with at most a quarter of its entries nonzero,
+# and at most a quarter of the result's width, is multiplied and reduced by
+# combining the rows its nonzero entries select; other rows keep one dot
+# product per column; over GF(p) the sums are then reduced mod p.  The rows
+# below sit on both sides of that rule (1, n // 4 and n // 4 + 1 nonzeros),
+# and the results must match the unedited references either way.
 
 SPARSE_FIELDS = [QQ, GF(17)]
 sparse_differential = settings(max_examples=30, deadline=None)
@@ -1167,11 +1274,8 @@ def test_sparse_rows_match_reference(field, monkeypatch):
             assert s.contains(t) == all(not any(ref_reduce(s.basis, s.pivots, r, field)) for r in t.basis)
 
     check()
-    if field.p is None:
-        for kernel_name in ("_images", "_reduce"):
-            assert 0 < seen["sparse", kernel_name] < seen["rows", kernel_name]
-    else:  # for p > 13 every row is combined, products and residues alike
-        assert 0 < seen["sparse", "_reduce"] == seen["rows", "_reduce"]
+    for kernel_name in ("_images", "_reduce"):
+        assert 0 < seen["sparse", kernel_name] < seen["rows", kernel_name]
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS)
