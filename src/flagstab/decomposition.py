@@ -55,10 +55,10 @@ def split_chain(chain):
             raise SeriesError("chain must strictly descend")
     field = chain[0].field
     n = chain[0].ambient_dim
-    units = chain[0].basis
+    units = chain[0].basis_vecs()
     parts = [Subspace._span(field, n, bottom._extend(units)).intersect(top)
              for top, bottom in zip(chain, chain[1:])]
-    stacked = [row for a in parts for row in a.basis]
+    stacked = [v for a in parts for v in a.basis_vecs()]
     if (
         Subspace._span(field, n, stacked).dim != n
         or any(a.dim != top.dim - bottom.dim for a, top, bottom in zip(parts, chain, chain[1:]))

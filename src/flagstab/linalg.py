@@ -13,10 +13,6 @@ and keeps its nonzero residue, monic over GF(p), primitive with a positive
 lead over QQ (`_lead`); then one back-substitution, in pivot order from
 the bottom up, clears each row by the reduced rows below it.  Kernels,
 inverses and solvers eliminate one [A | d*I] block built by `_tagged`.
-Over QQ the private constructors given forms alone leave `Vec.entries`,
-`Mat.rows` and `Subspace.basis` unset; the first read builds the canonical
-`Fraction`s (`_lazy`), so every result is the same as with `Fraction`
-arithmetic throughout.  Dims, zero tests and subspace equality read forms.
 
 For p <= 13 the kernels pack a GF(p) row into one int, an 8-bit slot per
 column, column 0 in the top byte (Albrecht, Bard and Hart 2010; Dumas,
@@ -30,14 +26,17 @@ QQ's are, there fraction-free (Bareiss 1968).  Membership of a list row
 minus a product of its pivot entries with the basis there: clearing it
 pivot by pivot would take a gcd and a whole-row rescaling per pivot.
 
-Each object keeps the kernel form of its rows, so no row is converted
-twice:
-- a `Subspace` keeps the rows its elimination returned (`_int_rows`):
-  for p <= 13 packed (`_packed`), over QQ primitive integer rows, basis
-  row i times its pivot entry, which is also its lcm denominator;
-- over QQ only, a `Vec` keeps its (numerators, denominator) pair (`_int`),
-  and a `Mat` one pair per row (`_int_forms`, read through `_forms`); a
-  product stores the pairs it computed, in lowest terms;
+Over QQ every `Vec`, `Mat` and `Subspace` holds its integer form from
+construction, set in one place, the class's trusted `_of`, which the public
+constructors build through: a `Vec` its (numerators, denominator) in lowest
+terms (`_int`), which `==` compares; a `Mat` one pair per row
+(`_int_forms`); a `Subspace` its primitive integer rows, basis row i times
+its pivot entry, which is also its lcm denominator (`_int_rows`).  Given
+entries, `_of` computes the form once with `_int_row`, a `Mat`'s over one
+denominator.  Kernel results and parsed rows (`Field._ratio`, `_row_form`)
+hand `_of` their forms alone, and the canonical `Fraction`s are built on
+first read (`_lazy`).  Over GF(p) a row is its own form and none is kept;
+a `Subspace` keeps its `_packed` pairs for p <= 13.  Besides:
 - a `Mat` has one right-factor form (`_right`, kept in `_as_factor`),
   (den, times): den * m has integer rows (`_common`; den = 1 over GF(p))
   and times is x -> x @ (den * m) on integer rows x (`_row_map`), for
@@ -49,20 +48,13 @@ twice:
   and of the result's columns (`_sparse`), is multiplied as the sum of the
   integer rows its nonzero entries select (`_combine`; Gustavson 1978);
   others take a dot product per column, the same integer sums.
-Parsed objects arrive with their forms: `cli.parse_problem` reads each
-scalar as a (numerator, denominator) pair (`Field._ratio`), builds each
-distinct row once with `_row_form` and hands the forms to `Mat._of`,
-`Vec._of` and `Subspace._parsed`.  An object built otherwise (user input
-to the public constructors, `Fraction` sums and scalings) gets its form on
-first use, over QQ through `_int_row`: a `Mat` in one conversion of all its
-entries over a common denominator.
 Rows of plain ints, such as images and elimination output, are read as
 they are.
 
 Canonical in, canonical out: every entry held by a `Vec`, `Mat` or
 `Subspace` is canonical (an int in [0, p) over GF(p), a `Fraction` over
 QQ), and every kernel returns canonical entries when given canonical
-ones.  The public constructors `Vec(...)`, `Mat(...)` and
+ones.  The public constructors `Vec(...)`, `Mat(...)`, `Subspace(...)` and
 `Subspace.span(...)` coerce their input, and so do the public entries that
 take one raw row (`Subspace.contains_vec`, `LinearSolver.solve`, and through
 `series._level_residue` `jump_of`, `level_of` and `is_adapted_basis`): a
@@ -278,22 +270,22 @@ class Vec:
 
     __slots__ = ("field", "entries", "_int")
 
-    def __init__(self, field, entries):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", tuple(field.coerce(x) for x in entries))
-        object.__setattr__(self, "_int", None)
+    def __new__(cls, field, entries):
+        return cls._of(field, [field.coerce(x) for x in entries])
 
     @classmethod
     def _of(cls, field, entries, form=None):
-        """Trusted constructor for entries that are already canonical; form
-        may give them as (numerators, denominator), kept over QQ only.
-        Without entries they are the form's: over QQ built on first read."""
+        """Trusted constructor for entries that are already canonical; over QQ
+        it keeps them as (numerators, denominator) in lowest terms, form if
+        given, else from `_int_row`.  Without entries they are the form's:
+        over QQ built on first read."""
         lazy = entries is None and field.p is None
         v = object.__new__(_LazyVec if lazy else cls)
         object.__setattr__(v, "field", field)
-        object.__setattr__(v, "_int", form if field.p is None else None)
         if not lazy:
-            object.__setattr__(v, "entries", tuple(form[0] if entries is None else entries))
+            entries = tuple(form[0] if entries is None else entries)
+            object.__setattr__(v, "entries", entries)
+        object.__setattr__(v, "_int", None if field.p else form or _int_row(entries))
         return v
 
     def __setattr__(self, name, value):
@@ -337,14 +329,18 @@ class Vec:
         return Vec._of(self.field, None, form)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Vec)
-            and self.field == other.field
-            and self.entries == other.entries
-        )
+        """Over QQ the forms, which are in lowest terms, hence canonical."""
+        if not (isinstance(other, Vec) and self.field == other.field):
+            return False
+        if self._int is None:
+            return self.entries == other.entries
+        (a, d), (b, e) = self._int, other._int
+        return d == e and tuple(a) == tuple(b)  # lists and tuples both occur
 
     def __hash__(self):
-        return hash((self.field, self.entries))
+        if self._int is None:
+            return hash((self.field, self.entries))
+        return hash((self.field, tuple(self._int[0]), self._int[1]))
 
     def __iter__(self):
         return iter(self.entries)
@@ -382,13 +378,11 @@ def _form(field, row):
     """(numerators, denominator) of a `Vec` or canonical row: the kernels'
     form, whose numerators alone do for spans and membership.
 
-    Over GF(p) it is the entries over 1.  Over QQ a row of ints is its
-    own numerators over 1, and other rows go through `_int_row`.  A `Vec`
-    over QQ keeps its form, filled on first use.
+    Over GF(p) it is the entries over 1.  Over QQ a `Vec` keeps its form, a
+    row of ints is its own numerators over 1, and other rows go through
+    `_int_row`.
     """
     if isinstance(row, Vec):
-        if row._int is None and row.field.p is None:
-            object.__setattr__(row, "_int", _int_row(row.entries))
         return row._int or (row.entries, 1)
     if field.p is not None or all(type(x) is int for x in row):
         return row, 1
@@ -412,12 +406,11 @@ def _row_form(field, ratios):
 
 
 def _coerced(field, r, width, message):
-    """A row as a list of canonical scalars, or a `Vec` of the field kept
-    whole (with its integer form); ShapeError(message) unless it has the
-    width."""
+    """A row as a `Vec` of the field, one of the field kept whole;
+    ShapeError(message) unless it has the width."""
     if not (isinstance(r, Vec) and r.field == field):
-        r = [field.coerce(x) for x in (r.entries if isinstance(r, Vec) else r)]
-    if (r.dim if isinstance(r, Vec) else len(r)) != width:
+        r = Vec(field, r)
+    if r.dim != width:
         raise ShapeError(message)
     return r
 
@@ -516,31 +509,30 @@ class Mat:
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_int_forms", "_as_factor")
 
-    def __init__(self, field, rows, ncols=None):
-        rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
+    def __new__(cls, field, rows, ncols=None):
+        rows = [[field.coerce(x) for x in r] for r in rows]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ShapeError("ragged rows")
         elif ncols is None:
             raise ShapeError("empty matrix needs explicit ncols")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_int_forms", None)
-        object.__setattr__(self, "_as_factor", None)
+        return cls._of(field, rows, ncols)
 
     @classmethod
     def _of(cls, field, rows, ncols, forms=None):
-        """Trusted constructor for rectangular rows of canonical entries; forms
-        may give each row as (numerators, denominator), kept over QQ only.
-        Without rows they are the forms': over QQ built on first read."""
+        """Trusted constructor for rectangular rows of canonical entries; over
+        QQ it keeps each row as (numerators, denominator), forms if given,
+        else all entries from one `_int_row` over one denominator.  Without
+        rows they are the forms': over QQ built on first read."""
         lazy = rows is None and field.p is None
         m = object.__new__(_LazyMat if lazy else cls)
         if not lazy:
             rows = tuple(map(tuple, [nums for nums, _ in forms] if rows is None else rows))
             object.__setattr__(m, "rows", rows)
+        if forms is None and field.p is None:
+            flat, den = _int_row([x for r in rows for x in r])
+            forms = [(flat[i * ncols:(i + 1) * ncols], den) for i in range(len(rows))]
         object.__setattr__(m, "field", field)
         object.__setattr__(m, "nrows", len(forms if rows is None else rows))
         object.__setattr__(m, "ncols", ncols)
@@ -550,16 +542,8 @@ class Mat:
 
     def _forms(self):
         """Each row as (numerators, denominator): over GF(p) over 1, over QQ
-        kept (`_int_forms`) or else all entries converted once over one."""
-        if self.field.p is not None:
-            return [(r, 1) for r in self.rows]
-        forms = self._int_forms
-        if forms is None:
-            n = self.ncols
-            flat, den = _int_row([x for r in self.rows for x in r])
-            forms = [(flat[i * n:(i + 1) * n], den) for i in range(self.nrows)]
-            object.__setattr__(self, "_int_forms", forms)
-        return forms
+        the kept `_int_forms`."""
+        return self._int_forms if self.field.p is None else [(r, 1) for r in self.rows]
 
     def _right(self):
         """(den, times): den * self has integer rows, den = 1 over GF(p), and
@@ -598,9 +582,7 @@ class Mat:
         return self.nrows == self.ncols
 
     def is_zero(self):
-        if self._int_forms is not None:
-            return not any(any(nums) for nums, _ in self._int_forms)
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(any(nums) for nums, _ in self._forms())
 
     def is_identity(self):
         if not self.is_square():
@@ -821,13 +803,12 @@ class Subspace:
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots", "_int_rows", "_int_cols")
 
-    def __init__(self, field, ambient_dim, basis, pivots):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in basis))
-        object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_int_rows", None)
-        object.__setattr__(self, "_int_cols", None)
+    def __new__(cls, field, ambient_dim, basis, pivots):
+        """The subspace with this basis in reduced echelon form and its pivots."""
+        rows = [[field.coerce(x) for x in r] for r in basis]
+        if field.p is None:
+            rows = [_int_row(r)[0] for r in rows]
+        return cls._of(field, ambient_dim, rows, pivots)
 
     @classmethod
     def _of(cls, field, ambient_dim, rows, pivots, packed=None):
@@ -892,7 +873,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, field, ambient_dim):
-        return cls(field, ambient_dim, [], [])
+        return cls._of(field, ambient_dim, [], ())
 
     @classmethod
     def full(cls, field, ambient_dim):
@@ -921,14 +902,8 @@ class Subspace:
     def _rows(self):
         """The basis in kernel form (see `_eliminate`): over QQ row i is the
         primitive integer multiple of basis[i], its pivot entry its denominator,
-        kept from the elimination that built the subspace, else converted once."""
-        if self.field.p is not None:
-            return self.basis
-        rows = self._int_rows
-        if rows is None:
-            rows = [_int_row(r)[0] for r in self.basis]
-            object.__setattr__(self, "_int_rows", rows)
-        return rows
+        kept (`_int_rows`)."""
+        return self.basis if self.field.p is not None else self._int_rows
 
     def _packed(self):
         """The basis as `_echelon` gives it, (key, row) pairs: for p <= 13
@@ -1159,8 +1134,7 @@ class QuotientMap:
             u._match(w)
             if not w.contains(u):
                 raise ContainmentError("first subspace is not contained in the second")
-            reps = [r if isinstance(r, Vec) else Vec._of(u.field, r) for r in
-                    (_coerced(u.field, r, u.ambient_dim, "row width differs") for r in reps)]
+            reps = [_coerced(u.field, r, u.ambient_dim, "row width differs") for r in reps]
             if len(reps) + u.dim != w.dim or Subspace._span(
                     u.field, u.ambient_dim, [*reps, *u.basis_vecs()]) != w:
                 raise ContainmentError("representatives do not complete a basis of u to one of w")

@@ -365,10 +365,10 @@ def extend_to_full_flag(s):
     members = [s.members[0]]
     for jump in s.jumps():
         reps = complement_basis(jump.bottom, jump.top)
-        stack = [list(r) for r in jump.bottom.basis]
+        stack = jump.bottom.basis_vecs()
         inter = []
         for rep in reps[:-1]:
-            stack = stack + [list(rep.entries)]
+            stack = stack + [rep]
             inter.append(Subspace._span(s.field, s.ambient_dim, stack))
         members.extend(reversed(inter))
         members.append(jump.bottom)

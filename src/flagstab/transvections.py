@@ -11,7 +11,7 @@ from .errors import (
     SingularMatrixError,
     TransvectionError,
 )
-from .linalg import Mat, QuotientMap, Subspace, Vec, image
+from .linalg import Mat, QuotientMap, Subspace, image
 from .series import Series, _minus_one, in_stabilizer
 from .unipotent import unipotent_exponent
 
@@ -201,8 +201,8 @@ def fixed_line_engel_witness(g, u_line, spec, n):
     dim = u_line.ambient_dim
     ident = Mat.identity(g.field, dim)
     gm1 = g - ident
-    for row in u_line.basis:
-        if not (Vec(g.field, row) @ gm1).is_zero():
+    for v in u_line.basis_vecs():
+        if not (v @ gm1).is_zero():
             raise HypothesisError("g does not fix the line pointwise")
     eta = spec.displacement()
     z = _iterated_commutator(_transvection(spec, eta), g, g_inv, n)

@@ -14,7 +14,7 @@ is to V > 0), its meets with the members.
 import itertools
 
 from .errors import ContainmentError, NotUnipotentError, ShapeError
-from .linalg import Mat, Subspace, _images, _row_map, _tagged
+from .linalg import Mat, Subspace, _form, _images, _row_map, _tagged
 from .series import _minus_one
 
 __all__ = [
@@ -187,8 +187,7 @@ def jordan_blocks(g):
     chains = jordan_chains(g)
     field = g.field
     n = g.nrows
-    rows = [v.entries for chain in chains for v in chain]
-    basis = Mat._of(field, rows, n)
+    basis = Mat._of(field, None, n, [_form(field, v) for chain in chains for v in chain])
     standard = basis @ g @ basis.inverse()
     sizes = [len(c) for c in chains]
     if standard != jordan_matrix(field, sizes) or len(chains) < n // max(sizes):

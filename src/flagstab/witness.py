@@ -40,6 +40,8 @@ coordinates adapted to s, and m = g g^h - 1 is block triangular there:
 the inner m on W, whose flag decides its block, and the complement's rows.
 """
 
+import itertools
+
 from .errors import (
     AdaptationError,
     FieldMismatchError,
@@ -630,8 +632,9 @@ def _series_split_complement(s, meets):
     for jump in reversed(s.jumps()):
         # the rows chosen at deeper jumps already lie in jump.bottom
         meet = [v for c, v, _ in meets if n - jump.top.dim <= c < n - jump.bottom.dim]
-        new = jump.bottom._extend(meet + list(jump.top.basis), jump.top.dim)
-        comp += [Vec._of(s.field, row) for row in new[len(meet):]]
+        # the top's basis vectors built only as far as `_extend` draws them
+        tops = (Vec._of(s.field, None, f) for f in jump.top._forms())
+        comp += jump.bottom._extend(itertools.chain(meet, tops), jump.top.dim)[len(meet):]
     return comp
 
 
@@ -662,8 +665,8 @@ def _invariant_core(s, n, coarse, nil):
     for i in range(1, n):
         target = core.members[i + 1]
         found = None
-        for row in core.members[i - 1].basis:
-            v = Vec._of(field, row)
+        for f in core.members[i - 1]._forms():
+            v = Vec._of(field, None, f)
             if not target.contains_vec(v @ nil):
                 found = v
                 break
@@ -676,7 +679,7 @@ def _invariant_core(s, n, coarse, nil):
         for _ in range(coarse.num_jumps):
             if v.is_zero():
                 break
-            rows.append(v.entries)
+            rows.append(v)
             v = v @ nil
     return core, Subspace._span(field, dim, rows)
 
@@ -729,7 +732,7 @@ def extend_witness(g, s, n):
         raise WitnessError("core-lost-jump", "induced series lost a jump")
     inner, chain_basis = _witness_with_basis(g_w, series_w)
     # h is the inner h on W and the identity on a splitting complement
-    lift, comp = Mat._of(field, w.basis, dim), _series_split_complement(s, meets)
+    lift, comp = Mat._of(field, None, dim, w._forms()), _series_split_complement(s, meets)
     lifted = [v @ lift for v in chain_basis]
     factors = _h_factors(inner.selection, lifted + comp, s)
     r = (n - 2) // k

@@ -8,7 +8,9 @@ line), so a change in how the witness is computed must leave the
 certificate itself unchanged.  The `witness` corpus has r = 1, 2, 3 and
 5.  The `extend-witness` corpus has padded and unpadded problems, `--n`
 equal to the number of jumps and one below it, and r = 1 to 4.  Both
-corpora have both values of `stronger_power_nonzero`.
+corpora have both values of `stronger_power_nonzero`.  The other reports
+(`check-stab`, `exponent`, `jordan`, `coarsen`, `split`, `comm-check`,
+`lcs` and `refine`) are pinned over `gen --seed 1` for each field.
 """
 
 import contextlib
@@ -74,6 +76,21 @@ EXTEND_GOLDEN = {
 }
 
 
+# The other reports over `gen --field F --seed 1`: they print counts and
+# dims, which that problem shares over every field, so one digest per report.
+REPORT_CASES = ("q", "q --scramble", "gf2", "gf5", "gf17")
+REPORT_GOLDEN = {
+    "check-stab": "d832afdb16a3e50429e2a262e01fe628bce118fa987b0d4e9eacd3de3e9bb20d",
+    "exponent": "3e1a80e2af6a2fd96a02fce6a41254ee17162e22903547335bdafa044c7b3b51",
+    "jordan": "39bd34a5826ccd6c57cd60f069deef204cabbbbf1236f34cea7a6a0ad7d169af",
+    "coarsen": "deeee02884165053fa201d8fa99312ebd0593b24bf32bdfc5f26263b80b1ea36",
+    "split": "7afdde34cf1fe55e98d1f8171a320bc9f10cd8ba878f661c519ce437b784f785",
+    "comm-check --t g --u 1": "46b0815c1478bc68ce51ac2eb7dbd7657c3b7698845a1388ea3fdda95902b8a3",
+    "lcs --gens g": "2c2c8dfda3cd5893ff98966e8c186e54e7ecfd42d725cdd2acf4aa7fe957fba1",
+    "refine --gens g": "e52bc4200041f3049cf374e035405f3af34213af31b6867e8733b10d2da8746d",
+}
+
+
 def run_cli(argv, stdin_text=None):
     out = io.StringIO()
     old = sys.stdin
@@ -130,3 +147,14 @@ def test_extend_corpus_covers_both_stronger_flags_and_short_n():
     for key in (("gf2", 8, None, 7), ("gf5", 10, 21, 9)):
         seen.add(tuple(extend_report(*key).splitlines()[1:3]))
     assert seen == {("r=2", "stronger_power_nonzero=false"), ("r=3", "stronger_power_nonzero=true")}
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
+@pytest.mark.parametrize("command", sorted(REPORT_GOLDEN))
+def test_report_digest(case, command):
+    field, *flags = case.split()
+    code, problem = run_cli(["gen", "--field", field, "--seed", "1", *flags])
+    assert code == 0
+    code, report = run_cli([*command.split(), "-"], problem)
+    assert code == 0
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_GOLDEN[command]

@@ -995,9 +995,9 @@ def test_kept_integer_forms_match_canonical_entries(data, m, n):
 #
 # Over QQ the private constructors given only forms leave `Mat.rows`,
 # `Vec.entries` and `Subspace.basis` unbuilt; the first read builds the
-# canonical Fractions.  Forms need not be in lowest terms, and reading only
-# the form (dims, zero tests, pivots, equality of subspaces, products, g - 1)
-# must leave the entries unbuilt.
+# canonical Fractions.  Forms need not be in lowest terms, save a `Vec`'s,
+# which `==` compares, and reading only the form (dims, zero tests, pivots,
+# equality of subspaces, products, g - 1) must leave the entries unbuilt.
 
 
 def unbuilt(x, name):
@@ -1031,6 +1031,14 @@ def fractions_of(forms):
     return [[Fraction(x, d) for x in nums] for nums, d in forms]
 
 
+def lowest(form):
+    """A (numerators, denominator > 0) form divided by its content: `Vec._of`
+    takes forms in lowest terms, which `Vec.__eq__` compares."""
+    nums, den = form
+    g = math.gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
 def assert_same(lazy, eager, name):
     """lazy, built from forms, reads as eager; both orders of == and hash agree."""
     assert unbuilt(lazy, name) and isinstance(lazy, type(eager))
@@ -1052,7 +1060,7 @@ def test_objects_from_forms_read_as_eager_ones(data, m, n):
     prod, image_of_a = a @ b, echelonize(a)
     assert (a.nrows, a.is_zero(), b.is_zero()) == (m, eager_a.is_zero(), eager_b.is_zero())
     assert a._forms() is forms
-    vecs = [Vec._of(QQ, None, f) for f in forms]
+    vecs = [Vec._of(QQ, None, lowest(f)) for f in forms]
     assert [(v.dim, v.is_zero()) for v in vecs] == [(n, not any(nums)) for nums, _ in forms]
     full, basis = Subspace.full(QQ, n), image_of_a.basis_vecs()
     assert (image_of_a.dim, image_of_a.is_zero(), full.is_full(), full.dim) == (
@@ -1095,6 +1103,97 @@ def test_qq_zero_and_one_are_shared_constants():
     assert ones == Mat(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) and ones.is_identity()
     assert Vec.zero(QQ, 3) == Vec(QQ, [0, 0, 0]) and Vec.zero(QQ, 3).entries == (Fraction(0),) * 3
     for x in (ones, Vec.zero(QQ, 3), Vec.unit(QQ, 3, 1), Mat.zero(QQ, 2, 3)):
+        assert_canonical(x)
+
+
+# -- one representation over QQ ------------------------------------------------
+#
+# Every QQ `Vec`, `Mat` and `Subspace` holds its integer form from
+# construction, whichever constructor made it, so no read converts a row; a
+# `Vec`'s form is in lowest terms over a positive denominator, which makes
+# comparing forms the same as comparing entries.
+
+
+def kept_form(x):
+    return x._int if isinstance(x, Vec) else x._int_forms if isinstance(x, Mat) else x._int_rows
+
+
+def no_conversion(row):
+    raise AssertionError("a read converted a row to its integer form")
+
+
+@differential
+@given(st.data(), st.integers(1, 5))
+def test_every_qq_object_holds_its_form_from_construction(data, n):
+    rows = data.draw(qq_rows(n, n))
+    a, b = Mat(QQ, rows), data.draw(qq_matrix(n, n))
+    v = Vec(QQ, rows[0])
+    s = Subspace.span(QQ, n, rows)
+    qm = QuotientMap(s, Subspace.full(QQ, n))
+    coords = [qm.project(w) for w in [v, *Subspace.full(QQ, n).basis_vecs()]]
+    built = [
+        a, b, v, s, Subspace(QQ, n, s.basis, s.pivots), Subspace.zero(QQ, n), Subspace.full(QQ, n),
+        Mat.from_vecs(QQ, [v], n), Mat.identity(QQ, n), Mat.zero(QQ, 2, n), Mat(QQ, [], ncols=n),
+        a + b, a - b, -a, a.scale(Fraction(2, 3)), a @ b, a.transpose(), a.row(0), *a.vec_rows(),
+        v + v, v - v, -v, v.scale(Fraction(-1, 2)), v @ a, Vec.unit(QQ, n, 0), Vec.zero(QQ, n),
+        kernel(a), echelonize(a), s.sum(kernel(b)), s.intersect(kernel(b)), s.apply(a),
+        *s.basis_vecs(), *coords, *[qm.lift(c) for c in coords], qm.projection_matrix(),
+    ]
+    if a.is_invertible():
+        built.append(a.inverse())
+    assert all(kept_form(x) is not None for x in built)
+    # reads of the forms convert nothing
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_int_row", no_conversion)
+        for x in built:
+            if isinstance(x, Vec):
+                linalg._form(QQ, x)
+            elif isinstance(x, Mat):
+                assert x._forms() is x._int_forms and x.is_zero() == (not any(map(any, x.rows)))
+            else:
+                assert x._rows() is x._int_rows
+
+
+def test_vec_forms_are_in_lowest_terms_and_compared():
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    a = Mat(QQ, [[half, 0, 1], [third, 2, 0], [0, 0, Fraction(5, 4)]])
+    s = Subspace.span(QQ, 3, [[2, 4, 6], [third, 0, half]])
+    v = Vec(QQ, [Fraction(2, 4), Fraction(-6, 8), 3])
+    qm = QuotientMap(Subspace.span(QQ, 3, [[0, 0, 1]]), Subspace.full(QQ, 3))
+    text = "field q\ndim 2\nmatrix g\n1 0\n0 1\ncertificate\nr 1\nh\n1 0\n0 1\nprobe\n2/4 -6/8\n"
+    probe = cli.parse_problem(text).certificate.probe
+    vecs = [
+        v, Vec._of(QQ, [half, third, QQ.zero]), v @ a, v @ a @ a, *s.basis_vecs(), probe,
+        qm.project(v), qm.lift(qm.project(v)), v + v, v - v, -v, v.scale(6), a.row(1),
+        Vec.zero(QQ, 3), Vec.unit(QQ, 3, 2),
+    ]
+    for x in vecs:
+        nums, den = x._int
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert tuple(Fraction(y, den) for y in nums) == x.entries
+    for x in vecs:
+        for y in vecs:
+            assert (x == y) == (x.entries == y.entries)
+            if x == y:
+                assert hash(x) == hash(y)
+    # numerators as a list or a tuple; == reads no entries
+    w = s.basis_vecs()[1]
+    nums, den = w._int
+    same = [Vec._of(QQ, None, (list(nums), den)), Vec._of(QQ, None, (tuple(nums), den))]
+    assert w == same[0] == same[1] and hash(w) == hash(same[0]) == hash(same[1])
+    assert all(unbuilt(x, "entries") for x in [w, *same])
+    assert w == Vec(QQ, w.entries) and w != Vec(QQ, [0, 1, 0]) and w != Vec(F5, [1, 0, 0])
+
+
+def test_public_subspace_constructor_coerces_its_basis():
+    assert Subspace(F5, 2, [[6, 0]], [0]) == Subspace.span(F5, 2, [[1, 0]])
+    assert Subspace(F5, 2, [[6, 0]], [0]).basis == ((1, 0),)
+    line = Subspace(QQ, 2, [[1, 0]], [0])
+    assert [type(x) for x in line.basis[0]] == [Fraction, Fraction]
+    assert line == Subspace.span(QQ, 2, [[3, 0]]) and line._int_rows == [[1, 0]]
+    plane = Subspace(QQ, 3, [[1, "1/2", 0], [0, 0, 1]], [0, 2])
+    assert plane == Subspace.span(QQ, 3, [[2, 1, 0], [0, 0, 5]])
+    for x in (line, plane, Subspace(F5, 3, [[1, 0, 7]], [0]), Subspace(GF(17), 2, [[18, -1]], [0])):
         assert_canonical(x)
 
 
