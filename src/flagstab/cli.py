@@ -20,7 +20,7 @@ matrices, so a short file with a large d would run for minutes.
 `parse_problem` does each piece of work once: it parses each distinct
 scalar token once, over QQ into a (numerator, denominator) pair in lowest
 terms with no `Fraction` (`Field._ratio`), reads each distinct row line once
-into its kernel form (`linalg._row_form`), hands the parsed objects to the
+into its kernel form (the field's `_row_form`), hands the parsed objects to the
 trusted constructors of `linalg` with their forms, and checks each series
 once, in `validate`.  An early end of file is reported on the line after
 the last one.  `format_problem` prints each row from its form, each entry
@@ -36,7 +36,6 @@ import contextlib
 import math
 import re
 import sys
-from fractions import Fraction
 from itertools import repeat
 
 from .builder import GeneratorSet, McLainElement, mclain_truncate, module_lcs, refine_series
@@ -44,7 +43,7 @@ from .decomposition import SectionAssignment, patch_sections, split_chain
 from .errors import FlagstabError, NotUnipotentError, ParseError, RefinementObstruction
 from .errors import ShapeError, WitnessError
 from .instances import adapted_basis_of, witness_instance, _chain_layout
-from .linalg import GF, QQ, Mat, Subspace, Vec, _form, _row_form
+from .linalg import GF, QQ, Mat, Subspace, Vec
 from .series import canonical_coarsening, in_stabilizer, validate
 from .transvections import _annihilating_spec, transvection_commutator_check
 from .unipotent import jordan_blocks, unipotent_exponent
@@ -151,7 +150,7 @@ class _Scalars(dict):
             raise ParseError(lineno, f"bad scalar {tok!r}") from None
 
     def row(self, line, lineno, width):
-        """(entries, form, lead) of a row of exactly width scalars."""
+        """The form of a row of exactly width scalars."""
         row = self.rows.get(line)
         if row is None:
             toks = line.split()
@@ -161,7 +160,7 @@ class _Scalars(dict):
                 ratios = [self[t] for t in toks]
             except (ValueError, ZeroDivisionError):
                 ratios = [self.scalar(t, lineno) for t in toks]
-            row = self.rows[line] = len(toks), _row_form(self.field, ratios)
+            row = self.rows[line] = len(toks), self.field._ops._row_form(ratios)
         elif row[0] != width:
             raise ParseError(lineno, f"expected {width} entries, got {row[0]}")
         return row[1]
@@ -177,12 +176,11 @@ def _parse_matrix_rows(lines, scalars, nrows, ncols, context):
 
 
 def _matrix(field, rows, ncols, square=False):
-    """The matrix of parsed rows, over QQ of their forms alone; like `Mat(field,
-    rows)`, a square one needs at least one row to know its width."""
+    """The matrix of parsed rows, from their forms; like `Mat(field, rows)`,
+    a square one needs at least one row to know its width."""
     if square and not ncols:
         raise ShapeError("empty matrix needs explicit ncols")
-    entries = None if field.p is None else [e for e, _, _ in rows]
-    return Mat._of(field, entries, ncols, [f for _, f, _ in rows])
+    return Mat._of(field, None, ncols, rows)
 
 
 def parse_problem(text):
@@ -276,7 +274,7 @@ def parse_problem(text):
                 except (ValueError, ZeroDivisionError):
                     raise ParseError(l2, "bad rational index") from None
                 num, den = scalars.scalar(parts[2], l2)
-                terms.append(((r_idx, s_idx), num if field.p is not None else Fraction(num, den)))
+                terms.append(((r_idx, s_idx), field._ops._entry(num, den)))
             try:
                 pf.mclain[toks[1]] = [McLainElement(field, terms)]
             except FlagstabError as exc:
@@ -295,8 +293,7 @@ def parse_problem(text):
             if pline != "probe":
                 raise ParseError(l4, "expected 'probe'")
             l5, prow = lines.next("probe row")
-            entries, form, _ = scalars.row(prow, l5, dim)
-            probe = Vec._of(field, entries, form)
+            probe = Vec._of(field, None, scalars.row(prow, l5, dim))
             pf.certificate = WitnessCertificate(
                 _matrix(field, hrows, dim, square=True), r, probe, None, False
             )
@@ -348,7 +345,7 @@ def format_problem(pf):
         out.append("h")
         out.extend(_format_rows(cert.h._forms()))
         out.append("probe")
-        out.extend(_format_rows([_form(field, cert.probe)]))
+        out.extend(_format_rows([field._ops._form(cert.probe)]))
     return "\n".join(out) + "\n"
 
 
@@ -565,21 +562,8 @@ def main(argv=None):
         description="exact computations with series stabilizers and certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        "check-stab",
-        "exponent",
-        "jordan",
-        "coarsen",
-        "comm-check",
-        "witness",
-        "extend-witness",
-        "verify",
-        "split",
-        "patch",
-        "lcs",
-        "refine",
-        "mclain",
-    ]
+    commands = ["check-stab", "exponent", "jordan", "coarsen", "comm-check", "witness",
+                "extend-witness", "verify", "split", "patch", "lcs", "refine", "mclain"]
     for name in commands:
         p = sub.add_parser(name)
         p.add_argument("file", help="problem file, or - for stdin")

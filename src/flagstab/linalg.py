@@ -1,79 +1,58 @@
 """Exact scalars, vectors, matrices and canonical subspaces.
 
-Scalars are plain ints reduced mod p for prime fields and
-`fractions.Fraction` for the rationals; no floating point anywhere.
-Vectors are rows and act on the right of matrices (v @ g), so kernels
-are left null spaces and images are row spaces.
+Scalars are ints reduced mod p over GF(p) and `fractions.Fraction`s over
+QQ; no floating point anywhere.  Vectors are rows and act on the right of
+matrices (v @ g), so kernels are left null spaces and images are row spaces.
 
-Kernels read a row as `_form` gives it, (numerators, denominator): over
-GF(p) the canonical entries over 1, over QQ integer numerators over one
-common denominator.  All elimination is one `_echelon`, row by row: a
-forward pass clears each row by the (key, row) pairs so far (`_residue`)
-and keeps its nonzero residue, monic over GF(p), primitive with a positive
-lead over QQ (`_lead`); then one back-substitution, in pivot order from
-the bottom up, clears each row by the reduced rows below it.  Kernels,
-inverses and solvers eliminate one [A | d*I] block built by `_tagged`.
+Every kernel works on integer rows through its field's row kernels,
+`Field._ops`, chosen once, in `Field.__init__`; no other code reads p to
+choose a path.  There are three kinds:
+- `_Rationals`, for QQ: a row's form is its integer numerators over one
+  denominator, and elimination is fraction-free (Bareiss 1968), each
+  echelon row primitive with a positive lead;
+- `_ListPrimes`, for GF(p) with p > 13: the same integer lists reduced
+  mod p, each row its own form over 1, echelon rows monic;
+- `_PackedPrimes`, for GF(p) with p <= 13, with the list primes' scalar
+  ops: a row packed into one int, an 8-bit slot per column, column 0 in
+  the top byte (Albrecht, Bard and Hart 2010; Dumas, Fousse and Salvy
+  2011).  A slot cleared by adding (p - f) times a monic row holds at most
+  (p - 1) + (p - 1)^2 <= 156, so one byte translation reduces every slot
+  mod p; over GF(2) a clear is an XOR.
+A kind holds the forms of rows and their sums and multiples, products
+(`_row_map`), the steps of elimination (`_residue`, `_lead`, `_clear`,
+`_unpacked`, the order of keys) and of membership (`_reduce`,
+`_contains`, `_packed`), and what the trusted constructors `Vec._of`,
+`Mat._of` and `Subspace._of` keep.  Kernels bind its methods once per call.
 
-For p <= 13 the kernels pack a GF(p) row into one int, an 8-bit slot per
-column, column 0 in the top byte (Albrecht, Bard and Hart 2010; Dumas,
-Fousse and Salvy 2011), keyed by the shift of its leading slot.  A slot
-cleared by adding (p - f) times a monic row holds at most
-(p - 1) + (p - 1)^2 <= 156, so one byte translation reduces every slot
-mod p; over GF(2) a clear is an XOR.  Larger p would overflow a byte, so
-their rows stay lists, keyed by pivot column and cleared by `_clear` as
-QQ's are, there fraction-free (Bareiss 1968).  Membership of a list row
-(`Subspace._reduce`) is decided on the non-pivot columns alone, as den * v
-minus a product of its pivot entries with the basis there: clearing it
-pivot by pivot would take a gcd and a whole-row rescaling per pivot.
+All elimination is one `_echelon`, a forward pass and one
+back-substitution, on [A | d*I] blocks (`_tagged`) for kernels, inverses
+and solvers.  Every product is one loop, `_images`, over a matrix's
+right-factor form (`Mat._right`); a list row's residue modulo a subspace
+(taken on its non-pivot columns: clearing pivot by pivot would cost a gcd
+and a rescaling per pivot over QQ) and a `LinearSolver`'s solves are
+`_row_map` products too.  On list rows a product by a row with at most a
+quarter of its entries nonzero, and of the result's columns (`_sparse`),
+sums the rows it selects (`_combine`; Gustavson 1978).
 
 Over QQ every `Vec`, `Mat` and `Subspace` holds its integer form from
-construction, set in one place, the class's trusted `_of`, which the public
-constructors build through: a `Vec` its (numerators, denominator) in lowest
-terms (`_int`), which `==` compares; a `Mat` one pair per row
-(`_int_forms`); a `Subspace` its primitive integer rows, basis row i times
-its pivot entry, which is also its lcm denominator (`_int_rows`).  Given
-entries, `_of` computes the form once with `_int_row`, a `Mat`'s over one
-denominator.  Kernel results and parsed rows (`Field._ratio`, `_row_form`)
-hand `_of` their forms alone, and the canonical `Fraction`s are built on
-first read (`_lazy`).  Over GF(p) a row is its own form and none is kept;
-a `Subspace` keeps its `_packed` pairs for p <= 13.  Besides:
-- a `Mat` has one right-factor form (`_right`, kept in `_as_factor`),
-  (den, times): den * m has integer rows (`_common`; den = 1 over GF(p))
-  and times is x -> x @ (den * m) on integer rows x (`_row_map`), for
-  p <= 13 over packed rows.  Every product is one loop over it (`_images`);
-- the other integer sums are `_row_map` products too: a `Subspace`'s
-  residues on its non-pivot columns (`_int_cols`, derived on first use) and
-  a `LinearSolver`'s products of a target with its tag columns (`_dots`);
-- over QQ and p > 13 a row with at most a quarter of its entries nonzero,
-  and of the result's columns (`_sparse`), is multiplied as the sum of the
-  integer rows its nonzero entries select (`_combine`; Gustavson 1978);
-  others take a dot product per column, the same integer sums.
-Rows of plain ints, such as images and elimination output, are read as
-they are.
+construction: a `Vec` its numerators over one denominator in lowest terms
+(`_int`), which `==` compares; a `Mat` one such pair per row
+(`_int_forms`); a `Subspace` its primitive integer rows (`_int_rows`),
+each over its pivot entry.  Objects made from forms alone build their
+`Fraction`s on first read (`_lazy`).  Over GF(p) a row is its own form.
 
-Canonical in, canonical out: every entry held by a `Vec`, `Mat` or
-`Subspace` is canonical (an int in [0, p) over GF(p), a `Fraction` over
-QQ), and every kernel returns canonical entries when given canonical
-ones.  The public constructors `Vec(...)`, `Mat(...)`, `Subspace(...)` and
-`Subspace.span(...)` coerce their input, and so do the public entries that
-take one raw row (`Subspace.contains_vec`, `LinearSolver.solve`, and through
-`series._level_residue` `jump_of`, `level_of` and `is_adapted_basis`): a
-packed kernel reads only entries in [0, p).  Kernel results go through the
-private `Vec._of`, `Mat._of` and `Subspace._span`, which trust them.
-
-Spans grow through one private primitive, `Subspace._extend`: given rows
-in order, it returns those that lie outside the span so far, found by
-the forward pass of `_echelon` from the subspace's own pairs
-(`Subspace._packed`); it builds no span.  Complements, chain splittings,
-new Jordan-chain heads and series-splitting complements are all built
-with it.
+Canonical in, canonical out: every entry held is an int in [0, p) or a
+`Fraction`.  The public constructors and the entries that take one raw
+row (`Subspace.contains_vec`, `LinearSolver.solve`) coerce; kernel results
+go through the trusted constructors.  Spans grow through
+`Subspace._extend`, the forward pass of `_echelon` from a subspace's pairs.
 """
 
 import math
 import re
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, sub
 
 from .errors import (
     ContainmentError,
@@ -135,39 +114,32 @@ def _is_prime(n):
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_set = object.__setattr__
 
 
 class Field:
     """GF(p) for prime p, or the rationals when p is None."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "is_prime_field", "zero", "one", "_ops")
 
     def __init__(self, p=None):
         if p is not None and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
+        _set(self, "p", p)
+        _set(self, "is_prime_field", p is not None)
+        _set(self, "zero", _ZERO if p is None else 0)
+        _set(self, "one", _ONE if p is None else 1)
+        # the field's row kernels: the one place a kernel path is chosen
+        _set(self, "_ops", _Rationals() if p is None else
+             _PackedPrimes(p) if p <= 13 else _ListPrimes(p))
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
 
-    @property
-    def is_prime_field(self):
-        return self.p is not None
-
-    @property
-    def zero(self):
-        return 0 if self.p is not None else _ZERO
-
-    @property
-    def one(self):
-        return 1 if self.p is not None else _ONE
-
     def coerce(self, x):
         if self.p is not None:
             return int(x) % self.p
-        if type(x) is Fraction:
-            return x
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
         return (a + b) % self.p if self.p is not None else a + b
@@ -178,15 +150,12 @@ class Field:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.p is not None:
-            return pow(a, self.p - 2, self.p)
-        return 1 / a
+        return pow(a, self.p - 2, self.p) if self.p is not None else 1 / a
 
     def parse(self, text):
         """Parse 'a', or 'a/b' over QQ, into a canonical scalar; a and b
         are ASCII decimal integers with an optional sign."""
-        num, den = self._ratio(text)
-        return num if self.p is not None else Fraction(num, den)
+        return self._ops._entry(*self._ratio(text))
 
     def _ratio(self, text):
         """`parse` as (numerator, denominator > 0) in lowest terms, (value, 1) over GF(p)."""
@@ -202,11 +171,7 @@ class Field:
         return num // g, den // g
 
     def format(self, x):
-        if self.p is not None:
-            return str(x)
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(x)  # a Fraction prints as n, or n/d in lowest terms
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -222,6 +187,273 @@ def GF(p):
     return Field(p)
 
 
+# -- the row kernels of each kind of field (see the module docstring) ---------
+
+
+class _Rationals:
+    """QQ's row kernels, on integer list rows: forms are (numerators,
+    denominator), and echelon rows are primitive with a positive lead,
+    keyed by their pivot column."""
+
+    __slots__ = ()
+    _descending = False  # the order of `_echelon` keys: pivot columns ascend
+
+    def _entry(self, num, den):
+        return Fraction(num, den)
+
+    def _entries(self, nums, den):
+        """Canonical entries of the form (nums, den)."""
+        if den == 1:
+            return [Fraction(x) if x else _ZERO for x in nums]
+        return [Fraction(x, den) if x else _ZERO for x in nums]
+
+    def _form(self, row):
+        """(numerators, denominator) of a `Vec` or canonical row; the
+        numerators alone do for spans and membership."""
+        if isinstance(row, Vec):
+            return row._int
+        if all(type(x) is int for x in row):
+            return row, 1
+        return _int_row(row)
+
+    def _row_form(self, ratios):
+        """The form of a parsed row, at least one `Field._ratio`."""
+        den = math.lcm(*[d for _, d in ratios])
+        return [n * (den // d) for n, d in ratios], den
+
+    def _plus(self, a, b, sign):
+        """a + sign * b (sign +-1) for forms, over their lcm."""
+        den, (x, y) = _common([a, b])
+        return list(map(add if sign > 0 else sub, x, y)), den
+
+    def _scale(self, c, form):
+        """c times a form, for a canonical scalar c."""
+        n, d = c.as_integer_ratio()
+        return [n * x for x in form[0]], d * form[1]
+
+    def _shift(self, m, c):
+        """The forms of the rows of m + c, for a square `Mat` m and an integer c."""
+        return [([*x[:i], x[i] + c * d, *x[i + 1:]], d) for i, (x, d) in enumerate(m._int_forms)]
+
+    def _row_map(self, rows, ncols):
+        """x -> x @ M on integer rows x, for M with these integer rows: the
+        sum of the rows a sparse x selects, else a dot product per column."""
+        cols = None
+
+        def times(x):
+            nonlocal cols
+            if _sparse(x, ncols):
+                return _combine([0] * ncols, x, rows)
+            cols = cols or list(zip(*rows))
+            return [sum(map(mul, x, col)) for col in cols]
+        return times
+
+    def _residue(self, n, v, echelon):
+        """Row v of width n cleared in turn by each (key, row) pair of echelon,
+        whose row is normalized at its key and zero at the keys before it."""
+        clear = self._clear
+        for c, e in echelon:
+            if v[c]:
+                v = clear(v, e, c)
+        return v
+
+    def _clear(self, v, e, c):
+        """v with column c cleared by the echelon row e whose pivot is c:
+        a*v - b*e, for the pivot and v[c] over their gcd, over its content."""
+        f = v[c]
+        g = math.gcd(e[c], f)
+        a, b = e[c] // g, f // g
+        v = [a * x - b * y for x, y in zip(v, e)]
+        g = math.gcd(*v)
+        return [x // g for x in v] if g > 1 else v
+
+    def _lead(self, n, v):
+        """(key, v normalized there) for a `_residue` v, or None when v is 0."""
+        lead = next(filter(None, v), 0)  # the first nonzero entry, at C speed
+        if not lead:
+            return None
+        g = math.gcd(*v) if lead > 0 else -math.gcd(*v)
+        return v.index(lead), v if g == 1 else [x // g for x in v]
+
+    def _unpacked(self, n, pairs):
+        """(rows, pivot columns) of `_echelon` pairs."""
+        return [e for _, e in pairs], [c for c, _ in pairs]
+
+    def _reduce(self, s, v):
+        """`Subspace._reduce`: den * v on s's non-pivot columns minus v's
+        pivot entries times the basis there (`_integer_columns`)."""
+        den, free, times = s._integer_columns()
+        return [den * v[c] - y for c, y in zip(free, times([v[c] for c in s.pivots]))]
+
+    def _contains(self, s, other):
+        return not any(any(s._reduce(r)) for r in other._int_rows)
+
+    def _packed(self, s):
+        return list(zip(s.pivots, s._int_rows))
+
+    # What the trusted constructors keep of entries, forms or both: always the
+    # forms, from `_int_row` if not given (a `Mat`'s over one denominator).
+    def _vec(self, entries, form):
+        return entries, form or _int_row(entries)
+
+    def _mat(self, rows, ncols, forms):
+        if forms is None:
+            flat, den = _int_row([x for r in rows for x in r])
+            forms = [(flat[i * ncols:(i + 1) * ncols], den) for i in range(len(rows))]
+        return rows, forms
+
+    def _subspace(self, rows, pairs):
+        """(basis, `_int_rows`, `_packed` pairs) of a `Subspace`."""
+        return None, rows, None
+
+
+class _ListPrimes(_Rationals):
+    """GF(p)'s row kernels for p > 13: QQ's integer list rows reduced mod p,
+    each its own form over 1; echelon rows are monic."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = p
+
+    def _entry(self, num, den):
+        return num
+
+    def _entries(self, nums, den):
+        return nums
+
+    def _form(self, row):
+        return row.entries if isinstance(row, Vec) else row, 1
+
+    def _row_form(self, ratios):
+        return [n for n, _ in ratios], 1
+
+    def _plus(self, a, b, sign):
+        p = self.p
+        return [(x + sign * y) % p for x, y in zip(a[0], b[0])], 1
+
+    def _scale(self, c, form):
+        p = self.p
+        return [c * x % p for x in form[0]], 1
+
+    def _shift(self, m, c):
+        p = self.p
+        return [((*r[:i], (r[i] + c) % p, *r[i + 1:]), 1) for i, r in enumerate(m.rows)]
+
+    def _row_map(self, rows, ncols):
+        p, cols = self.p, None
+
+        def times(x):
+            nonlocal cols
+            if _sparse(x, ncols):
+                out = _combine([0] * ncols, x, rows)
+            else:
+                cols = cols or list(zip(*rows))
+                out = [sum(map(mul, x, col)) for col in cols]
+            return [y % p for y in out]
+        return times
+
+    def _clear(self, v, e, c):
+        f, p = v[c], self.p
+        return [(x - f * y) % p for x, y in zip(v, e)]
+
+    def _lead(self, n, v):
+        lead = next(filter(None, v), 0)  # the first nonzero entry, at C speed
+        if not lead:
+            return None
+        i, p = v.index(lead), self.p
+        if lead != 1:
+            c = pow(lead, -1, p)
+            v = [c * x % p for x in v]
+        return i, v
+
+    def _reduce(self, s, v):
+        p = self.p
+        return [x % p for x in _Rationals._reduce(self, s, v)]
+
+    # kept: the entries alone; a `Subspace`'s basis is its integer rows
+    def _vec(self, entries, form):
+        return form[0] if entries is None else entries, None
+
+    def _mat(self, rows, ncols, forms):
+        return tuple([tuple(nums) for nums, _ in forms]) if rows is None else rows, None
+
+    def _subspace(self, rows, pairs):
+        basis = tuple(map(tuple, rows))
+        return basis, basis, pairs
+
+
+class _PackedPrimes(_ListPrimes):
+    """GF(p)'s row kernels for p <= 13: rows packed into ints (`_pack`),
+    echelon rows monic, keyed by the shift of their leading slot."""
+
+    __slots__ = ("_table",)
+    _descending = True  # a larger shift is an earlier column
+    _MOD = {p: bytes(x % p for x in range(256)) for p in (2, 3, 5, 7, 11, 13)}  # byte -> byte % p
+
+    def __init__(self, p):
+        super().__init__(p)
+        self._table = self._MOD[p]
+
+    def _row_map(self, rows, ncols):
+        """x @ M summed in the slots of M's rows, packed once, over x's nonzero
+        entries, reduced mod p whenever another term could carry out of a byte."""
+        p, table = self.p, self._table
+        words, room = [_pack(r) for r in rows], (256 - p) // (p - 1) ** 2
+
+        def times(x):
+            acc, left = 0, room
+            for a, w in zip(x, words):
+                if a:
+                    if not left:
+                        acc = int.from_bytes(acc.to_bytes(ncols, "big").translate(table), "big")
+                        left = room
+                    acc += a * w
+                    left -= 1
+            return acc.to_bytes(ncols, "big").translate(table)
+        return times
+
+    def _residue(self, n, v, echelon):
+        """v may be a list and comes back packed; a slot holding f is cleared
+        by adding (p - f) times the row, over GF(2) by an XOR."""
+        if type(v) is not int:
+            v = _pack(v)
+        p, table = self.p, self._table
+        for s, e in echelon:
+            f = v >> s & 255
+            if f:
+                v = v ^ e if p == 2 else int.from_bytes(
+                    (v + (p - f) * e).to_bytes(n, "big").translate(table), "big")
+        return v
+
+    def _lead(self, n, v):
+        if not v:
+            return None
+        s = v.bit_length() - 1 & ~7
+        if v >> s != 1:
+            v = int.from_bytes(
+                (v * pow(v >> s, -1, self.p)).to_bytes(n, "big").translate(self._table), "big")
+        return s, v
+
+    def _unpacked(self, n, pairs):
+        return [e.to_bytes(n, "big") for _, e in pairs], [n - 1 - (s >> 3) for s, _ in pairs]
+
+    def _reduce(self, s, v):
+        """The packed residue of the whole row, as bytes."""
+        n = s.ambient_dim
+        return self._residue(n, v, s._packed()).to_bytes(n, "big")
+
+    def _contains(self, s, other):
+        pairs, n = s._packed(), s.ambient_dim
+        return not any(self._residue(n, e, pairs) for _, e in other._packed())
+
+    def _packed(self, s):
+        n = s.ambient_dim
+        pairs = [(8 * (n - 1 - c), _pack(r)) for r, c in zip(s.basis, s.pivots)]
+        _set(s, "_pairs", pairs)
+        return pairs
+
+
 QQ = Field(None)
 
 
@@ -230,37 +462,15 @@ def _check_same_field(a, b):
         raise FieldMismatchError(f"{a.field} vs {b.field}")
 
 
-def _add(p, r, s):
-    """Entrywise r + s of canonical rows; zero operands are free over QQ."""
-    if p is not None:
-        return [(x + y) % p for x, y in zip(r, s)]
-    return [x + y if x and y else x or y for x, y in zip(r, s)]
-
-
-def _sub(p, r, s):
-    """Entrywise r - s of canonical rows; zeros in s are free over QQ."""
-    if p is not None:
-        return [(x - y) % p for x, y in zip(r, s)]
-    return [x - y if y else x for x, y in zip(r, s)]
-
-
-def _scale(p, c, r):
-    """c times a canonical row, for a canonical scalar c."""
-    if p is not None:
-        return [c * x % p for x in r]
-    return [c * x if x else x for x in r]
-
-
 def _lazy(cls, name, build):
-    """The subclass of cls, of the same name, for QQ objects made from their
-    integer forms alone: they leave slot name unset, and its first read fills
-    it with build(self).  cls has no `__getattr__`, which would slow every
-    attribute read of its other objects, GF(p) ones included."""
+    """The subclass of cls, of the same name, for QQ objects made from forms
+    alone: the first read of slot name fills it with build(self).  cls has no
+    `__getattr__`, which would slow every attribute read of its objects."""
     def __getattr__(self, attr):
         if attr != name:
             raise AttributeError(attr)
         value = build(self)
-        object.__setattr__(self, name, value)
+        _set(self, name, value)
         return value
     return type(cls.__name__, (cls,), {"__slots__": (), "__getattr__": __getattr__})
 
@@ -273,19 +483,18 @@ class Vec:
     def __new__(cls, field, entries):
         return cls._of(field, [field.coerce(x) for x in entries])
 
-    @classmethod
-    def _of(cls, field, entries, form=None):
-        """Trusted constructor for entries that are already canonical; over QQ
-        it keeps them as (numerators, denominator) in lowest terms, form if
-        given, else from `_int_row`.  Without entries they are the form's:
-        over QQ built on first read."""
-        lazy = entries is None and field.p is None
-        v = object.__new__(_LazyVec if lazy else cls)
-        object.__setattr__(v, "field", field)
-        if not lazy:
-            entries = tuple(form[0] if entries is None else entries)
-            object.__setattr__(v, "entries", entries)
-        object.__setattr__(v, "_int", None if field.p else form or _int_row(entries))
+    @staticmethod
+    def _of(field, entries, form=None):
+        """Trusted constructor from canonical entries, a form (`_int`, in
+        lowest terms) or both, keeping what the field's `_vec` says."""
+        entries, form = field._ops._vec(entries, form)
+        if entries is None:
+            v = object.__new__(_LazyVec)
+        else:
+            v = object.__new__(Vec)
+            _set(v, "entries", tuple(entries))
+        _set(v, "field", field)
+        _set(v, "_int", form)
         return v
 
     def __setattr__(self, name, value):
@@ -303,20 +512,22 @@ class Vec:
         if self.dim != other.dim:
             raise ShapeError("vector dims differ")
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         self._match(other)
-        return Vec._of(self.field, _add(self.field.p, self.entries, other.entries))
+        ops = self.field._ops
+        nums, den = ops._plus(ops._form(self), ops._form(other), sign)
+        return Vec._of(self.field, None, _lowest(nums, den))
 
     def __sub__(self, other):
-        self._match(other)
-        return Vec._of(self.field, _sub(self.field.p, self.entries, other.entries))
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return Vec._of(self.field, _scale(self.field.p, -1, self.entries))
+        return self.scale(-1)
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        return Vec._of(self.field, _scale(self.field.p, c, self.entries))
+        ops = self.field._ops
+        nums, den = ops._scale(self.field.coerce(c), ops._form(self))
+        return Vec._of(self.field, None, _lowest(nums, den))
 
     def __matmul__(self, m):
         """Row action v @ g."""
@@ -325,7 +536,7 @@ class Vec:
         _check_same_field(self, m)
         if self.dim != m.nrows:
             raise ShapeError("vector/matrix shapes differ")
-        (form,) = _images([_form(self.field, self)], m)
+        (form,) = _images([self.field._ops._form(self)], m)
         return Vec._of(self.field, None, form)
 
     def __eq__(self, other):
@@ -361,12 +572,11 @@ class Vec:
         return cls._of(field, [field.zero] * dim)
 
 
-_LazyVec = _lazy(Vec, "entries", lambda v: tuple(_entries(None, *v._int)))
+_LazyVec = _lazy(Vec, "entries", lambda v: tuple(v.field._ops._entries(*v._int)))
 
 
 def _int_row(row):
-    """(numerators, denominator) of a row of Fractions or ints over its
-    lcm denominator: the integer form of a row that lacks one."""
+    """(numerators, denominator) of a row of Fractions or ints over its lcm denominator."""
     pairs = [x.as_integer_ratio() for x in row]
     den = math.lcm(*[d for _, d in pairs])
     if den == 1:
@@ -374,35 +584,28 @@ def _int_row(row):
     return [n * (den // d) for n, d in pairs], den
 
 
-def _form(field, row):
-    """(numerators, denominator) of a `Vec` or canonical row: the kernels'
-    form, whose numerators alone do for spans and membership.
+def _reduced_leads(forms, n):
+    """The lead columns of rows of width n, given as forms, when they are in
+    reduced echelon form (leads increasing, each lead entry the row's
+    denominator and alone in its column), else None."""
+    ints, leads = [nums for nums, _ in forms], []
+    for i, (nums, d) in enumerate(forms):
+        lead = next(filter(None, nums), 0)  # the first nonzero entry, at C speed
+        c = nums.index(lead) if lead else n
+        if not (leads[-1] if leads else -1) < c < n or lead != d or any(
+                map(itemgetter(c), ints[:i])):
+            return None
+        leads.append(c)
+    return leads
 
-    Over GF(p) it is the entries over 1.  Over QQ a `Vec` keeps its form, a
-    row of ints is its own numerators over 1, and other rows go through
-    `_int_row`.
-    """
-    if isinstance(row, Vec):
-        return row._int or (row.entries, 1)
-    if field.p is not None or all(type(x) is int for x in row):
-        return row, 1
-    return _int_row(row)
 
-
-def _row_form(field, ratios):
-    """(entries, kernel form, lead column) of a parsed row, at least one
-    `Field._ratio`: over QQ no entries (the constructors build them from the
-    form) and the numerators over their lcm denominator, for p <= 13 the
-    packed int, else the entries; the lead column is the first nonzero one,
-    the width for a zero row."""
-    entries = ints = [n for n, _ in ratios]
-    form = _pack(entries) if field.p in _MOD else entries
-    if field.p is None:
-        den = math.lcm(*[d for _, d in ratios])
-        ints = [n * (den // d) for n, d in ratios]
-        entries, form = None, (ints, den)
-    lead = next(filter(None, ints), 0)  # the first nonzero entry, at C speed
-    return entries, form, ints.index(lead) if lead else len(ints)
+def _lowest(nums, den):
+    """The form (nums, den > 0) in lowest terms."""
+    if den > 1:
+        g = math.gcd(den, *nums)
+        if g > 1:
+            return [x // g for x in nums], den // g
+    return nums, den
 
 
 def _coerced(field, r, width, message):
@@ -415,21 +618,11 @@ def _coerced(field, r, width, message):
     return r
 
 
-def _entries(p, nums, den):
-    """Canonical entries of the form (nums, den): over GF(p), where forms and
-    echelon pivots are over 1, nums; over QQ the Fractions nums[j] / den."""
-    if p is not None:
-        return nums
-    if den == 1:
-        return [Fraction(x) if x else _ZERO for x in nums]
-    return [Fraction(x, den) if x else _ZERO for x in nums]
-
-
 def _common(forms):
     """(den, rows): den the lcm of the forms' denominators, and each form's
     numerators brought over it."""
     den = math.lcm(*[d for _, d in forms])
-    return den, [nums if d == den else _scale(None, den // d, nums) for nums, d in forms]
+    return den, [nums if d == den else list(map(mul, repeat(den // d), nums)) for nums, d in forms]
 
 
 def _sparse(coeffs, width):
@@ -445,63 +638,15 @@ def _combine(acc, coeffs, rows):
     return acc
 
 
-def _row_map(field, rows, ncols):
-    """x -> x @ M on integer rows x, for M the matrix with these integer rows.
-    For p <= 13 the rows are packed once (`_pack`) and x @ M is summed in
-    their slots, reduced mod p whenever another term could carry out of a
-    byte.  Otherwise a sparse x (`_sparse`) is the sum of the rows it
-    selects (`_combine`), a dense one a dot product per column, the same
-    integer sums, reduced mod p over GF(p)."""
-    p = field.p
-    if p in _MOD:
-        words, mod, room = [_pack(r) for r in rows], _MOD[p], (256 - p) // (p - 1) ** 2
-
-        def times(x):
-            acc, left = 0, room
-            for a, w in zip(x, words):
-                if a:
-                    if not left:
-                        acc = int.from_bytes(acc.to_bytes(ncols, "big").translate(mod), "big")
-                        left = room
-                    acc += a * w
-                    left -= 1
-            return acc.to_bytes(ncols, "big").translate(mod)
-        return times
-
-    cols = None
-
-    def times(x):
-        nonlocal cols
-        if _sparse(x, ncols):
-            out = _combine([0] * ncols, x, rows)
-        else:
-            cols = cols or list(zip(*rows))
-            out = [sum(map(mul, x, col)) for col in cols]
-        return out if p is None else [y % p for y in out]
-    return times
-
-
 def _images(forms, m):
-    """r @ m for rows r given as (numerators, denominator), in the same
-    form and in lowest terms: each numerator row through m's right factor
-    (`Mat._right`), the denominators multiplied."""
+    """r @ m for forms r, as forms in lowest terms: each numerator row through
+    m's right factor (`Mat._right`), the denominators multiplied."""
     den, times = m._right()
     out = []
     for nums, d in forms:
         prod, d = times(nums), d * den
-        if d > 1:
-            g = math.gcd(d, *prod)
-            if g > 1:
-                prod = [x // g for x in prod]
-                d //= g
-        out.append((prod, d))
+        out.append((prod, d) if d == 1 else _lowest(prod, d))
     return out
-
-
-def _plus(p, a, b, sign):
-    """a + sign * b (sign +-1) for rows as (numerators, denominator), over their lcm."""
-    m, (x, y) = _common([a, b])
-    return (_add if sign > 0 else _sub)(p, x, y), m
 
 
 class Mat:
@@ -519,40 +664,38 @@ class Mat:
             raise ShapeError("empty matrix needs explicit ncols")
         return cls._of(field, rows, ncols)
 
-    @classmethod
-    def _of(cls, field, rows, ncols, forms=None):
-        """Trusted constructor for rectangular rows of canonical entries; over
-        QQ it keeps each row as (numerators, denominator), forms if given,
-        else all entries from one `_int_row` over one denominator.  Without
-        rows they are the forms': over QQ built on first read."""
-        lazy = rows is None and field.p is None
-        m = object.__new__(_LazyMat if lazy else cls)
-        if not lazy:
-            rows = tuple(map(tuple, [nums for nums, _ in forms] if rows is None else rows))
-            object.__setattr__(m, "rows", rows)
-        if forms is None and field.p is None:
-            flat, den = _int_row([x for r in rows for x in r])
-            forms = [(flat[i * ncols:(i + 1) * ncols], den) for i in range(len(rows))]
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "nrows", len(forms if rows is None else rows))
-        object.__setattr__(m, "ncols", ncols)
-        object.__setattr__(m, "_int_forms", forms if field.p is None else None)
-        object.__setattr__(m, "_as_factor", None)
+    @staticmethod
+    def _of(field, rows, ncols, forms=None):
+        """Trusted constructor from rectangular rows of canonical entries,
+        forms (`_int_forms`) or both, keeping what the field's `_mat` says."""
+        rows = rows if rows is None else tuple(map(tuple, rows))
+        rows, forms = field._ops._mat(rows, ncols, forms)
+        if rows is None:
+            m = object.__new__(_LazyMat)
+        else:
+            m = object.__new__(Mat)
+            _set(m, "rows", rows)
+        _set(m, "field", field)
+        _set(m, "nrows", len(forms if rows is None else rows))
+        _set(m, "ncols", ncols)
+        _set(m, "_int_forms", forms)
+        _set(m, "_as_factor", None)
         return m
 
     def _forms(self):
-        """Each row as (numerators, denominator): over GF(p) over 1, over QQ
-        the kept `_int_forms`."""
-        return self._int_forms if self.field.p is None else [(r, 1) for r in self.rows]
+        """Each row as a form: the kept `_int_forms`, or the rows over 1."""
+        forms = self._int_forms
+        return [(r, 1) for r in self.rows] if forms is None else forms
 
     def _right(self):
         """(den, times): den * self has integer rows, den = 1 over GF(p), and
         times is x -> x @ (den * self) on integer rows (`_row_map`); cached."""
         factor = self._as_factor
         if factor is None:
-            den, rows = (1, self.rows) if self.field.p is not None else _common(self._forms())
-            factor = den, _row_map(self.field, rows, self.ncols)
-            object.__setattr__(self, "_as_factor", factor)
+            forms = self._int_forms  # none kept: the rows are their own forms
+            den, rows = (1, self.rows) if forms is None else _common(forms)
+            factor = den, self.field._ops._row_map(rows, self.ncols)
+            _set(self, "_as_factor", factor)
         return factor
 
     def __setattr__(self, name, value):
@@ -585,26 +728,18 @@ class Mat:
         return not any(any(nums) for nums, _ in self._forms())
 
     def is_identity(self):
-        if not self.is_square():
-            return False
         one = self.field.one
-        return all(
-            x == (one if i == j else 0)
-            for i, r in enumerate(self.rows)
-            for j, x in enumerate(r)
-        )
+        return self.is_square() and all(
+            x == (one if i == j else 0) for i, r in enumerate(self.rows) for j, x in enumerate(r))
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         self._match(other)
-        p = self.field.p
-        rows = [_add(p, r, s) for r, s in zip(self.rows, other.rows)]
-        return Mat._of(self.field, rows, self.ncols)
+        plus = self.field._ops._plus
+        forms = [plus(a, b, sign) for a, b in zip(self._forms(), other._forms())]
+        return Mat._of(self.field, None, self.ncols, forms)
 
     def __sub__(self, other):
-        self._match(other)
-        p = self.field.p
-        rows = [_sub(p, r, s) for r, s in zip(self.rows, other.rows)]
-        return Mat._of(self.field, rows, self.ncols)
+        return self.__add__(other, -1)
 
     def _match(self, other):
         _check_same_field(self, other)
@@ -612,13 +747,11 @@ class Mat:
             raise ShapeError("matrix shapes differ")
 
     def __neg__(self):
-        p = self.field.p
-        return Mat._of(self.field, [_scale(p, -1, r) for r in self.rows], self.ncols)
+        return self.scale(-1)
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        p = self.field.p
-        return Mat._of(self.field, [_scale(p, c, r) for r in self.rows], self.ncols)
+        c, scale = self.field.coerce(c), self.field._ops._scale
+        return Mat._of(self.field, None, self.ncols, [scale(c, f) for f in self._forms()])
 
     def __matmul__(self, other):
         if not isinstance(other, Mat):
@@ -626,11 +759,7 @@ class Mat:
         _check_same_field(self, other)
         if self.ncols != other.nrows:
             raise ShapeError("inner dimensions differ")
-        field = self.field
-        if field.p is None:
-            return Mat._of(field, None, other.ncols, _images(self._forms(), other))
-        times = other._right()[1]  # den is 1: the rows go through times as they are
-        return Mat._of(field, [times(r) for r in self.rows], other.ncols)
+        return Mat._of(self.field, None, other.ncols, _images(self._forms(), other))
 
     def pow(self, e):
         if not self.is_square():
@@ -689,11 +818,11 @@ class Mat:
         return f"Mat[{body}]"
 
 
-_LazyMat = _lazy(Mat, "rows", lambda m: tuple(tuple(_entries(None, *f)) for f in m._int_forms))
+_LazyMat = _lazy(Mat, "rows", lambda m: tuple(
+    tuple(m.field._ops._entries(*f)) for f in m._int_forms))
 
 
 # -- one elimination for every row form (see the module docstring) ------------
-_MOD = {p: bytes(x % p for x in range(256)) for p in (2, 3, 5, 7, 11, 13)}  # byte -> byte % p
 
 
 def _pack(row):
@@ -701,129 +830,65 @@ def _pack(row):
     return int.from_bytes(bytes(row), "big")
 
 
-def _residue(p, n, v, echelon):
-    """Row v of width n cleared in turn by each (key, row) pair of echelon,
-    whose row is normalized at its key and zero at the keys before it.
-
-    For p <= 13 v may be a list and comes back packed, and a slot holding f
-    is cleared by adding (p - f) times the row, over GF(2) by an XOR.
-    """
-    if p not in _MOD:
-        for c, e in echelon:
-            if v[c]:
-                v = _clear(p, v, e, c)
-        return v
-    if type(v) is not int:
-        v = _pack(v)
-    for s, e in echelon:
-        f = v >> s & 255
-        if f:
-            v = v ^ e if p == 2 else int.from_bytes(
-                (v + (p - f) * e).to_bytes(n, "big").translate(_MOD[p]), "big")
-    return v
-
-
-def _lead(p, n, v):
-    """(key, v normalized there) for the leading entry of a `_residue` v, or
-    None when v is zero: monic over GF(p), primitive with a positive leading
-    entry over QQ."""
-    if p in _MOD:
-        if not v:
-            return None
-        s = v.bit_length() - 1 & ~7
-        if v >> s != 1:
-            v = int.from_bytes(
-                (v * pow(v >> s, -1, p)).to_bytes(n, "big").translate(_MOD[p]), "big")
-        return s, v
-    lead = next(filter(None, v), 0)  # the first nonzero entry, at C speed
-    if not lead:
-        return None
-    if p is not None:
-        return v.index(lead), v if lead == 1 else _scale(p, pow(lead, -1, p), v)
-    g = math.gcd(*v) if lead > 0 else -math.gcd(*v)
-    return v.index(lead), v if g == 1 else [x // g for x in v]
-
-
-def _echelon(p, n, rows, start=()):
-    """The (key, row) pairs of the reduced echelon form of rows of width n
-    (lists, or for p <= 13 also packed ints), in pivot order, together with
-    start, pairs already in reduced echelon form.
-
-    A forward pass, from start, clears each row by the pairs so far and
-    appends its nonzero residue, normalized by `_lead`, until the width is
-    reached; a back-substitution from the bottom up then clears each row by
-    the rows below it, which are reduced already."""
+def _echelon(ops, n, rows, start=()):
+    """The (key, row) pairs, in pivot order, of the reduced echelon form of
+    rows of width n and of start, pairs in that form already, by the row
+    kernels ops: a forward pass from start appends each row's nonzero
+    residue, normalized, until the width is reached; a back-substitution
+    from the bottom up clears each row by the reduced rows below it."""
+    residue, lead = ops._residue, ops._lead
     out = list(start)
     for v in rows:
         if len(out) == n:
             break
-        v = _residue(p, n, v, out)
-        pair = v and _lead(p, n, v)  # a zero packed residue is 0
+        v = residue(n, v, out)
+        pair = v and lead(n, v)  # a zero packed residue is 0
         if pair:
             out.append(pair)
-    out.sort(reverse=p in _MOD)  # a larger shift is an earlier column
+    out.sort(reverse=ops._descending)
     for i in range(len(out) - 2, -1, -1):
-        out[i] = out[i][0], _residue(p, n, out[i][1], out[i + 1:])
+        out[i] = out[i][0], residue(n, out[i][1], out[i + 1:])
     return out
 
 
-def _unpacked(p, n, pairs):
-    """(rows, pivot columns) of `_echelon` pairs, packed rows as bytes."""
-    if p in _MOD:
-        return [e.to_bytes(n, "big") for _, e in pairs], [n - 1 - (s >> 3) for s, _ in pairs]
-    return [e for _, e in pairs], [c for c, _ in pairs]
-
-
 def _eliminate(field, rows):
-    """(nonzero rows, pivot cols) of the reduced row echelon form of rows in
-    kernel form (the numerators of `_form`), by one `_echelon`: over GF(p)
-    monic, for p <= 13 as bytes; over QQ primitive, each its reduced row
-    times its pivot entry, which is positive and which `_entries` divides out."""
-    n = len(rows[0]) if rows else 0
-    return _unpacked(field.p, n, _echelon(field.p, n, rows))
-
-
-def _clear(p, v, e, c):
-    """v with column c cleared by the echelon row e whose pivot is c, for
-    v[c] nonzero; both are lists in kernel form.  Over GF(p) e is monic.
-    Over QQ v becomes a*v - b*e, with a and b the pivot and the entry
-    divided by their gcd, divided by its content."""
-    f = v[c]
-    if p is not None:
-        return [(x - f * y) % p for x, y in zip(v, e)]
-    g = math.gcd(e[c], f)
-    a, b = e[c] // g, f // g
-    v = [a * x - b * y for x, y in zip(v, e)]
-    g = math.gcd(*v)
-    return [x // g for x in v] if g > 1 else v
+    """(nonzero rows, pivot cols) of the reduced echelon form of rows in
+    kernel form (the numerators of `_form`), by one `_echelon`."""
+    n, ops = len(rows[0]) if rows else 0, field._ops
+    return ops._unpacked(n, _echelon(ops, n, rows))
 
 
 class Subspace:
     """Row space in canonical reduced echelon form; equality is syntactic."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_int_rows", "_int_cols")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_int_rows", "_pairs", "_int_cols")
 
     def __new__(cls, field, ambient_dim, basis, pivots):
-        """The subspace with this basis in reduced echelon form and its pivots."""
-        rows = [[field.coerce(x) for x in r] for r in basis]
-        if field.p is None:
-            rows = [_int_row(r)[0] for r in rows]
-        return cls._of(field, ambient_dim, rows, pivots)
+        """The subspace with this basis and these pivots; ValueError unless
+        the coerced basis is in reduced echelon form with exactly those pivots."""
+        form = field._ops._form
+        forms = [form([field.coerce(x) for x in r]) for r in basis]
+        if any(len(nums) != ambient_dim for nums, _ in forms) or (
+                _reduced_leads(forms, ambient_dim) != list(pivots)):
+            raise ValueError("basis is not in reduced echelon form with these pivots")
+        return cls._of(field, ambient_dim, [nums for nums, _ in forms], pivots)
 
-    @classmethod
-    def _of(cls, field, ambient_dim, rows, pivots, packed=None):
-        """Trusted constructor from the rows of `_rows()` and the pivots: over
-        QQ the primitive integer rows, kept, and the basis built from them on
-        first read; over GF(p) the basis, with the `_packed` pairs if given."""
-        lazy = field.p is None
-        s = object.__new__(_LazySubspace if lazy else cls)
-        if not lazy:
-            object.__setattr__(s, "basis", tuple(map(tuple, rows)))
-        object.__setattr__(s, "field", field)
-        object.__setattr__(s, "ambient_dim", ambient_dim)
-        object.__setattr__(s, "pivots", tuple(pivots))
-        object.__setattr__(s, "_int_rows", rows if lazy else packed)
-        object.__setattr__(s, "_int_cols", None)
+    @staticmethod
+    def _of(field, ambient_dim, rows, pivots, pairs=None):
+        """Trusted constructor from the kernel rows, the pivots and, if
+        given, the `_echelon` pairs, keeping what the field's `_subspace` says."""
+        basis, rows, pairs = field._ops._subspace(rows, pairs)
+        if basis is None:
+            s = object.__new__(_LazySubspace)
+        else:
+            s = object.__new__(Subspace)
+            _set(s, "basis", basis)
+        _set(s, "_int_rows", rows)
+        _set(s, "_pairs", pairs)
+        _set(s, "field", field)
+        _set(s, "ambient_dim", ambient_dim)
+        _set(s, "pivots", tuple(pivots))
+        _set(s, "_int_cols", None)
         return s
 
     def __setattr__(self, name, value):
@@ -838,38 +903,27 @@ class Subspace:
 
     @classmethod
     def _span(cls, field, ambient_dim, rows):
-        """`span` of `Vec`s or canonical rows of width ambient_dim; over QQ
-        also of integer rows, as a span ignores scaling."""
-        return cls._of_rows(field, ambient_dim, [_form(field, r)[0] for r in rows])
+        """`span` of `Vec`s, canonical rows or integer rows of width ambient_dim."""
+        form = field._ops._form
+        return cls._of_rows(field, ambient_dim, [form(r)[0] for r in rows])
 
     @classmethod
     def _of_rows(cls, field, ambient_dim, rows, start=()):
-        """Span of rows in kernel form (see `_eliminate`; for p <= 13 also
-        packed ints) and of the `_echelon` pairs start.  Each basis row is its
-        echelon row over the pivot entry, 1 over GF(p); the subspace keeps the
-        `_echelon` pairs for p <= 13 and over QQ the primitive integer rows,
-        with positive pivot entries."""
-        p = field.p
-        pairs = _echelon(p, ambient_dim, rows, start)
-        ints, pivots = _unpacked(p, ambient_dim, pairs)
-        return cls._of(field, ambient_dim, ints, pivots, pairs if p in _MOD else None)
+        """Span of rows in kernel form (see `_eliminate`; packed ints too for
+        packed primes) and of the `_echelon` pairs start."""
+        ops = field._ops
+        pairs = _echelon(ops, ambient_dim, rows, start)
+        ints, pivots = ops._unpacked(ambient_dim, pairs)
+        return cls._of(field, ambient_dim, ints, pivots, pairs)
 
     @classmethod
-    def _parsed(cls, field, ambient_dim, rows):
-        """Span of `_row_form` rows: a block in reduced echelon form (leads
-        strictly increasing, each lead entry 1 and alone in its column, read
-        off the integer rows) is its own canonical basis and keeps its forms,
-        over QQ the numerators (the lead entry is the denominator), for
-        p <= 13 (shift, packed) pairs; any other block goes through `_span`."""
-        p, c = field.p, -1
-        ints = [f[0] if p is None else e for e, f, _ in rows]
-        for i, ((_, f, lead), r) in enumerate(zip(rows, ints)):
-            if not c < lead < ambient_dim or r[lead] != (1 if p else f[1]) or any(
-                    map(itemgetter(lead), ints[:i])):
-                return cls._span(field, ambient_dim, ints)
-            c = lead
-        return cls._of(field, ambient_dim, ints, [lead for _, _, lead in rows], [
-            (8 * (ambient_dim - 1 - lead), f) for _, f, lead in rows] if p in _MOD else None)
+    def _parsed(cls, field, ambient_dim, forms):
+        """Span of parsed row forms: a block in reduced echelon form is its
+        own canonical basis and keeps its numerators; others go through `_span`."""
+        ints, leads = [nums for nums, _ in forms], _reduced_leads(forms, ambient_dim)
+        if leads is None:
+            return cls._span(field, ambient_dim, ints)
+        return cls._of(field, ambient_dim, ints, leads)
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -895,27 +949,16 @@ class Subspace:
         return [Vec._of(self.field, None, f) for f in self._forms()]
 
     def _forms(self):
-        """Each basis row as (numerators, denominator): `_rows()` over the
-        pivot entry, 1 over GF(p)."""
-        return [(r, r[c]) for r, c in zip(self._rows(), self.pivots)]
+        """Each basis row as a form: its kernel row over the pivot entry."""
+        return [(r, r[c]) for r, c in zip(self._int_rows, self.pivots)]
 
     def _rows(self):
-        """The basis in kernel form (see `_eliminate`): over QQ row i is the
-        primitive integer multiple of basis[i], its pivot entry its denominator,
-        kept (`_int_rows`)."""
-        return self.basis if self.field.p is not None else self._int_rows
+        """The basis in kernel form (see `_eliminate`)."""
+        return self._int_rows
 
     def _packed(self):
-        """The basis as `_echelon` gives it, (key, row) pairs: for p <= 13
-        (shift, packed row), kept or packed once; else (pivot, `_rows()` row)."""
-        if self.field.p not in _MOD:
-            return list(zip(self.pivots, self._rows()))
-        pairs = self._int_rows
-        if pairs is None:
-            n = self.ambient_dim
-            pairs = [(8 * (n - 1 - c), _pack(r)) for r, c in zip(self.basis, self.pivots)]
-            object.__setattr__(self, "_int_rows", pairs)
-        return pairs
+        """The basis as `_echelon` (key, row) pairs: kept, or the field's `_packed`."""
+        return self._pairs or self.field._ops._packed(self)
 
     def _integer_columns(self):
         """(den, non-pivot columns, times), cached: times is x -> x @ B
@@ -924,27 +967,19 @@ class Subspace:
         if form is None:
             den, rows = _common(self._forms())
             free = sorted(set(range(self.ambient_dim)).difference(self.pivots))
-            form = den, free, _row_map(self.field, [[r[c] for c in free] for r in rows], len(free))
-            object.__setattr__(self, "_int_cols", form)
+            times = self.field._ops._row_map([[r[c] for c in free] for r in rows], len(free))
+            form = den, free, times
+            _set(self, "_int_cols", form)
         return form
 
     def _reduce(self, v):
-        """Residue of v, a row in kernel form, after elimination against
-        the basis.  For p <= 13 it is the packed residue, as bytes.  Otherwise
-        it is taken on the non-pivot columns only (it vanishes on the others),
-        over QQ scaled to integers: den * v there minus v's pivot entries
-        times the basis there (`_integer_columns`)."""
-        p = self.field.p
-        if p in _MOD:
-            n = self.ambient_dim
-            return _residue(p, n, v, self._packed()).to_bytes(n, "big")
-        den, free, times = self._integer_columns()
-        residue = [den * v[c] - y for c, y in zip(free, times([v[c] for c in self.pivots]))]
-        return residue if p is None else [x % p for x in residue]
+        """Residue of v, a row in kernel form, modulo the basis: zero exactly
+        for members (the field's `_reduce`)."""
+        return self.field._ops._reduce(self, v)
 
     def contains_vec(self, v):
         v = _coerced(self.field, v, self.ambient_dim, "vector dim differs from ambient dimension")
-        return not any(self._reduce(_form(self.field, v)[0]))
+        return not any(self._reduce(self.field._ops._form(v)[0]))
 
     def contains(self, other):
         self._match(other)
@@ -952,11 +987,7 @@ class Subspace:
             return True
         if other.dim > self.dim:
             return False
-        p, n = self.field.p, self.ambient_dim
-        if p in _MOD:
-            pairs = self._packed()
-            return not any(_residue(p, n, e, pairs) for _, e in other._packed())
-        return not any(any(self._reduce(r)) for r in other._rows())
+        return self.field._ops._contains(self, other)
 
     def _match(self, other):
         if self.field != other.field:
@@ -973,28 +1004,20 @@ class Subspace:
         return Subspace._of_rows(self.field, self.ambient_dim, rows, big._packed())
 
     def intersect(self, other):
-        """Zassenhaus double-block elimination.
-
-        When the smaller operand lies in the larger one (a full operand
-        included), it is the answer: canonical form makes it equal to
-        what the elimination builds.
-        """
+        """Zassenhaus double-block elimination, unless the smaller operand lies
+        in the larger one: then it is the answer, by canonical form."""
         self._match(other)
         small, big = (self, other) if self.dim <= other.dim else (other, self)
         if big.is_full() or big.contains(small):
             return small
         n = self.ambient_dim
         zeros = [0] * n
-        rows = [[*r, *r] for r in self._rows()] + [[*r, *zeros] for r in other._rows()]
+        rows = [[*r, *r] for r in self._int_rows] + [[*r, *zeros] for r in other._int_rows]
         reduced, pivots = _eliminate(self.field, rows)
         out = [r[n:] for r, c in zip(reduced, pivots) if c >= n]
         return Subspace._of_rows(self.field, n, out)
 
-    def __add__(self, other):
-        return self.sum(other)
-
-    def __and__(self, other):
-        return self.intersect(other)
+    __add__, __and__ = sum, intersect
 
     def __le__(self, other):
         return other.contains(self)
@@ -1008,28 +1031,25 @@ class Subspace:
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
             and self.pivots == other.pivots
-            # over QQ the primitive integer rows are canonical too
-            and (self.basis == other.basis if self.field.p else
-                 [*map(tuple, self._rows())] == [*map(tuple, other._rows())])
+            # the kernel rows are canonical
+            and [*map(tuple, self._int_rows)] == [*map(tuple, other._int_rows)]
         )
 
     def __hash__(self):
         return hash((self.field, self.ambient_dim, self.basis))
 
     def _extend(self, rows, dim=None):
-        """The rows, in order, that lie outside the span of this subspace
-        and the rows before them.
-
-        Rows are `Vec`s or canonical tuples, in any iterable, and are
-        returned as given.  Once the span reaches dimension dim (default:
-        the ambient one) it stops, without drawing another row.
-        """
+        """The rows (`Vec`s or canonical tuples, in any iterable), as given
+        and in order, that lie outside the span of this subspace and the
+        rows before them; it stops, drawing no other row, once the span
+        reaches dimension dim (default: the ambient one)."""
         dim = self.ambient_dim if dim is None else dim
-        field, p, n = self.field, self.field.p, self.ambient_dim
+        ops, n = self.field._ops, self.ambient_dim
+        form, residue, lead = ops._form, ops._residue, ops._lead
         # the forward pass of `_echelon`, from this subspace's pairs
         echelon, new = list(self._packed()), []
         for row in rows if len(echelon) < dim else ():
-            pair = _lead(p, n, _residue(p, n, _form(field, row)[0], echelon))
+            pair = lead(n, residue(n, form(row)[0], echelon))
             if pair:
                 echelon.append(pair)
                 new.append(row)
@@ -1043,14 +1063,14 @@ class Subspace:
         the dimension of x, so this is the normalization test x m = x."""
         if self.is_full():
             return True
-        images = _images([(r, 1) for r in self._rows()], m)
+        images = _images([(r, 1) for r in self._int_rows], m)
         return not any(any(self._reduce(v)) for v, _ in images)
 
     def apply(self, m):
         """Image of this subspace under the row action of m."""
         if m.nrows != self.ambient_dim:
             raise ShapeError("matrix height differs from ambient dimension")
-        images = _images([(r, 1) for r in self._rows()], m)
+        images = _images([(r, 1) for r in self._int_rows], m)
         return Subspace._of_rows(self.field, m.ncols, [nums for nums, _ in images])
 
     def __repr__(self):
@@ -1060,7 +1080,7 @@ class Subspace:
 
 
 _LazySubspace = _lazy(Subspace, "basis", lambda s: tuple(
-    tuple(_entries(None, r, r[c])) for r, c in zip(s._int_rows, s.pivots)))
+    tuple(s.field._ops._entries(r, r[c])) for r, c in zip(s._int_rows, s.pivots)))
 
 
 def echelonize(m):
@@ -1093,9 +1113,9 @@ def kernel(m):
 
 def left_kernel_rows(field, rows, ncols):
     """Coefficient rows c with c @ M = 0 for the stack M; may be rectangular."""
-    reduced, pivots = _tagged(field, [_form(field, r) for r in rows], range(len(rows)))
-    rows = zip(reduced, pivots)
-    return [tuple(_entries(field.p, r[ncols:], r[c])) for r, c in rows if c >= ncols]
+    ops = field._ops
+    reduced, pivots = _tagged(field, [ops._form(r) for r in rows], range(len(rows)))
+    return [tuple(ops._entries(r[ncols:], r[c])) for r, c in zip(reduced, pivots) if c >= ncols]
 
 
 def complement_basis(u, w):
@@ -1138,10 +1158,7 @@ class QuotientMap:
             if len(reps) + u.dim != w.dim or Subspace._span(
                     u.field, u.ambient_dim, [*reps, *u.basis_vecs()]) != w:
                 raise ContainmentError("representatives do not complete a basis of u to one of w")
-        self.u = u
-        self.w = w
-        self.reps = tuple(reps)
-        self.field = u.field
+        self.u, self.w, self.reps, self.field = u, w, tuple(reps), u.field
         self.dim = len(self.reps)
         self._solver = LinearSolver(self.field, [*self.reps, *u.basis_vecs()], u.ambient_dim)
 
@@ -1188,7 +1205,7 @@ class QuotientMap:
         s, cols = self._solver, [None] * self.dim
         for tag, scale, piv in zip(s._tags, s._scales, s._pivots):
             if piv < self.dim:
-                cols[piv] = _entries(self.field.p, tag, scale)
+                cols[piv] = self.field._ops._entries(tag, scale)
         rows = zip(*cols) if cols else [()] * self.u.ambient_dim
         return Mat._of(self.field, rows, self.dim)
 
@@ -1204,37 +1221,34 @@ class LinearSolver:
 
     def __init__(self, field, rows, ncols):
         rows = [_coerced(field, r, ncols, "row width differs") for r in rows]
-        self.field = field
-        self.nrows = len(rows)
-        self.ncols = ncols
-        # The columns of den * M, for a common denominator den of the rows,
-        # with a den * identity tag block: over QQ a positive multiple of
-        # each row to eliminate, which elimination divides out.
-        den, scaled = _common([_form(field, r) for r in rows])
+        self.field, self.nrows, self.ncols = field, len(rows), ncols
+        # the columns of den * M, den a common denominator of the rows, with
+        # a den * identity tag block: positive multiples of the rows meant
+        den, scaled = _common([field._ops._form(r) for r in rows])
         columns = [([r[j] for r in scaled], den) for j in range(ncols)]
         reduced, pivots = _tagged(field, columns, range(ncols))
         m = self.nrows
-        # Tag blocks of the reduced rows; over QQ each is an integer row
-        # that still has to be divided by its row's pivot entry.  Their
-        # products with a target are one `_row_map` of the tag columns.
+        # the reduced rows' tag blocks, each over its pivot entry; their
+        # products with a target are one `_row_map` of the tag columns
         self._tags = [r[m:] for r in reduced]
         self._scales = [r[c] for r, c in zip(reduced, pivots)]
         self._pivots = pivots
         self._inside = sum(c < m for c in pivots)  # pivots ascend: these rows give y
         cols = [[t[j] for t in self._tags] for j in range(ncols)]
-        self._dots = _row_map(field, cols, len(reduced))
+        self._dots = field._ops._row_map(cols, len(reduced))
 
     def solve(self, target):
         """Coefficient row y with y @ M = target, or None."""
+        ops = self.field._ops
         target = _coerced(self.field, target, self.ncols, "target width differs")
-        nums, den = _form(self.field, target)
+        nums, den = ops._form(target)
         sums = self._dots(nums)
         if any(sums[self._inside:]):
             return None
         y = [self.field.zero] * self.nrows
         for s, scale, piv in zip(sums, self._scales, self._pivots):
             if s:
-                y[piv] = s if self.field.p else Fraction(s, scale * den)
+                y[piv] = ops._entry(s, scale * den)
         return y
 
     def contains(self, target):

@@ -19,7 +19,7 @@ the adapted vectors in the section w/u are those of level in (i, j].
 """
 
 from .errors import SeriesError, ShapeError, SingularMatrixError
-from .linalg import Mat, QuotientMap, Subspace, Vec, _coerced, _form, _images, complement_basis
+from .linalg import Mat, QuotientMap, Subspace, Vec, _coerced, _images, complement_basis
 
 __all__ = [
     "Series",
@@ -188,7 +188,7 @@ def _level_residue(v, s):
         raise SeriesError("the zero vector belongs to no jump")
     v = _coerced(s.field, v, s.ambient_dim, "vector dim differs from ambient dimension")
     members = s.members
-    row = _form(s.field, v)[0]
+    row = s.field._ops._form(v)[0]
     level, residue = _deepest(members, row, 0, len(members))
     if level == len(members) - 1:
         raise SeriesError("vector lies in the zero member")
@@ -273,17 +273,12 @@ def _complement_rows(lower, upper):
 
 
 def _minus_one(g, c=-1):
-    """g - 1, or g + c for another integer c: only the diagonal of g changes,
-    over QQ that of its row forms alone (c times each denominator added);
-    SingularMatrixError for a non-square g, as in the stabilizer test."""
+    """g - 1, or g + c for another integer c: only the diagonal of g's row
+    forms changes (the field's `_shift`); SingularMatrixError for a
+    non-square g, as in the stabilizer test."""
     if not g.is_square():
         raise SingularMatrixError("stabilizer membership needs an invertible matrix")
-    p = g.field.p
-    if p is None:
-        forms = [([*x[:i], x[i] + c * d, *x[i + 1:]], d) for i, (x, d) in enumerate(g._forms())]
-        return Mat._of(g.field, None, g.ncols, forms)
-    rows = [(*r[:i], (r[i] + c) % p, *r[i + 1:]) for i, r in enumerate(g.rows)]
-    return Mat._of(g.field, rows, g.ncols)
+    return Mat._of(g.field, None, g.ncols, g.field._ops._shift(g, c))
 
 
 def _adapted_rows(s):

@@ -14,7 +14,7 @@ is to V > 0), its meets with the members.
 import itertools
 
 from .errors import ContainmentError, NotUnipotentError, ShapeError
-from .linalg import Mat, Subspace, _form, _images, _row_map, _tagged
+from .linalg import Mat, Subspace, _images, _tagged
 from .series import _minus_one
 
 __all__ = [
@@ -79,7 +79,7 @@ def _kernel_chain(nil, basis, forms):
     kernel is everything.
     """
     field, n = nil.field, nil.nrows
-    in_basis = _row_map(field, basis, n)
+    in_basis = field._ops._row_map(basis, n)
     kernels, rows = [], []
     for _ in range(n):
         if not any(any(nums) for nums, _ in forms):
@@ -187,7 +187,8 @@ def jordan_blocks(g):
     chains = jordan_chains(g)
     field = g.field
     n = g.nrows
-    basis = Mat._of(field, None, n, [_form(field, v) for chain in chains for v in chain])
+    form = field._ops._form
+    basis = Mat._of(field, None, n, [form(v) for chain in chains for v in chain])
     standard = basis @ g @ basis.inverse()
     sizes = [len(c) for c in chains]
     if standard != jordan_matrix(field, sizes) or len(chains) < n // max(sizes):

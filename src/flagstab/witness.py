@@ -53,7 +53,7 @@ from .errors import (
     ShapeError,
     WitnessError,
 )
-from .linalg import Mat, Subspace, Vec, _common, _eliminate, _form, _images, _plus, _row_map
+from .linalg import Mat, Subspace, Vec, _common, _eliminate, _images
 from .linalg import _tagged, echelonize, left_kernel_rows
 from .series import Series, _adapted_rows, _coarsening, _complement_rows, _jump_images
 from .series import _fills_jumps, _level_residue, _minus_one, canonical_coarsening
@@ -231,7 +231,7 @@ def _level_dependency(chains, s):
         rows = [residue for *_, residue in items]
         if len(_eliminate(s.field, rows)[0]) == len(rows):
             continue
-        _, rows = _common([(residue, _form(s.field, v)[1]) for _, _, v, residue in items])
+        _, rows = _common([(residue, s.field._ops._form(v)[1]) for _, _, v, residue in items])
         for coeffs in left_kernel_rows(s.field, rows, len(rows[0])):
             support = [(ci, j, v, c) for (ci, j, v, _), c in zip(items, coeffs) if c != 0]
             if support:
@@ -301,8 +301,7 @@ def _member_meets(s, rows):
                 taken = count
                 meet = kernel if count == len(kernel_rows) else Subspace._of_rows(
                     field, dim, [y for _, y in kernel_rows[-count:]])
-            # a basis row is known by its kernel row, which over QQ is
-            # integers and cheaper to hash than the Fractions
+            # a basis row is known by its kernel row, cheaper to hash than its entries
             for row, v in zip(meet._rows(), meet.basis_vecs()):
                 key = tuple(row)
                 if key not in seen:
@@ -427,7 +426,7 @@ def _h_factors(sel, basis, s):
     xs = [sel.pairs[l + 1][0] for l in range(sel.r - 1)]
     if not all(0 <= i < n for i in ys + xs):
         raise SelectionError("a pair indexes outside the basis")
-    forms = [_form(field, v) for v in basis]
+    forms = [field._ops._form(v) for v in basis]
     p = Mat._of(field, None, n, forms)
     rows = Mat._of(field, None, n, [forms[x] for x in xs])
     factors = _RankFactors(p._inverse_columns(ys), rows)
@@ -438,12 +437,12 @@ def _h_factors(sel, basis, s):
     return factors
 
 
-def _jordan_probe(chains, sel, p):
+def _jordan_probe(chains, sel, ops):
     """Index of the probe, and whether m^r != 0, for m = g g^h - 1 and
     r = sel.r.
 
     In the chain basis m is M = J (2 - C) J C - 1 (module docstring),
-    an integer matrix, reduced mod p over GF(p) (p is None over QQ).
+    an integer matrix, taken in the field's integers by the row kernels ops.
     The candidates y_1, then every chain vector, are unit rows there,
     so candidate i survives m^(r-1) exactly when row i of M^(r-1) is
     nonzero.  The index is None when no candidate survives.
@@ -453,6 +452,7 @@ def _jordan_probe(chains, sel, p):
         shift += [(n + j, n + j + 1) for j in range(len(chain) - 1)]
         n += len(chain)
     twists = [(sel.pairs[l][1], sel.pairs[l + 1][0]) for l in range(sel.r - 1)]
+    field_plus = ops._plus
 
     def plus(v, edges, sign=1):
         # v (1 + sign * sum of E(a, b) over the edges)
@@ -463,8 +463,7 @@ def _jordan_probe(chains, sel, p):
 
     def times_m(v):
         w = plus(plus(plus(plus(v, shift), twists, -1), shift), twists)
-        w = [a - b for a, b in zip(w, v)]
-        return [a % p for a in w] if p is not None else w
+        return field_plus((w, 1), (v, 1), -1)[0]  # w - v in the field's integers
 
     powers = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(sel.r - 1):
@@ -514,7 +513,7 @@ def _witness_with_basis(g, s):
     r = (n - 2) // k
     if r != sel.r:
         raise WitnessError("selection-size", f"selected {sel.r} pairs, expected {r}")
-    probe, stronger = _jordan_probe(chains, sel, g.field.p)
+    probe, stronger = _jordan_probe(chains, sel, g.field._ops)
     if probe is None:
         raise WitnessError("power-vanished", "(g g^h - 1)^(r-1) = 0 unexpectedly")
     cert = WitnessCertificate(h, r, basis[probe], sel, stronger)
@@ -550,7 +549,7 @@ def verify_witness(g, s, cert):
     if v.dim != g.nrows:
         raise ShapeError("vector/matrix shapes differ")
     g._match(cert.h)  # h^-1 = 2 - h and g act on one space
-    return bool(factors.power(g, [_form(g.field, v)], min(cert.r - 1, g.nrows)))
+    return bool(factors.power(g, [g.field._ops._form(v)], min(cert.r - 1, g.nrows)))
 
 
 class _RankFactors:
@@ -567,10 +566,9 @@ class _RankFactors:
         """E the echelon basis of m's rows, C its pivot columns: m[i] = sum_j m[i][pivot_j] E_j."""
         e, field = echelonize(m), m.field
         rows = Mat._of(field, None, m.ncols, e._forms())
-        if field.p is None:  # C from the forms of m, taken at the pivot columns
-            return cls(Mat._of(field, None, e.dim, [([x[c] for c in e.pivots], d)
-                                                    for x, d in m._forms()]), rows)
-        return cls(Mat._of(field, [[r[c] for c in e.pivots] for r in m.rows], e.dim), rows)
+        # C from the forms of m, taken at the pivot columns
+        cols = [([x[c] for c in e.pivots], d) for x, d in m._forms()]
+        return cls(Mat._of(field, None, e.dim, cols), rows)
 
     def square_zero(self):
         """Whether (h - 1)^2 = C (E C) E is 0, i.e. E C = 0."""
@@ -587,7 +585,7 @@ class _RankFactors:
             if not any(map(any, residues)):
                 continue
             rows = [(a, 1) for a in _complement_rows(members[i], members[i - 1])]
-            by_residues = _row_map(field, residues, n)
+            by_residues = field._ops._row_map(residues, n)
             if any(any(by_residues(x)) for x, _ in _images(rows, self.cols)):
                 return False
         return True
@@ -596,14 +594,14 @@ class _RankFactors:
         """w (1 + sign (h - 1)) = w + sign (w C) E, for forms (see `_images`)."""
         field = self.cols.field
         (wce,) = _images(_images([form], self.cols), self.rows)
-        return _plus(field.p, form, wce, sign)
+        return field._ops._plus(form, wce, sign)
 
     def power(self, g, forms, e):
         """The nonzero rows among the forms times m^e, for m = g h^-1 g h - 1."""
-        field = g.field
+        plus = g.field._ops._plus
         for _ in range(e):
             ws = _images([self.times(f, -1) for f in _images(forms, g)], g)
-            forms = [f for f in (_plus(field.p, self.times(w, 1), v, -1)
+            forms = [f for f in (plus(self.times(w, 1), v, -1)
                                  for w, v in zip(ws, forms)) if any(f[0])]
         return forms
 
@@ -616,7 +614,7 @@ def _core_meets(w, s):
     a_inv = Mat._of(s.field, None, n, [(r, 1) for r in a]).inverse()
     forms = _images(w._forms(), a_inv)
     reduced, pivots = _tagged(s.field, forms, range(w.dim))
-    in_v = _row_map(s.field, a, n)
+    in_v = s.field._ops._row_map(a, n)
     return [(c, in_v(r[:n]), r[n:]) for r, c in zip(reduced, pivots)]
 
 
@@ -719,7 +717,7 @@ def extend_witness(g, s, n):
     coarse = _coarsening(s, images)
     _, w = _invariant_core(s, n, coarse, nil)
     w_g = [v @ g for v in w.basis_vecs()]
-    if any(any(w._reduce(_form(field, v)[0])) for v in w_g):
+    if any(any(w._reduce(field._ops._form(v)[0])) for v in w_g):
         raise WitnessError("core-not-invariant", "core subspace is not invariant")
     g_w = Mat._of(field, [[v.entries[c] for c in w.pivots] for v in w_g], w.dim)
     meets, members_w = _core_meets(w, s), []
@@ -752,4 +750,4 @@ def _power_nonzero(g, factors, e, inner, lifted, comp):
     if e < inner.r or e == inner.r and inner.stronger_power_nonzero:
         return True
     rows = lifted + comp if inner.stronger_power_nonzero else comp
-    return bool(factors.power(g, [_form(g.field, v) for v in rows], e))
+    return bool(factors.power(g, [g.field._ops._form(v) for v in rows], e))

@@ -897,8 +897,8 @@ def kept_forms(pf):
     for s in pf.series.values():
         for x in s.members:
             out.append([list(r) for r in x._rows()])
-            out.append(x._packed() if pf.field.p in linalg._MOD else None)
-    nums, den = linalg._form(pf.field, pf.certificate.probe)
+            out.append(x._packed() if isinstance(pf.field._ops, linalg._PackedPrimes) else None)
+    nums, den = pf.field._ops._form(pf.certificate.probe)
     return out + [(list(nums), den)]
 
 
@@ -913,9 +913,9 @@ def test_parsed_objects_hold_the_forms_the_lazy_paths_compute(text):
         fresh = Subspace._span(field, n, x.basis)
         assert x == fresh and x.pivots == fresh.pivots
         assert [list(r) for r in x._rows()] == [list(r) for r in fresh._rows()]
-        if field.p in linalg._MOD:
+        if isinstance(field._ops, linalg._PackedPrimes):
             assert x._packed() == fresh._packed()
-    nums, den = linalg._form(field, pf.certificate.probe)
+    nums, den = field._ops._form(pf.certificate.probe)
     assert (list(nums), den) == linalg._int_row(pf.certificate.probe.entries)
 
 

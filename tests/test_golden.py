@@ -6,7 +6,9 @@ witness -` (or `flagstab extend-witness - [--n N]`).  They pin every
 byte of the report (h, the probe, r and the `stronger_power_nonzero=`
 line), so a change in how the witness is computed must leave the
 certificate itself unchanged.  The `witness` corpus has r = 1, 2, 3 and
-5.  The `extend-witness` corpus has padded and unpadded problems, `--n`
+5, over every kind of row kernel: packed GF(p) rows (gf2, gf5 and gf13,
+the widest packed slot), list rows (gf17, the smallest prime past the
+packed ones, and 2^61 - 1, past a machine word) and QQ.  The `extend-witness` corpus has padded and unpadded problems, `--n`
 equal to the number of jumps and one below it, and r = 1 to 4.  Both
 corpora have both values of `stronger_power_nonzero`.  The other reports
 (`check-stab`, `exponent`, `jordan`, `coarsen`, `split`, `comm-check`,
@@ -39,6 +41,18 @@ GOLDEN = {
     ("gf5", 12, 2, True): "3c411022159324626a0f2b3ec149e27f9bf9b1942b07750fb83e39cf4338127f",
     ("gf5", 12, 3, False): "45586a9ec26f81b5acd282e03dce7b7e81c2de424e36f157c26189ca80669203",
     ("gf5", 12, 3, True): "9a4c902610df95aee6539fa815bc7964b8eca9ea8df3605f3547e3e6c29d8905",
+    ("gf13", 7, 2, False): "cca90623533620114979b432ff9aa94238fb23872ff012bf2aedd8eb90c211fe",
+    ("gf13", 7, 2, True): "0cfedcd41172c3d61442ca8976efe67672f8d483bf2e4133e076754344b23922",
+    ("gf13", 12, 2, False): "75db73f986da3470ac58ed85c58cda8d31342fed4ab6e232c56564f4db9cd61f",
+    ("gf13", 12, 2, True): "de6e2e1c1a31ab311d4658c702c4113309b41aabc5f3756b3fd62db09dd071c5",
+    ("gf17", 7, 2, False): "ec8981755b8d3ac73fada9a20e566e1e88a7f8b88f69116a65de135365ba1787",
+    ("gf17", 7, 2, True): "32f56929aee382b6348826a951e8f8ba11c8e039c353e8723c15cfc149150e9a",
+    ("gf17", 12, 2, False): "8bfa197a0fa9dc39ce3c8547fec64de0bcfa60d0607f9f3690fa9cfb2451b509",
+    ("gf17", 12, 2, True): "207ad7f0b74eac64770bb273dfd6e47f7d2325eb6dae917e84346748809ba658",
+    ("gf2305843009213693951", 7, 2, False): "b5f69852b24f943db155f392e13c8bc4f8d83f06408716cb0828dc11e03d1a8f",
+    ("gf2305843009213693951", 7, 2, True): "d616aef07429423297d00e01112919257e629c49a3bef0e005d48f86c8f3c3bd",
+    ("gf2305843009213693951", 12, 2, False): "ad84d34c1eab24e6fff9425d8e6601162a7ed35143aae0b934b328966839f3ef",
+    ("gf2305843009213693951", 12, 2, True): "06fb9647c7c49a8adecf1696b52bdf27dbf8ac158d0387d7a3831398152f678a",
     ("q", 7, 2, False): "ecfebd78269fd83a8533230ed6276b0ef335a7d0f6acae033285d2e195425f59",
     ("q", 7, 2, True): "eba9038bc7d57c20868b3c5e2ee5054754fa9c3fbf467b9057fc309b9a1452b2",
     ("q", 7, 3, False): "bebfc0b8755a01bc74aaffb5f33a27175d8123cd3b779e8a0d84655a6c0c2f5c",

@@ -754,7 +754,7 @@ def test_gf_sum_matches_reference(p, data, da, db, n):
         c = x.sum(y)
         assert (c.basis, c.pivots) == expected
         assert_canonical(c)
-        if p in linalg._MOD:
+        if isinstance(field._ops, linalg._PackedPrimes):
             assert c._packed() == Subspace(field, n, c.basis, c.pivots)._packed()
 
 
@@ -798,7 +798,7 @@ def kernel_form_rows(draw, field, nrows, ncols):
     if field.is_prime_field:
         rows = [list(r) for r in draw(gf_rows(field.p, nrows, ncols))]
     else:
-        rows = [list(linalg._form(QQ, r)[0]) for r in draw(qq_rows(nrows, ncols))]
+        rows = [list(QQ._ops._form(r)[0]) for r in draw(qq_rows(nrows, ncols))]
     i, k = draw(st.integers(0, nrows - 1)), draw(st.integers(2, 6))
     rows.append(list(rows[i]))
     if not field.is_prime_field:
@@ -1147,7 +1147,7 @@ def test_every_qq_object_holds_its_form_from_construction(data, n):
         mp.setattr(linalg, "_int_row", no_conversion)
         for x in built:
             if isinstance(x, Vec):
-                linalg._form(QQ, x)
+                QQ._ops._form(x)
             elif isinstance(x, Mat):
                 assert x._forms() is x._int_forms and x.is_zero() == (not any(map(any, x.rows)))
             else:
@@ -1195,6 +1195,35 @@ def test_public_subspace_constructor_coerces_its_basis():
     assert plane == Subspace.span(QQ, 3, [[2, 1, 0], [0, 0, 5]])
     for x in (line, plane, Subspace(F5, 3, [[1, 0, 7]], [0]), Subspace(GF(17), 2, [[18, -1]], [0])):
         assert_canonical(x)
+
+
+@pytest.mark.parametrize("field", [F2, F5, GF(17), QQ], ids=repr)
+def test_public_subspace_constructor_rejects_a_basis_not_in_reduced_echelon_form(field):
+    bad = [
+        ([[1, 0], [0, 1]], [1, 0]),  # pivots out of order
+        ([[1, 1], [0, 1]], [0, 1]),  # a pivot column not cleared above
+        ([[0, 1], [1, 0]], [1, 0]),  # rows out of order
+        ([[1, 0]], [1]),  # the lead is not at the pivot
+        ([[0, 1]], [1, 2]),  # fewer rows than pivots
+        ([[1, 0], [0, 0]], [0]),  # a zero row
+        ([[1, 0], [0, 0]], [0, 1]),
+        ([[1, 0, 0]], [0]),  # wider than the space
+        ([[1]], [0]),  # narrower
+        ([[0, 1]], [-1]),
+        ([[1, 0]], [0.5]),
+    ]
+    if field != F2:
+        bad += [([[2, 0]], [0]), ([[1, 3], [0, 2]], [0, 1])]  # pivot entries other than 1
+    if field == QQ:
+        bad += [([[1, "1/2"], [0, "3/2"]], [0, 1])]
+    for basis, pivots in bad:
+        with pytest.raises(ValueError):
+            Subspace(field, 2, basis, pivots)
+    good = [([], []), ([[1, 0], [0, 1]], [0, 1]), ([[0, 1]], [1]), ([[1, 3]], [0]), ([[1, 2]], range(1))]
+    for basis, pivots in good:
+        assert Subspace(field, 2, basis, pivots) == Subspace.span(field, 2, basis)
+    # canonical once coerced: 6 is 1 over GF(5)
+    assert Subspace(F5, 2, [[6, 0]], [0]) == Subspace.span(F5, 2, [[1, 0]])
 
 
 @differential
@@ -1305,7 +1334,7 @@ def record_paths(monkeypatch):
         return images(forms, m)
 
     def recorded_reduce(self, v):
-        seen["rows", "_reduce"] += self.field.p not in linalg._MOD
+        seen["rows", "_reduce"] += not isinstance(self.field._ops, linalg._PackedPrimes)
         return reduce(self, v)
 
     monkeypatch.setattr(linalg, "_combine", recorded_combine)
@@ -1365,7 +1394,7 @@ def test_sparse_rows_match_reference(field, monkeypatch):
             if field.is_prime_field:
                 assert_reduce_matches(s, v, field)
             else:
-                nums, d = linalg._form(field, v)
+                nums, d = field._ops._form(v)
                 assert list(s._reduce(nums)) == [den * d * expected[c] for c in free]
             assert s.contains_vec(v) == s.contains_vec(Vec(field, v)) == (not any(expected))
         for rows in (inside, inside[:1], vs[-2:]):
@@ -1420,7 +1449,7 @@ def product_rows(draw, field, nrows, ncols, limit):
 def test_row_map_and_images_match_row_times_reference(field, data, k, n):
     factor = data.draw(product_rows(field, k, n, min(k, n)))
     xs = data.draw(product_rows(field, 6, k, min(k, n)))
-    times = linalg._row_map(field, factor, n)
+    times = field._ops._row_map(factor, n)
     for x in xs:
         assert list(times(x)) == ref_row_times(field, x, factor, n)
 
@@ -1443,13 +1472,13 @@ def test_row_map_and_images_match_row_times_reference(field, data, k, n):
         assert d > 0 and math.gcd(d, *nums) == 1
         assert d == 1 or field.p is None
         row = [field.coerce(Fraction(c, e)) for c in x]
-        assert list(linalg._entries(field.p, nums, d)) == ref_row_times(field, row, m.rows, n)
+        assert list(field._ops._entries(nums, d)) == ref_row_times(field, row, m.rows, n)
 
 
 @pytest.mark.parametrize("field", [F2, F5, GF(17), QQ], ids=repr)
 def test_vec_of_keeps_a_form_over_qq_only(field):
     one, zero = field.one, field.zero
-    form = (linalg._pack([1, 0]) if field.p in linalg._MOD else [1, 0], 1)
+    form = (linalg._pack([1, 0]) if isinstance(field._ops, linalg._PackedPrimes) else [1, 0], 1)
     kept = form if field.p is None else None
     assert Vec._of(field, [one, zero], form)._int == kept
     # a product and a parsed probe hand `Vec._of` a form

@@ -40,7 +40,6 @@ from flagstab.linalg import (
     Mat,
     Subspace,
     Vec,
-    _form,
     complement_basis,
 )
 from flagstab.series import in_stabilizer, is_adapted_basis, section_series
@@ -75,7 +74,7 @@ def ref_extend(sub, rows, dim=None):
             break
         if not span.contains_vec(row):
             new.append(row)
-            span = Subspace._of_rows(field, n, [*span._rows(), _form(field, row)[0]])
+            span = Subspace._of_rows(field, n, [*span._rows(), field._ops._form(row)[0]])
     return new, span
 
 
